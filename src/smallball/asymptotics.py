@@ -47,6 +47,7 @@ __all__ = [
     "weighted_lp_clock_order",
     "tsb_constant",
     "iterated_first_order_constant",
+    "iterated_rate_exponent",
     "weighted_sum_constant",
     "chaos_sup_constant",
     "chaos_clock_constant",

@@ -1,9 +1,14 @@
 """Monte Carlo estimators, exact oracles, constant extraction, two-sample tests.
 
-Estimators split their sample budget into batches keyed by stream id; batch
-results are merged by exact summation of sums and sums of squares, so the
-output is independent of the batch execution schedule (and of the worker
-count, when threading is enabled).
+Every estimator runs on one batching engine.  A sampler returns one column per
+probe (an eps or a lambda) for each sampled clock or path, so coupled probes
+share their samples.  The sample budget is split into batches; batch k draws
+from ``RngStream(seed, stream_base + k)`` and yields a per-column
+(count, mean, sum of squared deviations) triple.  The triples are merged in
+batch order with the pairwise update of Chan, Golub & LeVeque ("Algorithms for
+computing the sample variance", Am. Stat. 1983), which avoids the cancellation
+of sum-of-squares formulas.  Batches run on ``McConfig.workers`` threads; the
+fixed merge order keeps every output bit independent of the worker count.
 
 The rare-event strategy is conditional Monte Carlo: for a single-interval sup
 event of a time-changed Brownian motion, the conditional probability given the
@@ -29,8 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.stats import ks_2samp
+from scipy import fft
 
 from .asymptotics import Partition, sup_bm_cdf
 from .errors import NumericError
@@ -121,7 +125,10 @@ class EstimateResult:
     zero_hits: bool = False
 
     def record(self, op: str, params: dict) -> dict:
-        """JSON-ready record {op, params, estimate, stdError, samples, seed}."""
+        """JSON-ready record {op, params, estimate, stdError, samples, seed, zeroHits}.
+
+        With ``zeroHits`` true, ``stdError`` holds the Clopper-Pearson bound.
+        """
         return {
             "op": op,
             "params": params,
@@ -129,17 +136,11 @@ class EstimateResult:
             "stdError": self.std_error,
             "samples": self.samples,
             "seed": self.seed,
+            "zeroHits": self.zero_hits,
         }
 
     def to_json(self, op: str, params: dict) -> str:
         return json.dumps(self.record(op, params), sort_keys=True)
-
-
-def _merge_batches(parts: list[tuple[float, float, int]]) -> tuple[float, float, int]:
-    s = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    return s, s2, n
 
 
 def _batch_sizes(cfg: McConfig) -> list[int]:
@@ -150,30 +151,54 @@ def _batch_sizes(cfg: McConfig) -> list[int]:
     return sizes
 
 
-def _batched_mean(sampler: Callable[[int, np.random.Generator], np.ndarray], cfg: McConfig) -> tuple[float, float, int]:
-    """Mean and std error of sampler output over cfg.samples draws.
+def _batch_moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Per-column (n, mean, M2) of a (b, k) batch, M2 the sum of squared deviations.
 
-    Batch b draws from RngStream(cfg.seed, cfg.stream_base + b); merging is by
-    exact summation in batch order, so thread scheduling cannot change the
-    result.
+    Each column is reduced as its own contiguous row, so column i of a
+    k-column batch gives the same bits as a one-column batch holding it.
     """
-    sizes = _batch_sizes(cfg)
+    cols = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    n = cols.shape[1]
+    mean = cols.sum(axis=1) / n
+    dev = cols - mean[:, None]
+    return n, mean, np.square(dev, out=dev).sum(axis=1)
 
-    def one(args):
-        k, b = args
-        values = np.asarray(sampler(b, RngStream(cfg.seed, cfg.stream_base + k).generator()), dtype=float)
-        return float(values.sum()), float(np.square(values).sum()), values.size
 
-    jobs = list(enumerate(sizes))
+def _summarize(n: int, mean: np.ndarray, m2: np.ndarray) -> list[tuple[float, float, int]]:
+    """(mean, std error, n) per column."""
+    var = m2 / (n - 1) if n > 1 else np.zeros_like(m2)
+    return [(float(m), float(np.sqrt(v / n)), n) for m, v in zip(mean, var)]
+
+
+def _batched_moments(
+    sampler: Callable[[int, np.random.Generator], np.ndarray], cfg: McConfig
+) -> list[tuple[float, float, int]]:
+    """(mean, std error, n) for each column of sampler output over cfg.samples rows.
+
+    ``sampler(b, gen)`` returns a (b, k) array.  Batch j draws from
+    RngStream(cfg.seed, cfg.stream_base + j) and batches run on cfg.workers
+    threads; their moments merge in batch order by the Chan-Golub-LeVeque
+    update, so the schedule cannot change the result.
+    """
+
+    def one(job):
+        j, b = job
+        return _batch_moments(sampler(b, RngStream(cfg.seed, cfg.stream_base + j).generator()))
+
+    jobs = list(enumerate(_batch_sizes(cfg)))
     if cfg.workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
             parts = list(ex.map(one, jobs))
     else:
-        parts = [one(j) for j in jobs]
-    s, s2, n = _merge_batches(parts)
-    mean = s / n
-    var = max(0.0, (s2 - n * mean * mean) / (n - 1)) if n > 1 else 0.0
-    return mean, np.sqrt(var / n), n
+        parts = [one(job) for job in jobs]
+    n, mean, m2 = parts[0]
+    for nb, mean_b, m2_b in parts[1:]:
+        total = n + nb
+        delta = mean_b - mean
+        mean = mean + delta * (nb / total)
+        m2 = m2 + m2_b + delta * delta * (n * nb / total)
+        n = total
+    return _summarize(n, mean, m2)
 
 
 def _indicator_result(mean: float, se: float, n: int, cfg: McConfig) -> EstimateResult:
@@ -203,9 +228,9 @@ def estimate_smallball_raw(process: ProcessSpec, part: Partition, eps: float, cf
 
     def sampler(b, gen):
         sups = sup_samples(process, part.times, cfg.n_steps, b, gen)
-        return np.all((sups >= lo) & (sups <= hi), axis=1).astype(float)
+        return np.all((sups >= lo) & (sups <= hi), axis=1, keepdims=True)
 
-    mean, se, n = _batched_mean(sampler, cfg)
+    ((mean, se, n),) = _batched_moments(sampler, cfg)
     return _indicator_result(mean, se, n, cfg)
 
 
@@ -220,32 +245,10 @@ def estimate_smallball_conditional(clock: ClockLike, t: float, eps: float, cfg: 
     exact theta series F(eps / sqrt(C(t))).  ``clock`` may be a ClockSpec
     (terminal values are simulated), an array of precomputed C(t) samples, or
     a callable (n, rng) -> samples; a constant-returning callable models a
-    deterministic clock and gives a zero-variance estimate.
+    deterministic clock and gives a zero-variance estimate.  This is the
+    one-probe case of :func:`probe_smallball_conditional`.
     """
-    if eps <= 0 or t <= 0:
-        raise ValueError("eps and t must be positive")
-
-    if isinstance(clock, np.ndarray):
-        c = np.asarray(clock, dtype=float)
-        if np.any(c < 0):
-            raise ValueError("clock samples must be nonnegative")
-        vals = _conditional_values(c, eps)
-        n = c.size
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return EstimateResult(mean, se, n, cfg.seed, cfg.stream_base)
-
-    if callable(clock):
-        draw = clock
-    else:
-        def draw(b, gen, _spec=clock):
-            return clock_terminal_samples(_spec, t, cfg.n_steps, b, gen)
-
-    def sampler(b, gen):
-        return _conditional_values(np.asarray(draw(b, gen), dtype=float), eps)
-
-    mean, se, n = _batched_mean(sampler, cfg)
-    return EstimateResult(mean, se, n, cfg.seed, cfg.stream_base)
+    return probe_smallball_conditional(clock, t, (eps,), cfg).results[0]
 
 
 def _conditional_values(c_samples: np.ndarray, eps: float) -> np.ndarray:
@@ -272,29 +275,16 @@ def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[floa
     functional is averaged for every lambda; each estimate is individually
     unbiased, and the coupling makes the lambda profile monotone pathwise.
     """
-    lams = [float(l) for l in lams]
-    if any(l < 0 for l in lams):
+    lams = np.asarray([float(l) for l in lams])
+    if np.any(lams < 0):
         raise ValueError("lambda must be nonnegative")
     d = np.asarray(part.weights) if part.weights is not None else np.ones(part.m)
 
-    sums = np.zeros(len(lams))
-    sumsq = np.zeros(len(lams))
-    total = 0
-    for k, b in enumerate(_batch_sizes(cfg)):
-        gen = RngStream(cfg.seed, cfg.stream_base + k).generator()
-        inc = clock_interval_increment_samples(spec, part, cfg.n_steps, b, gen)
-        weighted = inc @ d
-        for i, lam in enumerate(lams):
-            v = np.exp(-lam * weighted)
-            sums[i] += v.sum()
-            sumsq[i] += np.square(v).sum()
-        total += weighted.size
-    out = []
-    for i in range(len(lams)):
-        mean = sums[i] / total
-        var = max(0.0, (sumsq[i] - total * mean * mean) / (total - 1)) if total > 1 else 0.0
-        out.append(EstimateResult(float(mean), float(np.sqrt(var / total)), total, cfg.seed, cfg.stream_base))
-    return out
+    def sampler(b, gen):
+        weighted = clock_interval_increment_samples(spec, part, cfg.n_steps, b, gen) @ d
+        return np.exp(-np.outer(weighted, lams))
+
+    return [EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in _batched_moments(sampler, cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +390,27 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
     f = norm * np.exp(-x * x / (2.0 * sig * sig))  # density of B(h) on [-eps, eps]
     offsets = np.arange(-(m - 1), m) * delta
     kernel = norm * np.exp(-offsets * offsets / (2.0 * sig * sig))
+    # Each step is the 'valid' part of a linear convolution with the fixed
+    # kernel; its transform is taken once, at a length free of wrap-around.
+    size = fft.next_fast_len(3 * m - 2, real=True)
+    kernel_hat = fft.rfft(kernel, size)
     for _ in range(n_steps - 1):
-        f = fftconvolve(f, kernel, mode="valid") * delta
+        f = fft.irfft(fft.rfft(f, size) * kernel_hat, size)[m - 1 : 2 * m - 1] * delta
     return float(min(1.0, f.sum() * delta))
 
 
 # ---------------------------------------------------------------------------
 # Constant extraction from a probe grid
 # ---------------------------------------------------------------------------
+
+def _decreasing_eps(epsilons) -> tuple[float, ...]:
+    eps = tuple(float(e) for e in epsilons)
+    if any(e <= 0 for e in eps):
+        raise ValueError("epsilons must be positive")
+    if any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilons must be strictly decreasing")
+    return eps
+
 
 @dataclass(frozen=True)
 class ProbeGrid:
@@ -417,11 +420,7 @@ class ProbeGrid:
     results: tuple[EstimateResult, ...]
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if any(e <= 0 for e in eps):
-            raise ValueError("epsilons must be positive")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilons must be strictly decreasing")
+        eps = _decreasing_eps(self.epsilons)
         if len(self.results) != len(eps):
             raise ValueError("need one result per epsilon")
         object.__setattr__(self, "epsilons", eps)
@@ -478,36 +477,31 @@ def probe_smallball_conditional(clock: ClockLike, t: float, eps_grid: Sequence[f
     The clock terminal values are simulated once (per batch) and the exact
     conditional series is averaged for every eps, coupling the probes; this
     preserves unbiasedness per eps and makes the K-hat trend smooth in eps.
+    ``clock`` takes the forms :func:`estimate_smallball_conditional` accepts;
+    an array of clock samples is treated as one pre-drawn batch.
     """
-    eps_grid = tuple(float(e) for e in eps_grid)
+    eps_grid = _decreasing_eps(eps_grid)
+    if t <= 0:
+        raise ValueError("t must be positive")
+
+    def values(c):
+        return np.column_stack([_conditional_values(c, e) for e in eps_grid])
 
     if isinstance(clock, np.ndarray):
-        results = [estimate_smallball_conditional(clock, t, e, cfg) for e in eps_grid]
-        return ProbeGrid(eps_grid, tuple(results))
-
-    if callable(clock):
-        draw = clock
+        c = np.asarray(clock, dtype=float)
+        if np.any(c < 0):
+            raise ValueError("clock samples must be nonnegative")
+        moments = _summarize(*_batch_moments(values(c)))
     else:
-        def draw(b, gen, _spec=clock):
-            return clock_terminal_samples(_spec, t, cfg.n_steps, b, gen)
+        if callable(clock):
+            draw = clock
+        else:
+            def draw(b, gen):
+                return clock_terminal_samples(clock, t, cfg.n_steps, b, gen)
 
-    sums = np.zeros(len(eps_grid))
-    sumsq = np.zeros(len(eps_grid))
-    total = 0
-    for k, b in enumerate(_batch_sizes(cfg)):
-        gen = RngStream(cfg.seed, cfg.stream_base + k).generator()
-        c = np.asarray(draw(b, gen), dtype=float)
-        for i, e in enumerate(eps_grid):
-            v = _conditional_values(c, e)
-            sums[i] += v.sum()
-            sumsq[i] += np.square(v).sum()
-        total += c.size
-    results = []
-    for i in range(len(eps_grid)):
-        mean = sums[i] / total
-        var = max(0.0, (sumsq[i] - total * mean * mean) / (total - 1))
-        results.append(EstimateResult(float(mean), float(np.sqrt(var / total)), total, cfg.seed, cfg.stream_base))
-    return ProbeGrid(eps_grid, tuple(results))
+        moments = _batched_moments(lambda b, gen: values(np.asarray(draw(b, gen), dtype=float)), cfg)
+    results = tuple(EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in moments)
+    return ProbeGrid(eps_grid, results)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +510,8 @@ def probe_smallball_conditional(clock: ClockLike, t: float, eps_grid: Sequence[f
 
 def ks_two_sample(x, y) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    from scipy.stats import ks_2samp  # scipy.stats takes most of a second to import
+
     x = np.asarray(x)
     y = np.asarray(y)
     if x.size == 0 or y.size == 0:

@@ -275,10 +275,9 @@ def _fill_power_clock_steps(d_c, ws: _Workspace, spec: PowerClockSpec, t_idx, ho
     b, n_steps = d_c.shape
     h = horizon / n_steps
     paths = ws.paths[:b]
-    _fill_bm(paths, ws.steps[:b], np.sqrt(h), rng)
-    integrand = ws.paths2[:b]
-    _abs_power(paths, spec.p, integrand)
-    np.add(integrand[:, :-1], integrand[:, 1:], out=d_c)
+    _fill_bm(paths, d_c, np.sqrt(h), rng)  # d_c is free until the trapezoid step
+    _abs_power(paths, spec.p, paths)
+    np.add(paths[:, :-1], paths[:, 1:], out=d_c)
     d_c *= 0.5 * h
     rho = spec.rho
     if np.isscalar(rho):
@@ -421,7 +420,7 @@ def clock_interval_increment_samples(spec: ClockSpec, part, n_steps: int, n: int
     while done < n:
         b = min(block, n - done)
         _fill_clock_steps(d_c[:b], ws, spec, times, gen)
-        c_cum = ws.steps2[:b]  # free in both clock kernels
+        c_cum = ws.paths[:b, 1:]  # free once the clock kernels return
         np.cumsum(d_c[:b], axis=1, out=c_cum)
         c_at = c_cum[:, t_idx - 1]  # t_idx >= 1 since t_1 > 0
         out[done : done + b] = np.diff(np.concatenate([np.zeros((b, 1)), c_at], axis=1), axis=1)

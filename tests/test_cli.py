@@ -1,10 +1,14 @@
 """CLI surface tests: subcommands, config precedence, reproducible records, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smallball as sb
 from smallball.cli import main
 
 
@@ -118,6 +122,19 @@ class TestEstimationCommands:
         assert code == 0
         assert "P = " in out
 
+    def test_zero_hits_flagged_in_record(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        code, stdout, _ = run(
+            capsys, "smallball", "--process", "bm", "--eps", "0.1", "--samples", "1000",
+            "--n-steps", "512", "--output", str(out),
+        )
+        assert code == 0
+        assert "zero hits" in stdout
+        (rec,) = json.loads(out.read_text())["results"]
+        assert rec["zeroHits"] is True
+        assert rec["estimate"] == 0.0
+        assert rec["stdError"] == pytest.approx(1.0 - 0.05 ** (1.0 / 1000), rel=1e-12)
+
     def test_laplace_with_oracle_annotation(self, capsys):
         code, out, _ = run(
             capsys, "laplace", "--clock", "power", "--clock-p", "2", "--lam", "1",
@@ -178,6 +195,18 @@ class TestRecordsAndConfig:
         assert "key = value" in err
 
 
+class TestImport:
+    def test_import_leaves_slow_scipy_modules_unloaded(self):
+        # every CLI call pays the import; scipy.signal and scipy.stats cost ~1.3 s
+        root = str(Path(sb.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {root!r}); import smallball.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "constants", "--bogus")
@@ -201,6 +230,14 @@ class TestExitCodes:
         assert code == 0
         rec = json.loads(out.read_text())
         assert [r["passed"] for r in rec["results"]] == [True, True]
+
+    def test_verify_record_is_byte_identical(self, capsys, tmp_path):
+        outs = [tmp_path / "v1.json", tmp_path / "v2.json"]
+        for path in outs:
+            code, stdout, _ = run(capsys, "verify", "--seed", "42", "--only", "C1,C3", "--output", str(path))
+            assert code == 0
+            assert "budget" in stdout  # timings stay on stdout
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestLilDemo:

@@ -117,6 +117,13 @@ class TestConditionalSmallball:
         est = sb.estimate_smallball_conditional(lambda n, g: np.full(n, c), 1.0, 0.4, cfg)
         assert est.estimate == pytest.approx(sb.sup_bm_cdf(0.4 / np.sqrt(c)), rel=1e-14)
         assert est.std_error < 1e-10  # analytically zero; float cancellation residue
+        # across many batches the merge must not amplify rounding: a sum of
+        # squares formula leaves an SE of ~1e-12 here
+        cfg = McConfig(samples=100_000, n_steps=64, seed=6, batch_size=700)
+        c = 0.37
+        est = sb.estimate_smallball_conditional(lambda n, g: np.full(n, c), 1.0, 0.3, cfg)
+        assert est.estimate == pytest.approx(sb.sup_bm_cdf(0.3 / np.sqrt(c)), rel=1e-14)
+        assert est.std_error <= 1e-15 * est.estimate
 
     def test_precomputed_sample_input(self):
         samples = np.array([0.5, 1.0, 2.0])
@@ -214,12 +221,31 @@ class TestLaplaceEstimation:
         with pytest.raises(ValueError):
             sb.estimate_laplace(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), -1.0, cfg)
 
-    def test_workers_do_not_change_results(self):
-        part = sb.Partition((1.0,))
-        a = sb.estimate_laplace(sb.PowerClockSpec(2.0), part, 2.0, McConfig(samples=3000, n_steps=128, seed=17, batch_size=500))
-        b = sb.estimate_laplace(sb.PowerClockSpec(2.0), part, 2.0, McConfig(samples=3000, n_steps=128, seed=17, batch_size=500, workers=4))
-        assert a.estimate == b.estimate
-        assert a.std_error == b.std_error
+
+_CHAOS = sb.ChaosClockSpec((0.5, 0.25))
+_WINDOW = sb.Partition((1.0,), windows=((0.0, 1.0),))
+_ESTIMATORS = {
+    "estimate_laplace": lambda cfg: [sb.estimate_laplace(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), 2.0, cfg)],
+    "estimate_laplace_multi": lambda cfg: sb.estimate_laplace_multi(
+        sb.PowerClockSpec(2.0), sb.Partition((0.5, 1.0), weights=(2.0, 1.0)), (0.5, 2.0, 8.0), cfg
+    ),
+    "estimate_smallball_raw": lambda cfg: [sb.estimate_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, 0.6, cfg)],
+    "estimate_smallball_conditional": lambda cfg: [sb.estimate_smallball_conditional(_CHAOS, 1.0, 0.3, cfg)],
+    "probe_smallball_conditional": lambda cfg: list(
+        sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg).results
+    ),
+}
+
+
+class TestWorkerInvariance:
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_workers_do_not_change_results(self, name):
+        # seven batches, the last one short, spread over two threads
+        cfg = McConfig(samples=3000, n_steps=128, seed=17, batch_size=450)
+        serial = _ESTIMATORS[name](cfg)
+        threaded = _ESTIMATORS[name](McConfig(samples=3000, n_steps=128, seed=17, batch_size=450, workers=2))
+        assert [(r.estimate, r.std_error) for r in serial] == [(r.estimate, r.std_error) for r in threaded]
+        assert all(r.samples == 3000 and r.std_error > 0 for r in serial)
 
 
 class TestOracles:
@@ -364,8 +390,10 @@ class TestKsAndRecords:
     def test_record_schema(self):
         est = sb.EstimateResult(0.25, 0.01, 400, 42, 7)
         rec = est.record("laplace", {"lambda": 2.0})
-        assert set(rec) == {"op", "params", "estimate", "stdError", "samples", "seed"}
+        assert set(rec) == {"op", "params", "estimate", "stdError", "samples", "seed", "zeroHits"}
         assert rec["seed"] == 42
+        assert rec["zeroHits"] is False
+        assert sb.EstimateResult(0.0, 0.01, 400, 42, zero_hits=True).record("laplace", {})["zeroHits"] is True
         parsed = json.loads(est.to_json("laplace", {"lambda": 2.0}))
         assert parsed["estimate"] == 0.25
 
