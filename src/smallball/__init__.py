@@ -45,6 +45,7 @@ from .mc import (
     oracle_laplace_intbm2,
     oracle_smallball_chaos,
     probe_smallball_conditional,
+    probe_smallball_raw,
     sup_bm_grid_cdf,
 )
 from .paths import (

@@ -265,13 +265,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_smallball(args) -> int:
     cfg = mc.McConfig(samples=args.samples, n_steps=args.n_steps, seed=args.seed, workers=args.workers)
     results = []
+    if args.extract and not args.conditional:
+        raise ValueError("--extract needs --conditional")
+    if args.extract and len(args.eps) < 3:
+        raise ValueError("--extract needs at least three eps")
     if args.conditional:
         t = args.t[0] if args.t else 1.0
         grid = mc.probe_smallball_conditional(_clock_from(args), t, args.eps, cfg)
         for eps, est in zip(grid.epsilons, grid.results):
             print(f"eps={eps:g}: P = {est.estimate:.6e} +/- {est.std_error:.2e} ({est.samples} samples)")
             results.append(est.record("smallball-conditional", {"eps": eps, "t": t, "n_steps": args.n_steps}))
-        if args.extract and len(args.eps) >= 3:
+        if args.extract:
             ext = mc.extract_constant(grid, (args.extract[0], args.extract[1]))
             print(f"K_hat = {[f'{k:.5f}' for k in ext.k_hat]}")
             print(f"extrapolated K = {ext.extrapolated:.5f}; gaps non-increasing: {ext.gaps_non_increasing}")
@@ -279,8 +283,7 @@ def _cmd_smallball(args) -> int:
     else:
         process = _process_from(args)
         part = asy.Partition(tuple(args.t), windows=_windows_from(args.a, args.b))
-        for eps in args.eps:
-            est = mc.estimate_smallball_raw(process, part, eps, cfg)
+        for eps, est in zip(args.eps, mc.probe_smallball_raw(process, part, args.eps, cfg)):
             flag = " (zero hits: std_error column holds the 95% upper bound)" if est.zero_hits else ""
             print(f"eps={eps:g}: P = {est.estimate:.6e} +/- {est.std_error:.2e} ({est.samples} samples){flag}")
             results.append(est.record("smallball-raw", {"eps": eps, "t": args.t, "b": args.b, "n_steps": args.n_steps}))

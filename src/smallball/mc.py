@@ -2,13 +2,15 @@
 
 Every estimator runs on one batching engine.  A sampler returns one column per
 probe (an eps or a lambda) for each sampled clock or path, so coupled probes
-share their samples.  The sample budget is split into batches; batch k draws
-from ``RngStream(seed, stream_base + k)`` and yields a per-column
-(count, mean, sum of squared deviations) triple.  The triples are merged in
-batch order with the pairwise update of Chan, Golub & LeVeque ("Algorithms for
-computing the sample variance", Am. Stat. 1983), which avoids the cancellation
-of sum-of-squares formulas.  Batches run on ``McConfig.workers`` threads; the
-fixed merge order keeps every output bit independent of the worker count.
+share their samples; ``probe_smallball_raw``, for one, reads the indicators of
+all its eps, in any order, off one set of running sups.  The sample budget is
+split into batches; batch k draws from ``RngStream(seed, stream_base + k)``
+and yields a per-column (count, mean, sum of squared deviations) triple.  The
+triples are merged in batch order with the pairwise update of Chan, Golub &
+LeVeque ("Algorithms for computing the sample variance", Am. Stat. 1983),
+which avoids the cancellation of sum-of-squares formulas.  Batches run on
+``McConfig.workers`` threads; the fixed merge order keeps every output bit
+independent of the worker count.
 
 The rare-event strategy is conditional Monte Carlo: for a single-interval sup
 event of a time-changed Brownian motion, the conditional probability given the
@@ -57,6 +59,7 @@ __all__ = [
     "estimate_laplace",
     "estimate_laplace_multi",
     "probe_smallball_conditional",
+    "probe_smallball_raw",
     "extract_constant",
     "oracle_laplace_intbm2",
     "log_oracle_laplace_intbm2",
@@ -218,20 +221,38 @@ def estimate_smallball_raw(process: ProcessSpec, part: Partition, eps: float, cf
     M is the running sup of |Z| over the simulation grid, so the estimate is
     unbiased for the discretized process; compare against matched-resolution
     oracles only.  Zero hits fall back to a flagged Clopper-Pearson bound.
+    This is the one-probe case of :func:`probe_smallball_raw`.
     """
-    if eps <= 0:
+    return probe_smallball_raw(process, part, (eps,), cfg)[0]
+
+
+def probe_smallball_raw(
+    process: ProcessSpec, part: Partition, eps_grid: Sequence[float], cfg: McConfig
+) -> list[EstimateResult]:
+    """Raw window probabilities at several eps from one set of sup samples.
+
+    The running sups are simulated once per batch and every eps reads its
+    indicator column off them, so each estimate equals the one-eps
+    :func:`estimate_smallball_raw` bit for bit.  The windows [a_i eps, b_i eps]
+    are not nested across eps, so the grid may come in any order.  Zero hits
+    are flagged per eps.
+    """
+    eps_grid = tuple(float(e) for e in eps_grid)
+    if not eps_grid:
+        raise ValueError("need at least one eps")
+    if any(e <= 0 for e in eps_grid):
         raise ValueError("eps must be positive")
     if part.windows is None:
         raise ValueError("partition must carry windows")
-    lo = eps * np.asarray([w[0] for w in part.windows])
-    hi = eps * np.asarray([w[1] for w in part.windows])
+    a = np.asarray([w[0] for w in part.windows])
+    b = np.asarray([w[1] for w in part.windows])
+    bounds = [(eps * a, eps * b) for eps in eps_grid]
 
-    def sampler(b, gen):
-        sups = sup_samples(process, part.times, cfg.n_steps, b, gen)
-        return np.all((sups >= lo) & (sups <= hi), axis=1, keepdims=True)
+    def sampler(n, gen):
+        sups = sup_samples(process, part.times, cfg.n_steps, n, gen)
+        return np.column_stack([np.all((sups >= lo) & (sups <= hi), axis=1) for lo, hi in bounds])
 
-    ((mean, se, n),) = _batched_moments(sampler, cfg)
-    return _indicator_result(mean, se, n, cfg)
+    return [_indicator_result(m, se, n, cfg) for m, se, n in _batched_moments(sampler, cfg)]
 
 
 ClockLike = Union[ClockSpec, np.ndarray, Callable[[int, np.random.Generator], np.ndarray]]
@@ -467,7 +488,7 @@ def extract_constant(pg: ProbeGrid, order: tuple[float, float]) -> ConstantExtra
     gaps = np.abs(k_hat - extrap)
     non_increasing = bool(np.all(np.diff(gaps) <= 0))
     return ConstantExtraction(
-        tuple(eps), tuple(k_hat), extrap, tuple(gaps), non_increasing, dropped
+        tuple(map(float, eps)), tuple(map(float, k_hat)), extrap, tuple(map(float, gaps)), non_increasing, dropped
     )
 
 

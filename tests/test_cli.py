@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, config precedence, reproducible records, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,42 @@ class TestEstimationCommands:
         assert rec["estimate"] == 0.0
         assert rec["stdError"] == pytest.approx(1.0 - 0.05 ** (1.0 / 1000), rel=1e-12)
 
+    def test_raw_multi_eps_matches_single_eps_runs(self, capsys, tmp_path):
+        # one set of sup paths serves every eps; each record must equal its own run's
+        argv = [
+            "smallball", "--process", "time-changed", "--clock", "chaos", "--q", "0.5", "0.25",
+            "--samples", "600", "--n-steps", "128", "--seed", "8",
+        ]
+        multi = tmp_path / "multi.json"
+        code, _, _ = run(capsys, *argv, "--eps", "0.6", "0.4", "--output", str(multi))
+        assert code == 0
+        results = json.loads(multi.read_text())["results"]
+        assert len(results) == 2
+        for k, eps in enumerate(("0.6", "0.4")):
+            single = tmp_path / f"single{k}.json"
+            code, _, _ = run(capsys, *argv, "--eps", eps, "--output", str(single))
+            assert code == 0
+            (rec,) = json.loads(single.read_text())["results"]
+            assert results[k] == rec
+
+    def test_extract_needs_three_eps(self, capsys):
+        code, out, err = run(
+            capsys, "smallball", "--conditional", "--clock", "chaos", "--q", "1.0",
+            "--eps", "0.4", "0.3", "--samples", "200", "--n-steps", "64", "--extract", "1", "0",
+        )
+        assert code == 2
+        assert "three eps" in err
+        assert out == ""
+
+    def test_extract_needs_conditional(self, capsys):
+        code, out, err = run(
+            capsys, "smallball", "--process", "bm", "--eps", "0.8", "--samples", "200",
+            "--n-steps", "64", "--extract", "1", "0",
+        )
+        assert code == 2
+        assert "--conditional" in err
+        assert out == ""
+
     def test_laplace_with_oracle_annotation(self, capsys):
         code, out, _ = run(
             capsys, "laplace", "--clock", "power", "--clock-p", "2", "--lam", "1",
@@ -205,6 +242,16 @@ class TestImport:
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_cli(self):
+        src = str(Path(sb.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-m", "smallball", "--version"], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == f"smallball {sb.__version__}"
 
 
 class TestExitCodes:

@@ -108,6 +108,24 @@ class TestRawSmallball:
             sb.estimate_smallball_raw(
                 sb.BrownianProcess(), sb.Partition((1.0,), windows=((0.0, 1.0),)), -1.0, cfg
             )
+        with pytest.raises(ValueError):
+            sb.probe_smallball_raw(sb.BrownianProcess(), sb.Partition((1.0,)), (1.0, 0.5), cfg)
+        for eps_grid in ((1.0, 0.0), (0.5, -1.0, 2.0), ()):
+            with pytest.raises(ValueError):
+                sb.probe_smallball_raw(
+                    sb.BrownianProcess(), sb.Partition((1.0,), windows=((0.0, 1.0),)), eps_grid, cfg
+                )
+
+    def test_probe_matches_single_eps_estimator(self):
+        # one set of sups serves every eps, in any order; each column must be
+        # the standalone estimate bit for bit, zero-hit flag included
+        part = sb.Partition((0.5, 1.0), windows=((0.0, 0.8), (0.8, 1.6)))
+        cfg = McConfig(samples=2500, n_steps=64, seed=19, batch_size=1000)  # three batches, the last short
+        eps_grid = (1.0, 0.01, 2.0)
+        probes = sb.probe_smallball_raw(sb.BrownianProcess(), part, eps_grid, cfg)
+        singles = [sb.estimate_smallball_raw(sb.BrownianProcess(), part, eps, cfg) for eps in eps_grid]
+        assert probes == singles
+        assert [r.zero_hits for r in probes] == [False, True, False]
 
 
 class TestConditionalSmallball:
@@ -234,6 +252,7 @@ _ESTIMATORS = {
     "probe_smallball_conditional": lambda cfg: list(
         sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg).results
     ),
+    "probe_smallball_raw": lambda cfg: sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg),
 }
 
 
@@ -320,6 +339,15 @@ class TestConstantExtraction:
         ext = sb.extract_constant(sb.ProbeGrid(eps, results), (1.0, 0.0))
         assert abs(ext.extrapolated - k) < 2 * max(eps[-3:]) ** 2
         assert ext.gaps_non_increasing
+
+    def test_plain_float_fields(self):
+        # numpy scalars would print as np.float64(...) in detail lines
+        eps = (0.4, 0.3, 0.2)
+        results = tuple(sb.EstimateResult(np.exp(-0.5 / e), 0.0, 1, 0) for e in eps)
+        ext = sb.extract_constant(sb.ProbeGrid(eps, results), (1.0, 0.0))
+        for values in (ext.epsilons, ext.k_hat, ext.gaps):
+            assert all(type(x) is float for x in values)
+        assert type(ext.extrapolated) is float
 
     def test_nonpositive_estimates_dropped(self):
         eps = (0.4, 0.3, 0.2, 0.15)
