@@ -477,8 +477,6 @@ def weighted_sum_constant(base: AsymptoticOrder, w: WeightSequenceSpec) -> float
         raise ValueError("weighted sums are supported for beta = 0 orders only")
     a = base.alpha
     expo = a / (1.0 + a)
-    if w.kind == "polynomial" and w.exponent * expo <= 1:
-        raise ValueError("polynomial weights not summable at this order (need r > (1+alpha)/alpha)")
     ssum = _weight_powers_sum(w, expo)
     return float(base.big_k * ssum ** (1.0 + a))
 

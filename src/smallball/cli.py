@@ -108,6 +108,10 @@ def _windows_from(a_list, b_list):
     return tuple(zip(a, b))
 
 
+def _q_from(args) -> tuple[float, ...]:
+    return tuple(args.q) if args.q else paths.geometric_q(args.q_ratio, args.q_terms)
+
+
 def _clock_from(args) -> paths.ClockSpec:
     if args.clock == "power":
         if args.rho is None:
@@ -117,16 +121,14 @@ def _clock_from(args) -> paths.ClockSpec:
         else:
             rho = tuple(args.rho)
         return paths.PowerClockSpec(p=args.clock_p, rho=rho)
-    q = tuple(args.q) if args.q else paths.geometric_q(args.q_ratio, args.q_terms)
-    return paths.ChaosClockSpec(q)
+    return paths.ChaosClockSpec(_q_from(args))
 
 
 def _process_from(args) -> paths.ProcessSpec:
     if args.process == "bm":
         return paths.BrownianProcess()
     if args.process == "chaos":
-        q = tuple(args.q) if args.q else paths.geometric_q(args.q_ratio, args.q_terms)
-        return paths.ChaosDirectProcess(paths.ChaosClockSpec(q))
+        return paths.ChaosDirectProcess(paths.ChaosClockSpec(_q_from(args)))
     if args.process == "time-changed":
         return paths.TimeChangedProcess(_clock_from(args))
     raise ValueError(f"unknown process {args.process!r}")
@@ -239,8 +241,7 @@ def _cmd_simulate(args) -> int:
     elif args.process == "levy-area":
         grid = paths.simulate_levy_area(args.n_steps, args.horizon, rng)
     elif args.process == "chaos":
-        q = tuple(args.q) if args.q else paths.geometric_q(args.q_ratio, args.q_terms)
-        grid = paths.simulate_chaos_direct(paths.ChaosClockSpec(q), args.n_steps, args.horizon, rng)
+        grid = paths.simulate_chaos_direct(paths.ChaosClockSpec(_q_from(args)), args.n_steps, args.horizon, rng)
     elif args.process == "time-changed":
         clock = _clock_from(args)
         gen = rng.generator()
@@ -269,6 +270,8 @@ def _cmd_smallball(args) -> int:
         raise ValueError("--extract needs --conditional")
     if args.extract and len(args.eps) < 3:
         raise ValueError("--extract needs at least three eps")
+    if args.conditional and (len(args.t) > 1 or args.a is not None or args.b is not None):
+        raise ValueError("--conditional takes one --t and no --a or --b windows")
     if args.conditional:
         t = args.t[0] if args.t else 1.0
         grid = mc.probe_smallball_conditional(_clock_from(args), t, args.eps, cfg)
@@ -282,11 +285,12 @@ def _cmd_smallball(args) -> int:
             results.append({"extrapolated": ext.extrapolated, "k_hat": list(ext.k_hat)})
     else:
         process = _process_from(args)
-        part = asy.Partition(tuple(args.t), windows=_windows_from(args.a, args.b))
+        b = [1.0] if args.b is None else args.b
+        part = asy.Partition(tuple(args.t), windows=_windows_from(args.a, b))
         for eps, est in zip(args.eps, mc.probe_smallball_raw(process, part, args.eps, cfg)):
             flag = " (zero hits: std_error column holds the 95% upper bound)" if est.zero_hits else ""
             print(f"eps={eps:g}: P = {est.estimate:.6e} +/- {est.std_error:.2e} ({est.samples} samples){flag}")
-            results.append(est.record("smallball-raw", {"eps": eps, "t": args.t, "b": args.b, "n_steps": args.n_steps}))
+            results.append(est.record("smallball-raw", {"eps": eps, "t": args.t, "b": b, "n_steps": args.n_steps}))
     _write_record(args, "smallball", {"eps": args.eps, "samples": args.samples, "n_steps": args.n_steps}, results)
     return 0
 
@@ -442,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, nargs="+", required=True)
     sp.add_argument("--t", type=float, nargs="+", default=[1.0])
     sp.add_argument("--a", type=float, nargs="+", default=None)
-    sp.add_argument("--b", type=float, nargs="+", default=[1.0])
+    sp.add_argument("--b", type=float, nargs="+", default=None, help="upper window bounds (default 1.0)")
     sp.add_argument("--samples", type=int, default=DEFAULTS["samples"])
     sp.add_argument("--n-steps", type=int, default=DEFAULTS["n_steps"])
     sp.add_argument("--workers", type=int, default=1)

@@ -499,20 +499,21 @@ def probe_smallball_conditional(clock: ClockLike, t: float, eps_grid: Sequence[f
     conditional series is averaged for every eps, coupling the probes; this
     preserves unbiasedness per eps and makes the K-hat trend smooth in eps.
     ``clock`` takes the forms :func:`estimate_smallball_conditional` accepts;
-    an array of clock samples is treated as one pre-drawn batch.
+    an array of clock samples is treated as one pre-drawn batch.  A negative
+    or NaN clock sample, from any form, raises ValueError.
     """
     eps_grid = _decreasing_eps(eps_grid)
     if t <= 0:
         raise ValueError("t must be positive")
 
     def values(c):
+        c = np.asarray(c, dtype=float)
+        if not np.all(c >= 0):
+            raise ValueError("clock samples must be nonnegative")
         return np.column_stack([_conditional_values(c, e) for e in eps_grid])
 
     if isinstance(clock, np.ndarray):
-        c = np.asarray(clock, dtype=float)
-        if np.any(c < 0):
-            raise ValueError("clock samples must be nonnegative")
-        moments = _summarize(*_batch_moments(values(c)))
+        moments = _summarize(*_batch_moments(values(clock)))
     else:
         if callable(clock):
             draw = clock
@@ -520,7 +521,7 @@ def probe_smallball_conditional(clock: ClockLike, t: float, eps_grid: Sequence[f
             def draw(b, gen):
                 return clock_terminal_samples(clock, t, cfg.n_steps, b, gen)
 
-        moments = _batched_moments(lambda b, gen: values(np.asarray(draw(b, gen), dtype=float)), cfg)
+        moments = _batched_moments(lambda b, gen: values(draw(b, gen)), cfg)
     results = tuple(EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in moments)
     return ProbeGrid(eps_grid, results)
 

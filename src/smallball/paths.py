@@ -3,9 +3,12 @@
 Every simulator is a pure function of its arguments and an RNG stream:
 distinct (seed, stream_id) pairs give statistically independent streams, and
 the same pair reproduces output bit-for-bit on any platform or thread layout
-(numpy's PCG64 + SeedSequence guarantee).  Batch kernels consume samples in
-fixed-size blocks whose layout depends only on the arguments, so batching is
-an internal detail, not a source of nondeterminism.
+(numpy's PCG64 + SeedSequence guarantee).  Each process has one increment
+kernel, and every batch sampler runs it through one block loop whose layout
+depends only on the arguments, so batching is not a source of
+nondeterminism; single-path simulators are one-row calls of the same kernels.
+Times (partition times or a horizon) must be positive, finite and strictly
+increasing.
 
 Simulated objects:
 
@@ -208,29 +211,27 @@ ProcessSpec = Union[BrownianProcess, ChaosDirectProcess, TimeChangedProcess]
 def _time_indices(times, n_steps: int) -> np.ndarray:
     """Indices of partition times on the uniform grid over [0, t_m].
 
-    Every t_i must land on a grid node (n_steps must be a multiple of each
-    per-interval resolution); otherwise quadrature would smear the interval
+    The one check of every time grid: the times must be positive, finite and
+    strictly increasing, and each must land on a grid node (n_steps a multiple
+    of every per-interval resolution), or quadrature would smear the interval
     boundaries.
     """
     t = np.asarray(times, dtype=float)
-    horizon = t[-1]
-    idx = t / horizon * n_steps
+    if t.ndim != 1 or t.size == 0 or not (t[0] > 0 and np.all(np.diff(t) > 0) and np.isfinite(t[-1])):
+        raise ValueError("times must be positive, finite and strictly increasing")
+    idx = t / t[-1] * n_steps
     rounded = np.rint(idx)
     if np.any(np.abs(idx - rounded) > 1e-9 * n_steps):
         raise ValueError("every partition time must be a grid node; adjust n_steps")
     return rounded.astype(int)
 
 
-def _block_rows(n_steps: int) -> int:
-    return max(1, _BLOCK_DOUBLES // max(n_steps, 1))
-
-
 # ---------------------------------------------------------------------------
 # Batch kernels (vectorized over samples)
 #
-# The fill-style kernels write into caller-provided buffers so the block loops
-# in the public samplers can reuse memory; on long runs the allocator churn of
-# fresh multi-MB temporaries would otherwise dominate.
+# The fill-style kernels write into caller-provided buffers so the one block
+# loop behind the public samplers can reuse memory; on long runs the allocator
+# churn of fresh multi-MB temporaries would otherwise dominate.
 # ---------------------------------------------------------------------------
 
 class _Workspace:
@@ -244,12 +245,17 @@ class _Workspace:
         self.acc = np.empty((rows, n_steps + 1))
 
 
+def _cumulate(paths, d) -> None:
+    """Paths (b, N+1) started at 0 from their per-step increments d (b, N)."""
+    paths[:, 0] = 0.0
+    np.cumsum(d, axis=1, out=paths[:, 1:])
+
+
 def _fill_bm(paths, buf, scale: float, rng) -> None:
     """Fill Brownian paths into ``paths`` (b, N+1) using ``buf`` (b, N) for draws."""
     rng.standard_normal(out=buf)
     buf *= scale
-    paths[:, 0] = 0.0
-    np.cumsum(buf, axis=1, out=paths[:, 1:])
+    _cumulate(paths, buf)
 
 
 def _abs_power(arr, p: float, out) -> None:
@@ -261,13 +267,6 @@ def _abs_power(arr, p: float, out) -> None:
     else:
         np.abs(arr, out=out)
         np.power(out, p, out=out)
-
-
-def _bm_paths(b: int, n_steps: int, horizon: float, rng) -> np.ndarray:
-    """(b, N+1) Brownian paths started at 0."""
-    out = np.empty((b, n_steps + 1))
-    _fill_bm(out, np.empty((b, n_steps)), np.sqrt(horizon / n_steps), rng)
-    return out
 
 
 def _fill_power_clock_steps(d_c, ws: _Workspace, spec: PowerClockSpec, t_idx, horizon: float, rng) -> None:
@@ -322,12 +321,6 @@ def _fill_clock_steps(d_c, ws: _Workspace, spec: ClockSpec, times, rng) -> None:
         raise TypeError(f"not a clock spec: {spec!r}")
 
 
-def _clock_steps(spec: ClockSpec, times, n_steps: int, b: int, rng) -> np.ndarray:
-    d_c = np.empty((b, n_steps))
-    _fill_clock_steps(d_c, _Workspace(b, n_steps), spec, np.asarray(times, dtype=float), rng)
-    return d_c
-
-
 def _fill_chaos_direct_increments(d_z, ws: _Workspace, q, horizon: float, rng) -> None:
     """Increments of Z = sum_j q_j (X_j dY_j - Y_j dX_j) into d_z (b, N); left-point sums."""
     b, n_steps = d_z.shape
@@ -354,11 +347,39 @@ def _fill_chaos_direct_increments(d_z, ws: _Workspace, q, horizon: float, rng) -
         d_z += x_left
 
 
-def _chaos_direct_increments(q: np.ndarray, horizon: float, n_steps: int, b: int, rng) -> np.ndarray:
-    """(b, N) increments of Z = sum_j q_j (X_j dY_j - Y_j dX_j), left-point sums."""
-    d_z = np.empty((b, n_steps))
-    _fill_chaos_direct_increments(d_z, _Workspace(b, n_steps), np.asarray(q, dtype=float), horizon, rng)
-    return d_z
+def _fill_increments(d, ws: _Workspace, process: ProcessSpec, times, rng) -> None:
+    """Per-step increments of ``process`` into d (b, N); the one dispatch on process kind."""
+    horizon = float(times[-1])
+    if isinstance(process, BrownianProcess):
+        rng.standard_normal(out=d)
+        d *= np.sqrt(horizon / d.shape[1])
+    elif isinstance(process, ChaosDirectProcess):
+        _fill_chaos_direct_increments(d, ws, process.clock.effective_q, horizon, rng)
+    elif isinstance(process, TimeChangedProcess):
+        _fill_clock_steps(d, ws, process.clock, times, rng)
+        xi = ws.steps2[: len(d)]
+        rng.standard_normal(out=xi)
+        np.sqrt(d, out=d)
+        np.multiply(d, xi, out=d)
+    else:
+        raise TypeError(f"not a process spec: {process!r}")
+
+
+def _block_loop(n: int, n_steps: int, m: int, body) -> np.ndarray:
+    """(n, m) array filled by ``body(d, ws)`` one row block at a time.
+
+    ``d`` is the block's (b, N) increment buffer and ``ws`` the workspace
+    shared by all blocks; ``body`` returns the block's (b, m) output rows.
+    The block layout depends only on (n, n_steps).
+    """
+    block = max(1, min(n, _BLOCK_DOUBLES // max(n_steps, 1)))
+    ws = _Workspace(block, n_steps)
+    d = np.empty((block, n_steps))
+    out = np.empty((n, m))
+    for lo in range(0, n, block):
+        rows = out[lo : lo + block]
+        rows[:] = body(d[: len(rows)], ws)
+    return out
 
 
 def sup_samples(process: ProcessSpec, times, n_steps: int, n: int, rng: RngLike) -> np.ndarray:
@@ -370,37 +391,16 @@ def sup_samples(process: ProcessSpec, times, n_steps: int, n: int, rng: RngLike)
     gen = as_generator(rng)
     times = np.asarray(times, dtype=float)
     t_idx = _time_indices(times, n_steps)
-    horizon = float(times[-1])
-    block = min(n, _block_rows(n_steps))
-    ws = _Workspace(block, n_steps)
-    d_path = np.empty((block, n_steps))
-    z = np.empty((block, n_steps + 1))
-    out = np.empty((n, len(t_idx)))
-    done = 0
-    while done < n:
-        b = min(block, n - done)
-        zb = z[:b]
-        if isinstance(process, BrownianProcess):
-            _fill_bm(zb, ws.steps[:b], np.sqrt(horizon / n_steps), gen)
-        elif isinstance(process, ChaosDirectProcess):
-            _fill_chaos_direct_increments(d_path[:b], ws, process.clock.effective_q, horizon, gen)
-            zb[:, 0] = 0.0
-            np.cumsum(d_path[:b], axis=1, out=zb[:, 1:])
-        elif isinstance(process, TimeChangedProcess):
-            _fill_clock_steps(d_path[:b], ws, process.clock, times, gen)
-            xi = ws.steps2[:b]
-            gen.standard_normal(out=xi)
-            np.sqrt(d_path[:b], out=d_path[:b])
-            np.multiply(d_path[:b], xi, out=d_path[:b])
-            zb[:, 0] = 0.0
-            np.cumsum(d_path[:b], axis=1, out=zb[:, 1:])
-        else:
-            raise TypeError(f"not a process spec: {process!r}")
-        np.abs(zb, out=zb)
-        np.maximum.accumulate(zb, axis=1, out=zb)
-        out[done : done + b] = zb[:, t_idx]
-        done += b
-    return out
+
+    def block(d, ws):
+        _fill_increments(d, ws, process, times, gen)
+        z = ws.acc[: len(d)]  # free once the increment kernels return
+        _cumulate(z, d)
+        np.abs(z, out=z)
+        np.maximum.accumulate(z, axis=1, out=z)
+        return z[:, t_idx]
+
+    return _block_loop(n, n_steps, len(t_idx), block)
 
 
 def clock_interval_increment_samples(spec: ClockSpec, part, n_steps: int, n: int, rng: RngLike) -> np.ndarray:
@@ -412,26 +412,18 @@ def clock_interval_increment_samples(spec: ClockSpec, part, n_steps: int, n: int
     times = np.asarray(getattr(part, "times", part), dtype=float)
     gen = as_generator(rng)
     t_idx = _time_indices(times, n_steps)
-    block = min(n, _block_rows(n_steps))
-    ws = _Workspace(block, n_steps)
-    d_c = np.empty((block, n_steps))
-    out = np.empty((n, len(t_idx)))
-    done = 0
-    while done < n:
-        b = min(block, n - done)
-        _fill_clock_steps(d_c[:b], ws, spec, times, gen)
-        c_cum = ws.paths[:b, 1:]  # free once the clock kernels return
-        np.cumsum(d_c[:b], axis=1, out=c_cum)
-        c_at = c_cum[:, t_idx - 1]  # t_idx >= 1 since t_1 > 0
-        out[done : done + b] = np.diff(np.concatenate([np.zeros((b, 1)), c_at], axis=1), axis=1)
-        done += b
-    return out
+
+    def block(d, ws):
+        _fill_clock_steps(d, ws, spec, times, gen)
+        c = ws.paths[: len(d)]  # free once the clock kernels return
+        _cumulate(c, d)
+        return np.diff(c[:, t_idx], axis=1, prepend=0.0)
+
+    return _block_loop(n, n_steps, len(t_idx), block)
 
 
 def clock_terminal_samples(spec: ClockSpec, t: float, n_steps: int, n: int, rng: RngLike) -> np.ndarray:
     """Samples of C(t) for a single horizon t.  Shape (n,)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
     return clock_interval_increment_samples(spec, (float(t),), n_steps, n, rng)[:, 0]
 
 
@@ -439,32 +431,36 @@ def clock_terminal_samples(spec: ClockSpec, t: float, n_steps: int, n: int, rng:
 # Single-path simulators (spec surface; batch kernels with b = 1)
 # ---------------------------------------------------------------------------
 
-def simulate_bm(n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
-    """One Brownian path on the uniform grid; increments are exact Gaussians."""
+def _increments(process: ProcessSpec, times, n_steps: int, b: int, rng: RngLike) -> np.ndarray:
+    """(b, N) per-step increments of ``process`` over [0, times[-1]], one block."""
+    d = np.empty((b, n_steps))
+    _fill_increments(d, _Workspace(b, n_steps), process, np.asarray(times, dtype=float), as_generator(rng))
+    return d
+
+
+def _one_path(process: ProcessSpec, n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
+    """One path of ``process`` on n_steps uniform steps over [0, horizon]."""
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    values = _bm_paths(1, n_steps, horizon, as_generator(rng))[0]
-    return PathGrid(n_steps, horizon, values)
+    _time_indices((horizon,), n_steps)
+    values = np.empty((1, n_steps + 1))
+    _cumulate(values, _increments(process, (horizon,), n_steps, 1, rng))
+    return PathGrid(n_steps, horizon, values[0])
+
+
+def simulate_bm(n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
+    """One Brownian path on the uniform grid; increments are exact Gaussians."""
+    return _one_path(BrownianProcess(), n_steps, horizon, rng)
 
 
 def simulate_levy_area(n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
     """One Levy area path A(t) = int_0^t X dY - Y dX by left-point Ito sums."""
-    if n_steps < 2:
-        raise ValueError("need at least 2 steps")
-    d_z = _chaos_direct_increments(np.array([1.0]), horizon, n_steps, 1, as_generator(rng))[0]
-    values = np.concatenate([[0.0], np.cumsum(d_z)])
-    return PathGrid(n_steps, horizon, values)
+    return _one_path(ChaosDirectProcess(ChaosClockSpec((1.0,))), n_steps, horizon, rng)
 
 
 def simulate_chaos_direct(spec: ChaosClockSpec, n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
     """One chaos integral path Z = sum_j q_j A_j with independent Levy areas."""
-    if n_steps < 2:
-        raise ValueError("need at least 2 steps")
-    d_z = _chaos_direct_increments(spec.effective_q, horizon, n_steps, 1, as_generator(rng))[0]
-    values = np.concatenate([[0.0], np.cumsum(d_z)])
-    return PathGrid(n_steps, horizon, values)
+    return _one_path(ChaosDirectProcess(spec), n_steps, horizon, rng)
 
 
 def simulate_time_changed(clock_step_increments, horizon: float, rng: RngLike) -> PathGrid:
@@ -476,7 +472,8 @@ def simulate_time_changed(clock_step_increments, horizon: float, rng: RngLike) -
     d_c = np.asarray(clock_step_increments, dtype=float)
     if d_c.ndim != 1 or d_c.size < 2:
         raise ValueError("need a 1-D array of at least 2 clock increments")
-    if np.any(d_c < 0):
+    _time_indices((horizon,), d_c.size)
+    if not np.all(d_c >= 0):
         raise ValueError("clock increments must be nonnegative")
     xi = as_generator(rng).standard_normal(d_c.size)
     values = np.concatenate([[0.0], np.cumsum(np.sqrt(d_c) * xi)])
@@ -496,9 +493,9 @@ def clock_step_increments(spec: ClockSpec, times, n_steps: int, rng: RngLike) ->
     weights need the full partition).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    gen = as_generator(rng)
+    _time_indices(times, n_steps)
     d_c = np.empty((1, n_steps))
-    _fill_clock_steps(d_c, _Workspace(1, n_steps), spec, times, gen)
+    _fill_clock_steps(d_c, _Workspace(1, n_steps), spec, times, as_generator(rng))
     return d_c[0]
 
 

@@ -104,6 +104,13 @@ class TestSimulateCommand:
         assert code == 0
         assert "time-changed:" in out
 
+    @pytest.mark.parametrize("process", ["bm", "levy-area", "chaos", "time-changed"])
+    def test_nonpositive_horizon_is_usage_error(self, capsys, process):
+        code, out, err = run(capsys, "simulate", "--process", process, "--horizon", "-1", "--n-steps", "64")
+        assert code == 2
+        assert "positive" in err
+        assert out == ""
+
 
 class TestEstimationCommands:
     def test_smallball_conditional_with_extraction(self, capsys):
@@ -167,6 +174,17 @@ class TestEstimationCommands:
         code, out, err = run(
             capsys, "smallball", "--process", "bm", "--eps", "0.8", "--samples", "200",
             "--n-steps", "64", "--extract", "1", "0",
+        )
+        assert code == 2
+        assert "--conditional" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("extra", [("--t", "0.5", "1.0"), ("--a", "0.1"), ("--b", "0.5")])
+    def test_conditional_rejects_window_flags(self, capsys, extra):
+        # the conditional estimator covers one interval [0, t]; windows would be ignored
+        code, out, err = run(
+            capsys, "smallball", "--conditional", "--clock", "chaos", "--q", "1.0",
+            "--eps", "0.4", "--samples", "200", "--n-steps", "64", *extra,
         )
         assert code == 2
         assert "--conditional" in err

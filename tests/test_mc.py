@@ -151,6 +151,13 @@ class TestConditionalSmallball:
         assert est.estimate == pytest.approx(want, rel=1e-14)
         assert est.samples == 3
 
+    def test_bad_clock_samples_rejected(self):
+        # arrays, callables and simulated clocks share one check, and NaN fails it
+        cfg = McConfig(samples=3, n_steps=64, seed=7)
+        for clock in (np.array([0.5, np.nan]), lambda n, g: np.full(n, -1.0), lambda n, g: np.full(n, np.nan)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                sb.estimate_smallball_conditional(clock, 1.0, 0.5, cfg)
+
     def test_large_eps_saturates(self):
         spec = sb.ChaosClockSpec((1.0,))
         cfg = McConfig(samples=500, n_steps=128, seed=8)

@@ -10,7 +10,8 @@ import pytest
 from scipy.stats import kstest
 
 import smallball as sb
-from smallball.paths import _chaos_direct_increments, _time_indices
+from smallball import paths
+from smallball.paths import _increments, _time_indices
 
 
 class TestRngStream:
@@ -154,7 +155,7 @@ class TestLevyArea:
         # left-point sums at N steps: E A(1) = 0 and E A(1)^2 = 1 - 1/N exactly
         n, n_steps = 200_000, 16
         gen = sb.RngStream(8, 0).generator()
-        a = _chaos_direct_increments(np.array([1.0]), 1.0, n_steps, n, gen).sum(axis=1)
+        a = _increments(sb.ChaosDirectProcess(sb.ChaosClockSpec((1.0,))), (1.0,), n_steps, n, gen).sum(axis=1)
         se_mean = a.std(ddof=1) / np.sqrt(n)
         assert abs(a.mean()) < 4 * se_mean
         want = 1.0 - 1.0 / n_steps
@@ -168,7 +169,7 @@ class TestLevyArea:
         v = {}
         for i, n_steps in enumerate((8, 16, 32)):
             gen = sb.RngStream(9, i).generator()
-            a = _chaos_direct_increments(np.array([1.0]), 1.0, n_steps, n, gen).sum(axis=1)
+            a = _increments(sb.ChaosDirectProcess(sb.ChaosClockSpec((1.0,))), (1.0,), n_steps, n, gen).sum(axis=1)
             v[n_steps] = a.var(ddof=1)
         d1 = v[16] - v[8]
         d2 = v[32] - v[16]
@@ -193,7 +194,7 @@ class TestChaosDirect:
         q = np.array([0.5, 0.25])
         n, n_steps = 200_000, 32
         gen = sb.RngStream(13, 0).generator()
-        z = _chaos_direct_increments(q, 1.0, n_steps, n, gen).sum(axis=1)
+        z = _increments(sb.ChaosDirectProcess(sb.ChaosClockSpec(q)), (1.0,), n_steps, n, gen).sum(axis=1)
         want = np.sum(q**2) * (1.0 - 1.0 / n_steps)
         z2 = z * z
         se = z2.std(ddof=1) / np.sqrt(n)
@@ -262,15 +263,57 @@ class TestSupSamples:
         assert s.shape == (500, 2)
         assert np.all(s[:, 1] >= s[:, 0])  # running sup is monotone
 
-    def test_deterministic_across_block_sizes_hidden(self):
+    def test_deterministic_across_block_sizes_hidden(self, monkeypatch):
         # block size is internal; equal inputs give equal outputs
-        a = sb.sup_samples(sb.BrownianProcess(), (1.0,), 128, 700, sb.RngStream(20, 0))
-        b = sb.sup_samples(sb.BrownianProcess(), (1.0,), 128, 700, sb.RngStream(20, 0))
-        assert np.array_equal(a, b)
+        def draw():
+            return (
+                sb.sup_samples(sb.BrownianProcess(), (1.0,), 128, 700, sb.RngStream(20, 0)),
+                sb.clock_interval_increment_samples(
+                    sb.PowerClockSpec(2.0, rho=(1.0, 2.0)), (0.5, 1.0), 128, 700, sb.RngStream(20, 1)
+                ),
+            )
+
+        default = draw()
+        assert all(np.array_equal(a, b) for a, b in zip(default, draw()))
+        # Brownian paths and power clocks draw row-major, so 48-row blocks
+        # (fifteen of them, the last of 28 rows) give the same bits
+        monkeypatch.setattr(paths, "_BLOCK_DOUBLES", 48 * 128)
+        assert all(np.array_equal(a, b) for a, b in zip(default, draw()))
 
     def test_unknown_process_rejected(self):
         with pytest.raises(TypeError):
             sb.sup_samples(object(), (1.0,), 64, 10, sb.RngStream(0, 0))
+
+
+class TestTimeGridChecks:
+    # every entry point checks its time grid before it simulates anything
+    @pytest.mark.parametrize("times", [(-1.0,), (0.0,), (0.5, 0.25), (0.5, 0.5), (np.nan,), (np.inf,), ()])
+    def test_partition_times_positive_and_increasing(self, times):
+        rng = sb.RngStream(0, 0)
+        calls = (
+            lambda: sb.sup_samples(sb.BrownianProcess(), times, 64, 10, rng),
+            lambda: sb.clock_interval_increment_samples(sb.ChaosClockSpec((1.0,)), times, 64, 10, rng),
+            lambda: sb.clock_increments(sb.PowerClockSpec(2.0), times, 64, rng),
+            lambda: sb.clock_step_increments(sb.ChaosClockSpec((1.0,)), times, 64, rng),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                call()
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, np.nan, np.inf])
+    def test_horizon_positive(self, horizon):
+        rng = sb.RngStream(0, 0)
+        calls = (
+            lambda: sb.clock_terminal_samples(sb.PowerClockSpec(2.0), horizon, 64, 10, rng),
+            lambda: sb.clock_step_increments(sb.PowerClockSpec(2.0), horizon, 64, rng),
+            lambda: sb.simulate_bm(64, horizon, rng),
+            lambda: sb.simulate_levy_area(64, horizon, rng),
+            lambda: sb.simulate_chaos_direct(sb.ChaosClockSpec((0.5,)), 64, horizon, rng),
+            lambda: sb.simulate_time_changed(np.full(64, 1.0 / 64), horizon, rng),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="positive"):
+                call()
 
 
 class TestPathGridAndDump:
