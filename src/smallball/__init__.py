@@ -41,8 +41,10 @@ from .mc import (
     ks_two_sample,
     log_oracle_laplace_chaos,
     log_oracle_laplace_intbm2,
+    log_oracle_laplace_matched,
     oracle_laplace_chaos,
     oracle_laplace_intbm2,
+    oracle_laplace_matched,
     oracle_smallball_chaos,
     probe_smallball_conditional,
     probe_smallball_raw,
@@ -59,9 +61,11 @@ from .paths import (
     clock_increments,
     clock_interval_increment_samples,
     clock_step_increments,
+    clock_terminal_law_samples,
     clock_terminal_samples,
     dump_csv,
     geometric_q,
+    quadratic_clock_spectrum,
     simulate_bm,
     simulate_chaos_direct,
     simulate_levy_area,

@@ -15,7 +15,9 @@ as sorted-key JSON (or CSV with one row per probe).  Records carry no
 timestamps, so identical configs and seeds produce byte-identical output.
 
 A config file (``--config FILE``, ``key = value`` lines, ``#`` comments,
-JSON-parsed values) supplies defaults; explicit flags override it.
+JSON-parsed values) supplies defaults; explicit flags override it.  Each value
+is converted like the flag's command-line value (a scalar for a list flag is a
+one-element list); one that does not fit is a usage error.
 """
 
 from __future__ import annotations
@@ -56,6 +58,45 @@ def _load_config(path: str) -> dict:
                 out[key] = json.loads(val)
             except json.JSONDecodeError:
                 out[key] = val
+    return out
+
+
+def _config_defaults(sp: argparse.ArgumentParser, overrides: dict) -> dict:
+    """Config values for the flags of subparser ``sp``, converted as argparse would.
+
+    A config value goes through its flag's ``type`` and ``choices`` like a
+    command-line string; a scalar for a list flag (``nargs="+"``) becomes a
+    one-element list.  A value that does not fit raises ValueError.
+    """
+    out = {}
+    for action in sp._actions:
+        if action.dest not in overrides:
+            continue
+        value = overrides[action.dest]
+        where = f"config value {action.dest} = {value!r}"
+        if value is None:  # null: the flag is unset
+            out[action.dest] = None
+            continue
+        if action.nargs == 0:  # store_true flags take a JSON bool
+            if not isinstance(value, bool):
+                raise ValueError(f"{where}: expected true or false")
+            out[action.dest] = value
+            continue
+        many = action.nargs == "+" or isinstance(action.nargs, int)
+        items = value if isinstance(value, list) else [value]
+        if not many and isinstance(value, list):
+            raise ValueError(f"{where}: expected a single value")
+        if isinstance(action.nargs, int) and len(items) != action.nargs:
+            raise ValueError(f"{where}: expected {action.nargs} values")
+        if action.nargs == "+" and not items:
+            raise ValueError(f"{where}: expected at least one value")
+        try:
+            items = [(action.type or str)(str(v)) for v in items]
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: invalid value for {'/'.join(action.option_strings)}") from None
+        if action.choices is not None and any(v not in action.choices for v in items):
+            raise ValueError(f"{where}: choose from {', '.join(map(str, action.choices))}")
+        out[action.dest] = items if many else items[0]
     return out
 
 
@@ -489,20 +530,26 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
+    bad = {}  # subcommand -> its config error, reported only if it runs
     if known.config:
         try:
             overrides = _load_config(known.config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_USAGE
-        for action in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-            dests = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
+        for name, sp in parser._subparsers._group_actions[0].choices.items():  # type: ignore[union-attr]
+            try:
+                sp.set_defaults(**_config_defaults(sp, overrides))
+            except ValueError as exc:
+                bad[name] = exc
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.command in bad:
+        print(f"error: {known.config}: {bad[args.command]}", file=sys.stderr)
+        return _EXIT_USAGE
 
     try:
         return args.func(args)

@@ -14,8 +14,13 @@ independent of the worker count.
 
 The rare-event strategy is conditional Monte Carlo: for a single-interval sup
 event of a time-changed Brownian motion, the conditional probability given the
-clock is the exact theta series, so only the clock terminal value needs to be
-simulated.  This is unbiased for the discretized clock and has strictly
+clock is the exact theta series, so only the law of the clock terminal value
+C_N(t) matters.  For chaos clocks and p = 2 power clocks with a scalar weight,
+C_N(t) is drawn from the exact spectrum of the N-step trapezoid clock
+(``paths.clock_terminal_law_samples``): equal in law to path simulation, not
+pathwise coupled to it.  One-interval Laplace estimates use the same draw;
+multi-interval Laplace and raw estimators still simulate paths.  The
+conditional estimator is unbiased for the discretized clock and has strictly
 smaller variance than the raw indicator estimator (Rao-Blackwell).
 
 Exact oracles:
@@ -23,6 +28,9 @@ Exact oracles:
 * ``oracle_laplace_intbm2``: E exp(-lambda int_0^t B^2) = cosh(t sqrt(2 lambda))^(-1/2).
 * ``oracle_laplace_chaos``: the product form over paired Brownian factors for
   a chaos clock, prod_j cosh(t q_j sqrt(2 lambda))^(-1).
+* ``oracle_laplace_matched``: E exp(-lambda C_N(t)) for the N-step trapezoid
+  clock itself, a finite product over its exact spectrum; the
+  matched-discretization counterpart of the two cosh forms.
 * ``sup_bm_grid_cdf``: the exact law of the discrete-grid maximum of Brownian
   motion, by transfer-operator iteration; the matched-discretization
   counterpart of ``sup_bm_cdf`` for validating grid-sup estimators.
@@ -45,7 +53,8 @@ from .paths import (
     ProcessSpec,
     RngStream,
     clock_interval_increment_samples,
-    clock_terminal_samples,
+    clock_terminal_law_samples,
+    quadratic_clock_spectrum,
     sup_samples,
 )
 
@@ -65,6 +74,8 @@ __all__ = [
     "log_oracle_laplace_intbm2",
     "oracle_laplace_chaos",
     "log_oracle_laplace_chaos",
+    "oracle_laplace_matched",
+    "log_oracle_laplace_matched",
     "oracle_smallball_chaos",
     "sup_bm_grid_cdf",
     "ks_two_sample",
@@ -264,10 +275,11 @@ def estimate_smallball_conditional(clock: ClockLike, t: float, eps: float, cfg: 
     Conditionally on the clock, the sup law is exactly that of sqrt(C(t))
     times the Brownian sup over [0, 1], so the indicator is replaced by the
     exact theta series F(eps / sqrt(C(t))).  ``clock`` may be a ClockSpec
-    (terminal values are simulated), an array of precomputed C(t) samples, or
-    a callable (n, rng) -> samples; a constant-returning callable models a
-    deterministic clock and gives a zero-variance estimate.  This is the
-    one-probe case of :func:`probe_smallball_conditional`.
+    (terminal values are drawn by ``paths.clock_terminal_law_samples``), an
+    array of precomputed C(t) samples, or a callable (n, rng) -> samples; a
+    constant-returning callable models a deterministic clock and gives a
+    zero-variance estimate.  This is the one-probe case of
+    :func:`probe_smallball_conditional`.
     """
     return probe_smallball_conditional(clock, t, (eps,), cfg).results[0]
 
@@ -292,9 +304,11 @@ def estimate_laplace(spec: ClockSpec, part: Partition, lam: float, cfg: McConfig
 def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[float], cfg: McConfig) -> list[EstimateResult]:
     """Laplace functional estimates at several lambda from one clock sample set.
 
-    The clock increments are simulated once per batch and the exponential
+    The clock increments are sampled once per batch and the exponential
     functional is averaged for every lambda; each estimate is individually
     unbiased, and the coupling makes the lambda profile monotone pathwise.
+    One interval needs only C_N(t), drawn by ``clock_terminal_law_samples``;
+    several intervals need the increments of simulated clock paths.
     """
     lams = np.asarray([float(l) for l in lams])
     if np.any(lams < 0):
@@ -302,7 +316,10 @@ def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[floa
     d = np.asarray(part.weights) if part.weights is not None else np.ones(part.m)
 
     def sampler(b, gen):
-        weighted = clock_interval_increment_samples(spec, part, cfg.n_steps, b, gen) @ d
+        if part.m == 1:
+            weighted = clock_terminal_law_samples(spec, part.times[0], cfg.n_steps, b, gen) * d[0]
+        else:
+            weighted = clock_interval_increment_samples(spec, part, cfg.n_steps, b, gen) @ d
         return np.exp(-np.outer(weighted, lams))
 
     return [EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in _batched_moments(sampler, cfg)]
@@ -349,6 +366,29 @@ def log_oracle_laplace_chaos(lam: float, t: float, q) -> float:
 def oracle_laplace_chaos(lam: float, t: float, q) -> float:
     """E exp(-lambda C(t)) = prod_j cosh(t q_j sqrt(2 lambda))^(-1)."""
     return float(np.exp(log_oracle_laplace_chaos(lam, t, q)))
+
+
+def log_oracle_laplace_matched(lam: float, t: float, n_steps: int, clock: ClockSpec) -> float:
+    """log E exp(-lambda C_N(t)) for the trapezoid clock on n_steps steps, exactly.
+
+    C_N(t) = sum_j w_j sum_k mu_k chi2_nu (``paths.quadratic_clock_spectrum``),
+    so the log transform is -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k): for a
+    chaos clock -sum_{j,k} log1p(2 lambda q_j^2 mu_k), for a p = 2 power clock
+    -1/2 sum_k log1p(2 lambda rho^2 mu_k).  It tends to the cosh forms as N
+    grows.  Other clocks raise ValueError.
+    """
+    if lam < 0 or t <= 0:
+        raise ValueError("need lambda >= 0 and t > 0")
+    form = quadratic_clock_spectrum(clock, t, n_steps)
+    if form is None:
+        raise ValueError("the matched oracle needs a chaos clock or a p = 2 power clock with scalar rho")
+    w, mu, nu = form
+    return -0.5 * nu * float(np.log1p(2.0 * lam * np.outer(w, mu)).sum())
+
+
+def oracle_laplace_matched(lam: float, t: float, n_steps: int, clock: ClockSpec) -> float:
+    """E exp(-lambda C_N(t)) for the trapezoid clock on n_steps steps, exactly."""
+    return float(np.exp(log_oracle_laplace_matched(lam, t, n_steps, clock)))
 
 
 def oracle_smallball_chaos(eps: float, t: float, q) -> float:
@@ -495,7 +535,7 @@ def extract_constant(pg: ProbeGrid, order: tuple[float, float]) -> ConstantExtra
 def probe_smallball_conditional(clock: ClockLike, t: float, eps_grid: Sequence[float], cfg: McConfig) -> ProbeGrid:
     """Conditional small-ball probes at several eps sharing one clock sample set.
 
-    The clock terminal values are simulated once (per batch) and the exact
+    The clock terminal values are drawn once (per batch) and the exact
     conditional series is averaged for every eps, coupling the probes; this
     preserves unbiasedness per eps and makes the K-hat trend smooth in eps.
     ``clock`` takes the forms :func:`estimate_smallball_conditional` accepts;
@@ -519,7 +559,7 @@ def probe_smallball_conditional(clock: ClockLike, t: float, eps_grid: Sequence[f
             draw = clock
         else:
             def draw(b, gen):
-                return clock_terminal_samples(clock, t, cfg.n_steps, b, gen)
+                return clock_terminal_law_samples(clock, t, cfg.n_steps, b, gen)
 
         moments = _batched_moments(lambda b, gen: values(draw(b, gen)), cfg)
     results = tuple(EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in moments)

@@ -21,6 +21,12 @@ Simulated objects:
   via left-point Ito sums.
 * Time-changed Brownian motion B(C(t)): independent Gaussian increments with
   variances given by the per-step clock increments.
+* The terminal value C_N(t) of a chaos clock, or of a p = 2 power clock with
+  scalar rho, without a path: the N-step trapezoid clock is a Gaussian
+  quadratic form with the closed-form spectrum of
+  ``quadratic_clock_spectrum``, so it is drawn as a weighted sum of
+  independent chi-squared variables, equal in law to the path quadrature but
+  not pathwise coupled to it.
 
 Sup functionals are taken over the simulation grid; grid sups underestimate
 continuous sups, so comparisons elsewhere in the package are always made at
@@ -54,6 +60,8 @@ __all__ = [
     "clock_step_increments",
     "clock_interval_increment_samples",
     "clock_terminal_samples",
+    "quadratic_clock_spectrum",
+    "clock_terminal_law_samples",
     "sup_samples",
     "dump_csv",
 ]
@@ -425,6 +433,66 @@ def clock_interval_increment_samples(spec: ClockSpec, part, n_steps: int, n: int
 def clock_terminal_samples(spec: ClockSpec, t: float, n_steps: int, n: int, rng: RngLike) -> np.ndarray:
     """Samples of C(t) for a single horizon t.  Shape (n,)."""
     return clock_interval_increment_samples(spec, (float(t),), n_steps, n, rng)[:, 0]
+
+
+# ---------------------------------------------------------------------------
+# Exact spectrum of the quadratic trapezoid clocks
+# ---------------------------------------------------------------------------
+
+def quadratic_clock_spectrum(spec: ClockSpec, t: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(w, mu, nu) with C_N(t) = sum_j w_j sum_k mu_k chi2_nu in law, or None.
+
+    C_N(t) is the trapezoid clock on n_steps uniform steps over [0, t].  The
+    trapezoid integral of one squared Brownian path is sum_k mu_k xi_k^2, where
+    mu_k = h^2 / (4 sin^2((2k - 1) pi / (4N))), h = t/N, k = 1..N, are the
+    eigenvalues of the covariance form h^2 (N - max(l, m) + 1/2).  A chaos
+    clock has w_j = q_j^2 and nu = 2 (X_j and Y_j); a p = 2 power clock with
+    scalar rho has w = (rho^2,) and nu = 1.  Other clocks are not such forms
+    and give None.
+    """
+    if isinstance(spec, ChaosClockSpec):
+        w, nu = spec.effective_q**2, 2
+    elif isinstance(spec, PowerClockSpec) and spec.p == 2.0 and np.isscalar(spec.rho):
+        w, nu = np.array([float(spec.rho) ** 2]), 1
+    else:
+        return None
+    _time_indices((t,), n_steps)
+    h = float(t) / n_steps
+    s = np.sin((2 * np.arange(1, n_steps + 1) - 1) * np.pi / (4 * n_steps))
+    return w, h * h / (4.0 * s * s), nu
+
+
+def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, rng: RngLike) -> np.ndarray:
+    """Samples of C(t) drawn from the exact law of the N-step trapezoid clock.  Shape (n,).
+
+    For the clocks of :func:`quadratic_clock_spectrum` no path is simulated:
+    a chaos clock is sum_{j,k} 2 q_j^2 mu_k E_jk with E_jk ~ Exp(1) (chi2_2 is
+    2 Exp(1)), a p = 2 power clock rho^2 sum_k mu_k xi_k^2.  Every term j <= J
+    and mode k <= N is kept, so the law equals that of
+    :func:`clock_terminal_samples` up to rounding, but the draws are not
+    pathwise coupled to it.  Any other clock falls through to
+    :func:`clock_terminal_samples`, bit for bit.
+    """
+    form = quadratic_clock_spectrum(spec, t, n_steps)
+    if form is None:
+        return clock_terminal_samples(spec, t, n_steps, n, rng)
+    w, mu, nu = form
+    gen = as_generator(rng)
+    coef = [(2.0 if nu == 2 else 1.0) * wj * mu for wj in w]
+
+    def block(x, ws):
+        c = np.zeros(len(x))
+        for cj in coef:  # one (b, N) buffer per term
+            if nu == 2:
+                gen.standard_exponential(out=x)
+            else:
+                gen.standard_normal(out=x)
+                np.multiply(x, x, out=x)
+            x *= cj
+            c += x.sum(axis=1)  # not a BLAS gemv: its threads would contend with the batch workers
+        return c[:, None]
+
+    return _block_loop(n, n_steps, 1, block)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -316,3 +316,41 @@ class TestLilDemo:
         assert out.count("ratio=") >= 10
         target = np.pi / 4 * 2 * sum(0.5 ** np.arange(1, 9))
         assert f"{target:.6f}" in out
+
+
+class TestConfigValues:
+    ARGV = ("smallball", "--process", "bm", "--eps", "0.5", "--samples", "300", "--n-steps", "64", "--seed", "3")
+
+    def test_scalar_for_list_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("t = 0.5\n")
+        code, out, err = run(capsys, "--config", str(cfg), *self.ARGV)
+        assert code == 0, err
+        assert out == run(capsys, *self.ARGV, "--t", "0.5")[1]
+
+    def test_list_value(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("t = [0.5, 1.0]\nb = [0.6, 1.2]\nworkers = 2\n")
+        code, out, err = run(capsys, "--config", str(cfg), *self.ARGV)
+        assert code == 0, err
+        assert out == run(capsys, *self.ARGV, "--t", "0.5", "1.0", "--b", "0.6", "1.2")[1]
+
+    @pytest.mark.parametrize(
+        "line", ["t = \"abc\"", "t = [0.5, [1]]", "samples = 1000.5", "workers = [1, 2]", "process = \"levy\"",
+                 "extract = [1]", "conditional = 1"],
+    )
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "--config", str(cfg), *self.ARGV)
+        assert code == 2
+        assert out == ""
+        assert "config value" in err and line.split(" =")[0] in err
+
+    def test_bad_value_for_another_subcommand_is_ignored(self, capsys, tmp_path):
+        # process = levy-area fits simulate but not smallball
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("process = \"levy-area\"\nn_steps = 64\n")
+        code, out, err = run(capsys, "--config", str(cfg), "simulate", "--seed", "1")
+        assert code == 0, err
+        assert out.startswith("levy-area:")

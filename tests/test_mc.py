@@ -440,3 +440,101 @@ class TestKsAndRecords:
         with pytest.raises(ValueError):
             McConfig(workers=0)
         assert McConfig(n_steps=2**14).effective_batch == 256
+
+
+def _dense_trapezoid_eigenvalues(n_steps, t):
+    """Eigenvalues of h^2 (N - max(l, m) + 1/2), the trapezoid clock's covariance form."""
+    from scipy.linalg import eigvalsh
+
+    h = t / n_steps
+    idx = np.arange(1, n_steps + 1)
+    return eigvalsh(h * h * (n_steps - np.maximum.outer(idx, idx) + 0.5))
+
+
+def _dense_log_laplace(lam, t, n_steps, spec):
+    """log E exp(-lam C_N(t)) as a product over the dense eigenvalues."""
+    mu = _dense_trapezoid_eigenvalues(n_steps, t)
+    if isinstance(spec, sb.ChaosClockSpec):
+        return -sum(np.log1p(2.0 * lam * qj * qj * mu).sum() for qj in spec.effective_q)
+    return -0.5 * np.log1p(2.0 * lam * spec.rho**2 * mu).sum()
+
+
+def _continuous_log_laplace(lam, t, spec):
+    if isinstance(spec, sb.ChaosClockSpec):
+        return sb.log_oracle_laplace_chaos(lam, t, spec.effective_q)
+    return sb.log_oracle_laplace_intbm2(lam * spec.rho**2, t)
+
+
+_QUADRATIC_CLOCKS = [
+    sb.ChaosClockSpec((1.0, 0.5)),
+    sb.ChaosClockSpec(sb.geometric_q(0.5, 10), truncation=3),
+    sb.PowerClockSpec(2.0, rho=1.5),
+]
+_QUADRATIC_IDS = ["chaos", "truncated-chaos", "power"]
+
+
+class TestMatchedLaplaceOracle:
+    @pytest.mark.parametrize("n_steps", [2, 3, 8, 64])
+    @pytest.mark.parametrize("spec", _QUADRATIC_CLOCKS, ids=_QUADRATIC_IDS)
+    def test_equals_dense_eigenvalue_product(self, spec, n_steps):
+        for lam in (0.5, 3.0, 40.0):
+            want = _dense_log_laplace(lam, 1.5, n_steps, spec)
+            assert sb.log_oracle_laplace_matched(lam, 1.5, n_steps, spec) == pytest.approx(want, rel=1e-12)
+            assert sb.oracle_laplace_matched(lam, 1.5, n_steps, spec) == pytest.approx(np.exp(want), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec", [sb.PowerClockSpec(2.0), sb.ChaosClockSpec(sb.geometric_q(0.5, 50))], ids=["power", "chaos"]
+    )
+    def test_approaches_continuous_oracle(self, spec):
+        for lam in (1.0, 5.0, 10.0):
+            cont = np.exp(_continuous_log_laplace(lam, 1.0, spec))
+            gaps = [abs(sb.oracle_laplace_matched(lam, 1.0, n, spec) - cont) for n in (8, 64, 512)]
+            assert gaps[0] > gaps[1] > gaps[2]
+            assert gaps[2] <= 1e-5
+
+    def test_validation(self):
+        assert sb.oracle_laplace_matched(0.0, 1.0, 8, sb.PowerClockSpec(2.0)) == 1.0
+        with pytest.raises(ValueError):
+            sb.oracle_laplace_matched(-1.0, 1.0, 8, sb.PowerClockSpec(2.0))
+        with pytest.raises(ValueError):
+            sb.oracle_laplace_matched(1.0, 0.0, 8, sb.PowerClockSpec(2.0))
+        for spec in (sb.PowerClockSpec(1.0), sb.PowerClockSpec(2.0, rho=(1.0,))):
+            with pytest.raises(ValueError, match="matched oracle"):
+                sb.oracle_laplace_matched(1.0, 1.0, 8, spec)
+
+
+class TestSpectralClockEstimators:
+    @pytest.mark.parametrize("spec", _QUADRATIC_CLOCKS, ids=_QUADRATIC_IDS)
+    def test_one_interval_laplace_matches_matched_oracle(self, spec):
+        # at N = 8 the matched and continuous laws are many SEs apart, so a
+        # sampler drawing from a wrong spectrum fails the 4-SE band around the
+        # dense-eigenvalue product
+        cfg = McConfig(samples=1_000_000, n_steps=8, seed=44)
+        ests = sb.estimate_laplace_multi(spec, sb.Partition((2.0,)), (1.0, 10.0), cfg)
+        separations = []
+        for lam, est in zip((1.0, 10.0), ests):
+            matched = np.exp(_dense_log_laplace(lam, 2.0, 8, spec))
+            assert abs(est.estimate - matched) < 4 * est.std_error
+            separations.append(abs(np.exp(_continuous_log_laplace(lam, 2.0, spec)) - matched) / est.std_error)
+        assert max(separations) > 8
+
+    def test_weighted_one_interval_scales_the_clock(self):
+        spec = sb.ChaosClockSpec((1.0, 0.5))
+        cfg = McConfig(samples=2000, n_steps=16, seed=45)
+        weighted = sb.estimate_laplace(spec, sb.Partition((1.0,), weights=(3.0,)), 1.0, cfg)
+        plain = sb.estimate_laplace(spec, sb.Partition((1.0,)), 3.0, cfg)
+        assert weighted.estimate == plain.estimate
+
+    def test_conditional_probes_match_matched_smallball_law(self):
+        # P(sup |B(C_N)| <= eps) for the discrete clock: the theta series over
+        # the dense-eigenvalue Laplace product
+        spec = sb.ChaosClockSpec((1.0, 0.5))
+        eps_grid = (0.8, 0.5)
+        cfg = McConfig(samples=200_000, n_steps=8, seed=46)
+        grid = sb.probe_smallball_conditional(spec, 1.0, eps_grid, cfg)
+        m = np.arange(60)
+        for eps, est in zip(eps_grid, grid.results):
+            lams = (2 * m + 1) ** 2 * np.pi**2 / (8.0 * eps * eps)
+            terms = np.exp([_dense_log_laplace(lam, 1.0, 8, spec) for lam in lams])
+            want = 4.0 / np.pi * np.sum(np.where(m % 2 == 0, 1.0, -1.0) / (2 * m + 1) * terms)
+            assert abs(est.estimate - want) < 4 * est.std_error

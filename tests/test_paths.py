@@ -336,3 +336,56 @@ class TestPathGridAndDump:
         assert float(t0) == 0.0 and float(v0) == 0.0
         # values survive a repr round trip exactly
         assert float(rows[-1].split(",")[1]) == g.values[-1]
+
+
+def _dense_trapezoid_eigenvalues(n_steps, t=1.0):
+    """Ascending eigenvalues of h^2 (N - max(l, m) + 1/2), the trapezoid clock's covariance form."""
+    from scipy.linalg import eigvalsh
+
+    h = t / n_steps
+    idx = np.arange(1, n_steps + 1)
+    return eigvalsh(h * h * (n_steps - np.maximum.outer(idx, idx) + 0.5))
+
+
+class TestSpectralClockLaw:
+    @pytest.mark.parametrize("n_steps", [2, 3, 8, 64, 512])
+    def test_closed_form_spectrum_matches_dense_eigvalsh(self, n_steps):
+        # eigvalsh is accurate to rounding relative to the largest eigenvalue,
+        # so the comparison is normwise
+        for t in (1.0, 2.0):
+            w, mu, nu = sb.quadratic_clock_spectrum(sb.PowerClockSpec(2.0), t, n_steps)
+            dense = _dense_trapezoid_eigenvalues(n_steps, t)
+            assert (list(w), nu) == ([1.0], 1)
+            assert np.max(np.abs(np.sort(mu) - dense)) <= 1e-13 * dense[-1]
+
+    def test_forms(self):
+        w, mu, nu = sb.quadratic_clock_spectrum(sb.ChaosClockSpec((1.0, 0.5, 0.25), truncation=2), 1.0, 8)
+        assert np.array_equal(w, [1.0, 0.25]) and nu == 2 and mu.shape == (8,)
+        w, _, nu = sb.quadratic_clock_spectrum(sb.PowerClockSpec(2.0, rho=1.5), 1.0, 8)
+        assert np.array_equal(w, [2.25]) and nu == 1
+        for spec in (sb.PowerClockSpec(1.0), sb.PowerClockSpec(3.0), sb.PowerClockSpec(2.0, rho=(1.0, 2.0))):
+            assert sb.quadratic_clock_spectrum(spec, 1.0, 8) is None
+        with pytest.raises(ValueError):
+            sb.quadratic_clock_spectrum(sb.PowerClockSpec(2.0), -1.0, 8)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [sb.ChaosClockSpec(sb.geometric_q(0.5, 50)), sb.PowerClockSpec(2.0, rho=1.5)],
+        ids=["chaos", "power"],
+    )
+    def test_law_matches_path_simulation(self, spec):
+        n = 20_000
+        a = sb.clock_terminal_law_samples(spec, 1.0, 64, n, sb.RngStream(40, 0))
+        b = sb.clock_terminal_samples(spec, 1.0, 64, n, sb.RngStream(40, 1))
+        stat, _ = sb.ks_two_sample(a, b)
+        assert stat < sb.ks_critical_value(n, n, 0.01)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [sb.PowerClockSpec(1.0), sb.PowerClockSpec(3.0, rho=2.0), sb.PowerClockSpec(2.0, rho=(1.5,))],
+        ids=["p1", "p3", "stepwise-rho"],
+    )
+    def test_other_clocks_fall_through_bit_for_bit(self, spec):
+        a = sb.clock_terminal_law_samples(spec, 2.0, 64, 300, sb.RngStream(41, 0))
+        b = sb.clock_terminal_samples(spec, 2.0, 64, 300, sb.RngStream(41, 0))
+        assert np.array_equal(a, b)
