@@ -21,6 +21,7 @@ from .asymptotics import (
     weighted_lp_clock_order,
     tsb_constant,
     iterated_first_order_constant,
+    iterated_rate_exponent,
     weighted_sum_constant,
     chaos_sup_constant,
     chaos_clock_constant,
@@ -42,6 +43,8 @@ from .mc import (
     log_oracle_laplace_chaos,
     log_oracle_laplace_intbm2,
     log_oracle_laplace_matched,
+    log_oracle_smallball_chaos,
+    logcosh,
     oracle_laplace_chaos,
     oracle_laplace_intbm2,
     oracle_laplace_matched,
@@ -54,8 +57,10 @@ from .paths import (
     BrownianProcess,
     ChaosClockSpec,
     ChaosDirectProcess,
+    ClockSpec,
     PathGrid,
     PowerClockSpec,
+    ProcessSpec,
     RngStream,
     TimeChangedProcess,
     clock_increments,

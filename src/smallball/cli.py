@@ -341,19 +341,15 @@ def _cmd_laplace(args) -> int:
     clock = _clock_from(args)
     times = tuple(args.t) if args.t else (1.0,)
     part = asy.Partition(times, weights=tuple(args.d) if args.d else None)
+    # one interval of a clock with a spectrum has an exact law at this grid; a weight d scales lambda
+    exact = part.m == 1 and paths.quadratic_clock_spectrum(clock, times[0], args.n_steps) is not None
     results = []
     for lam, est in zip(args.lam, mc.estimate_laplace_multi(clock, part, args.lam, cfg)):
         line = f"lambda={lam:g}: E = {est.estimate:.6f} +/- {est.std_error:.2e} ({est.samples} samples)"
         rec = est.record("laplace", {"lambda": lam, "t": list(times), "n_steps": args.n_steps})
-        if part.m == 1 and part.weights is None:
-            if isinstance(clock, paths.PowerClockSpec) and clock.p == 2.0 and clock.rho == 1.0:
-                exact = mc.oracle_laplace_intbm2(lam, times[0])
-                line += f" (exact {exact:.6f})"
-                rec["exact"] = exact
-            elif isinstance(clock, paths.ChaosClockSpec):
-                exact = mc.oracle_laplace_chaos(lam, times[0], clock.effective_q)
-                line += f" (exact {exact:.6f})"
-                rec["exact"] = exact
+        if exact:
+            rec["exact"] = mc.oracle_laplace_matched(lam * (part.weights or (1.0,))[0], times[0], args.n_steps, clock)
+            line += f" (exact {rec['exact']:.6f})"
         print(line)
         results.append(rec)
     _write_record(args, "laplace", {"lambda": args.lam, "samples": args.samples, "n_steps": args.n_steps}, results)

@@ -23,17 +23,13 @@ multi-interval Laplace and raw estimators still simulate paths.  The
 conditional estimator is unbiased for the discretized clock and has strictly
 smaller variance than the raw indicator estimator (Rao-Blackwell).
 
-Exact oracles:
-
-* ``oracle_laplace_intbm2``: E exp(-lambda int_0^t B^2) = cosh(t sqrt(2 lambda))^(-1/2).
-* ``oracle_laplace_chaos``: the product form over paired Brownian factors for
-  a chaos clock, prod_j cosh(t q_j sqrt(2 lambda))^(-1).
-* ``oracle_laplace_matched``: E exp(-lambda C_N(t)) for the N-step trapezoid
-  clock itself, a finite product over its exact spectrum; the
-  matched-discretization counterpart of the two cosh forms.
-* ``sup_bm_grid_cdf``: the exact law of the discrete-grid maximum of Brownian
-  motion, by transfer-operator iteration; the matched-discretization
-  counterpart of ``sup_bm_cdf`` for validating grid-sup estimators.
+Exact oracles share one log-domain evaluator of a quadratic clock's Laplace
+transform over ``paths.quadratic_clock_spectrum``: continuous (the cosh
+products ``log_oracle_laplace_intbm2``, ``log_oracle_laplace_chaos``) or on the
+N-step grid the estimators sample (``log_oracle_laplace_matched``).
+``log_oracle_smallball_chaos`` sums the theta series over either; each has an
+exp form.  ``sup_bm_grid_cdf`` is the exact law of the discrete-grid Brownian
+maximum, the matched counterpart of ``sup_bm_cdf``.
 """
 
 from __future__ import annotations
@@ -49,7 +45,9 @@ from scipy import fft
 from .asymptotics import Partition, sup_bm_cdf
 from .errors import NumericError
 from .paths import (
+    ChaosClockSpec,
     ClockSpec,
+    PowerClockSpec,
     ProcessSpec,
     RngStream,
     clock_interval_increment_samples,
@@ -77,6 +75,7 @@ __all__ = [
     "oracle_laplace_matched",
     "log_oracle_laplace_matched",
     "oracle_smallball_chaos",
+    "log_oracle_smallball_chaos",
     "sup_bm_grid_cdf",
     "ks_two_sample",
     "ks_critical_value",
@@ -335,11 +334,34 @@ def logcosh(x):
     return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
 
 
+def _log_laplace(lams, t: float, clock: ClockSpec, n_steps: int | None) -> np.ndarray:
+    """log E exp(-lambda C(t)), a 1-D array over ``lams``, for a clock with an exact law.
+
+    (w, mu, nu) come from ``paths.quadratic_clock_spectrum``, the one judge of
+    which clocks have one.  The continuous clock (``n_steps`` None) gives
+    -(nu/2) sum_j logcosh(t sqrt(2 lambda w_j)); the N-step trapezoid clock
+    gives -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k).
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if np.any(lams < 0) or t <= 0:
+        raise ValueError("need lambda >= 0 and t > 0")
+    # the continuous law reads only (w, nu); the one-step mu goes unused
+    form = quadratic_clock_spectrum(clock, t, 1 if n_steps is None else n_steps)
+    if form is None:
+        raise ValueError("the matched oracle needs a chaos clock or a p = 2 power clock with scalar rho")
+    w, mu, nu = form
+    if n_steps is None:
+        scale, coef, f = np.sqrt(2.0 * lams), t * np.sqrt(w), logcosh
+    else:
+        scale, coef, f = 2.0 * lams, np.outer(w, mu).ravel(), np.log1p
+    rows = max(1, 2**18 // coef.size)  # bounds each (rows, terms) buffer
+    sums = [f(np.multiply.outer(scale[i : i + rows], coef)).sum(axis=-1) for i in range(0, scale.size, rows)]
+    return -0.5 * nu * np.concatenate(sums)
+
+
 def log_oracle_laplace_intbm2(lam: float, t: float) -> float:
     """log E exp(-lambda int_0^t B^2 ds) = -1/2 log cosh(t sqrt(2 lambda))."""
-    if lam < 0 or t <= 0:
-        raise ValueError("need lambda >= 0 and t > 0")
-    return -0.5 * float(logcosh(t * np.sqrt(2.0 * lam)))
+    return float(_log_laplace(lam, t, PowerClockSpec(2.0), None)[0])
 
 
 def oracle_laplace_intbm2(lam: float, t: float) -> float:
@@ -357,10 +379,7 @@ def log_oracle_laplace_chaos(lam: float, t: float, q) -> float:
     Each q_j contributes two independent squared Brownian factors, i.e. one
     factor cosh(t q_j sqrt(2 lambda))^(-1) in the product.
     """
-    if lam < 0 or t <= 0:
-        raise ValueError("need lambda >= 0 and t > 0")
-    q = np.asarray(q, dtype=float)
-    return -float(np.sum(logcosh(t * q * np.sqrt(2.0 * lam))))
+    return float(_log_laplace(lam, t, ChaosClockSpec(q), None)[0])
 
 
 def oracle_laplace_chaos(lam: float, t: float, q) -> float:
@@ -372,18 +391,10 @@ def log_oracle_laplace_matched(lam: float, t: float, n_steps: int, clock: ClockS
     """log E exp(-lambda C_N(t)) for the trapezoid clock on n_steps steps, exactly.
 
     C_N(t) = sum_j w_j sum_k mu_k chi2_nu (``paths.quadratic_clock_spectrum``),
-    so the log transform is -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k): for a
-    chaos clock -sum_{j,k} log1p(2 lambda q_j^2 mu_k), for a p = 2 power clock
-    -1/2 sum_k log1p(2 lambda rho^2 mu_k).  It tends to the cosh forms as N
-    grows.  Other clocks raise ValueError.
+    so this is -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k); it tends to the
+    cosh forms as N grows.  Clocks without such a spectrum raise ValueError.
     """
-    if lam < 0 or t <= 0:
-        raise ValueError("need lambda >= 0 and t > 0")
-    form = quadratic_clock_spectrum(clock, t, n_steps)
-    if form is None:
-        raise ValueError("the matched oracle needs a chaos clock or a p = 2 power clock with scalar rho")
-    w, mu, nu = form
-    return -0.5 * nu * float(np.log1p(2.0 * lam * np.outer(w, mu)).sum())
+    return float(_log_laplace(lam, t, clock, n_steps)[0])
 
 
 def oracle_laplace_matched(lam: float, t: float, n_steps: int, clock: ClockSpec) -> float:
@@ -391,37 +402,35 @@ def oracle_laplace_matched(lam: float, t: float, n_steps: int, clock: ClockSpec)
     return float(np.exp(log_oracle_laplace_matched(lam, t, n_steps, clock)))
 
 
-def oracle_smallball_chaos(eps: float, t: float, q) -> float:
-    """Exact P(sup_{[0,t]} |B(C)| <= eps) for a chaos clock with values q.
+def log_oracle_smallball_chaos(eps: float, t: float, q, n_steps: int | None = None) -> float:
+    """log P(sup_{[0,t]} |B(C)| <= eps) for a chaos clock with values q, exactly.
 
-    Combines the theta series for the conditional sup law with the closed-form
-    clock Laplace transform:
+    The theta series over the clock's Laplace transform L (continuous, or the
+    trapezoid clock on ``n_steps`` steps), lam_k = (2k+1)^2 pi^2/(8 eps^2):
 
-        P = (4/pi) sum_k (-1)^k/(2k+1) E exp(-(2k+1)^2 pi^2/(8 eps^2) C(t)).
+        log P = log(4/pi) + L(lam_0) + log sum_k (-1)^k/(2k+1) exp(L(lam_k) - L(lam_0)).
 
-    This is the continuous-time limit the conditional estimator converges to;
-    it serves as the independent oracle in the test suite.
+    Relative to its leading term the sum never underflows.  Its terms fall in
+    k, and it stops at the first one below 1e-17, which bounds the error.
     """
-    if eps <= 0 or t <= 0:
-        raise ValueError("eps and t must be positive")
-    q = np.asarray(q, dtype=float)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    clock = ChaosClockSpec(q)
     lam0 = np.pi**2 / (8.0 * eps * eps)
-    # Alternating series with terms |.| ~ exp(-(2k+1) t q_1 sqrt(2 lam0))/(2k+1):
-    # for large eps the exponential decay is slow, so extend in chunks until
-    # the first omitted term bounds the error below 1e-15 of the total.
-    total = 0.0
-    k0 = 0
-    chunk = 256
-    while k0 < 200_000:
-        k = np.arange(k0, k0 + chunk)
-        odd = 2 * k + 1
-        logs = -np.sum(logcosh(t * np.outer(odd, q) * np.sqrt(2.0 * lam0)), axis=1)
-        terms = np.where(k % 2 == 0, 1.0, -1.0) / odd * np.exp(logs)
-        total += float(terms.sum())
-        if abs(terms[-1]) <= 1e-15 * abs(total):
-            return min(1.0, 4.0 / np.pi * total)
-        k0 += chunk
-    raise NumericError(f"theta series for eps={eps} did not converge in {k0} terms")
+    log0, total = _log_laplace(lam0, t, clock, n_steps)[0], 0.0
+    for k0 in 8 * (2 ** np.arange(15) - 1):  # chunks of 8, 16, 32, ... terms
+        odd = 2.0 * np.arange(k0, 2 * k0 + 8) + 1.0
+        terms = np.exp(_log_laplace(odd * odd * lam0, t, clock, n_steps) - log0) / odd
+        keep = terms >= 1e-17  # a prefix, as the terms fall
+        total += float(np.sum(np.where(odd % 4 == 1, terms, -terms)[keep]))
+        if not keep[-1]:
+            return min(0.0, float(np.log(4.0 / np.pi) + log0 + np.log(total)))
+    raise NumericError(f"theta series for eps={eps} did not converge in {2 * k0 + 8} terms")
+
+
+def oracle_smallball_chaos(eps: float, t: float, q, n_steps: int | None = None) -> float:
+    """Exact P(sup_{[0,t]} |B(C)| <= eps) for a chaos clock with values q; see the log form."""
+    return float(np.exp(log_oracle_smallball_chaos(eps, t, q, n_steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +520,9 @@ def extract_constant(pg: ProbeGrid, order: tuple[float, float]) -> ConstantExtra
 
     The limit is estimated by a least-squares line in eps through the last
     three valid probe points, evaluated at eps = 0.  Needs at least three
-    valid (positive-estimate) points.
+    valid (positive-estimate) points.  The line is biased where K_hat has an
+    eps log eps term: on the exact K_hat(eps) = pi/2 - eps log(4/eps) + ... of
+    the geometric chaos clock at eps = 0.2, 0.15, 0.1 it returns 1.4293.
     """
     a, b = order
     eps_all = np.asarray(pg.epsilons)

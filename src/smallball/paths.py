@@ -456,6 +456,8 @@ def quadratic_clock_spectrum(spec: ClockSpec, t: float, n_steps: int) -> tuple[n
         w, nu = np.array([float(spec.rho) ** 2]), 1
     else:
         return None
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
     _time_indices((t,), n_steps)
     h = float(t) / n_steps
     s = np.sin((2 * np.arange(1, n_steps + 1) - 1) * np.pi / (4 * n_steps))

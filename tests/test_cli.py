@@ -198,6 +198,33 @@ class TestEstimationCommands:
         assert code == 0
         assert "exact 0.677568" in out
 
+    def test_laplace_records_the_matched_oracle(self, capsys, tmp_path):
+        # on a coarse grid the continuous cosh value sits many SEs from the estimate
+        path = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, "laplace", "--clock", "power", "--clock-p", "2", "--n-steps", "8",
+            "--samples", "200000", "--lam", "10", "--seed", "3", "--output", str(path),
+        )
+        assert code == 0
+        rec = json.loads(path.read_text())["results"][0]
+        want = sb.oracle_laplace_matched(10.0, 1.0, 8, sb.PowerClockSpec(2.0))
+        assert rec["exact"] == want
+        assert f"exact {want:.6f}" in out
+        assert abs(rec["estimate"] - want) < 4 * rec["stdError"]
+
+    def test_laplace_exact_value_needs_one_interval_of_a_spectral_clock(self, capsys):
+        base = ["laplace", "--clock", "power", "--n-steps", "16", "--samples", "500", "--lam", "2"]
+        code, out, _ = run(capsys, *base, "--rho", "1.5")
+        assert code == 0
+        assert f"exact {sb.oracle_laplace_matched(2.0, 1.0, 16, sb.PowerClockSpec(2.0, rho=1.5)):.6f}" in out
+        code, out, _ = run(capsys, *base, "--clock", "chaos", "--q", "1", "0.5", "--d", "3")
+        assert code == 0
+        assert f"exact {sb.oracle_laplace_matched(6.0, 1.0, 16, sb.ChaosClockSpec((1.0, 0.5))):.6f}" in out
+        for extra in (["--clock-p", "3"], ["--t", "0.5", "1.0"]):
+            code, out, _ = run(capsys, *base, *extra)
+            assert code == 0
+            assert "exact" not in out
+
 
 class TestRecordsAndConfig:
     def test_json_record_schema_and_determinism(self, capsys, tmp_path):
@@ -260,6 +287,13 @@ class TestImport:
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+    def test_package_reexports_every_public_name(self):
+        from smallball import asymptotics, mc, paths, schrodinger, spectral
+
+        for module in (asymptotics, mc, paths, schrodinger, spectral):
+            assert [name for name in module.__all__ if not hasattr(sb, name)] == [], module.__name__
 
 
 class TestModuleEntryPoint:

@@ -538,3 +538,37 @@ class TestSpectralClockEstimators:
             terms = np.exp([_dense_log_laplace(lam, 1.0, 8, spec) for lam in lams])
             want = 4.0 / np.pi * np.sum(np.where(m % 2 == 0, 1.0, -1.0) / (2 * m + 1) * terms)
             assert abs(est.estimate - want) < 4 * est.std_error
+
+
+class TestExactSmallballLaw:
+    def test_geometric_clock_constant_to_second_order(self):
+        # prod_{j>=1} cosh(x 2^-j) = sinh(x)/x (Levy's stochastic-area formula),
+        # so K_hat(eps) = pi/2 - eps log(4/eps) + O(eps exp(-2 pi/eps))
+        q = sb.geometric_q(0.5, 50)
+        for eps in np.geomspace(0.2, 1e-4, 12):
+            k_hat = -eps * sb.log_oracle_smallball_chaos(eps, 1.0, q)
+            assert k_hat == pytest.approx(np.pi / 2 - eps * np.log(4.0 / eps), abs=1e-12)
+
+    def test_log_form_does_not_underflow(self):
+        q = sb.geometric_q(0.5, 50)
+        assert sb.oracle_smallball_chaos(0.002, 1.0, q) == 0.0
+        for eps in (0.002, 1e-4):
+            assert np.isfinite(sb.log_oracle_smallball_chaos(eps, 1.0, q))
+
+    def test_validation(self):
+        for eps, n_steps in ((0.0, None), (-0.5, 8), (0.5, 0), (0.5, -4)):
+            with pytest.raises(ValueError):
+                sb.log_oracle_smallball_chaos(eps, 1.0, [1.0], n_steps)
+        with pytest.raises(ValueError):
+            sb.oracle_smallball_chaos(0.5, 0.0, [1.0])
+
+    @pytest.mark.parametrize("n_steps", [2, 8, 64])
+    def test_matched_law_is_theta_over_dense_spectrum(self, n_steps):
+        spec = sb.ChaosClockSpec((1.0, 0.5))
+        m = np.arange(60)
+        for eps in (1.5, 0.8, 0.3):
+            lams = (2 * m + 1) ** 2 * np.pi**2 / (8.0 * eps * eps)
+            terms = np.exp([_dense_log_laplace(lam, 1.0, n_steps, spec) for lam in lams])
+            want = 4.0 / np.pi * np.sum(np.where(m % 2 == 0, 1.0, -1.0) / (2 * m + 1) * terms)
+            assert sb.oracle_smallball_chaos(eps, 1.0, spec.q, n_steps) == pytest.approx(want, rel=1e-12)
+            assert sb.log_oracle_smallball_chaos(eps, 1.0, spec.q, n_steps) == pytest.approx(np.log(want), rel=1e-12)
