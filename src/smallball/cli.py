@@ -323,7 +323,9 @@ def _cmd_smallball(args) -> int:
             ext = mc.extract_constant(grid, (args.extract[0], args.extract[1]))
             print(f"K_hat = {[f'{k:.5f}' for k in ext.k_hat]}")
             print(f"extrapolated K = {ext.extrapolated:.5f}; gaps non-increasing: {ext.gaps_non_increasing}")
-            results.append({"extrapolated": ext.extrapolated, "k_hat": list(ext.k_hat)})
+            results.append(
+                {"extrapolated": ext.extrapolated, "k_hat": list(ext.k_hat), "k_hat_se": list(ext.k_hat_se)}
+            )
     else:
         process = _process_from(args)
         b = [1.0] if args.b is None else args.b

@@ -90,10 +90,12 @@ _ZERO_HIT_CONFIDENCE = 0.95
 class McConfig:
     """Sampling configuration: budget, grid, batching and RNG provenance.
 
-    ``batch_size`` defaults to a memory-bounded value derived from ``n_steps``;
-    it is part of the reproducibility contract (a config determines output
-    exactly).  ``workers`` only parallelizes batch execution and never affects
-    results.
+    ``batch_size`` defaults to min(max(256, 2**21 // n_steps), ceil(samples / 2)):
+    the memory cap, except that a run with fewer than two full capped batches
+    splits into two near-equal batches, so two workers both have one.  The
+    layout depends only on (samples, n_steps) and is part of the
+    reproducibility contract (a config determines output exactly).
+    ``workers`` only parallelizes batch execution and never affects results.
     """
 
     samples: int = 100_000
@@ -117,7 +119,7 @@ class McConfig:
             if self.batch_size < 1:
                 raise ValueError("batch_size must be positive")
             return self.batch_size
-        return max(256, 2**21 // self.n_steps)
+        return min(max(256, 2**21 // self.n_steps), -(-self.samples // 2))
 
 
 @dataclass(frozen=True)
@@ -501,14 +503,16 @@ class ProbeGrid:
 class ConstantExtraction:
     """Empirical K-hat sequence with a linear-in-eps extrapolation to eps = 0.
 
-    ``gaps`` holds |K_hat(eps_k) - K_extrapolated| along the grid;
-    ``gaps_non_increasing`` reports whether the sequence contracts towards the
-    extrapolated limit as eps decreases.  Probe points with non-positive
-    estimates are dropped and recorded in ``dropped``.
+    ``k_hat_se`` holds the delta-method standard error of each K-hat,
+    eps^a |log eps|^b SE(p)/p.  ``gaps`` holds |K_hat(eps_k) - K_extrapolated|
+    along the grid; ``gaps_non_increasing`` reports whether the sequence
+    contracts towards the extrapolated limit as eps decreases.  Probe points
+    with non-positive estimates are dropped and recorded in ``dropped``.
     """
 
     epsilons: tuple[float, ...]
     k_hat: tuple[float, ...]
+    k_hat_se: tuple[float, ...]
     extrapolated: float
     gaps: tuple[float, ...]
     gaps_non_increasing: bool
@@ -527,19 +531,28 @@ def extract_constant(pg: ProbeGrid, order: tuple[float, float]) -> ConstantExtra
     a, b = order
     eps_all = np.asarray(pg.epsilons)
     p_all = np.asarray([r.estimate for r in pg.results])
+    se_all = np.asarray([r.std_error for r in pg.results])
     valid = p_all > 0
     dropped = tuple(int(i) for i in np.nonzero(~valid)[0])
     eps = eps_all[valid]
     p = p_all[valid]
     if eps.size < 3:
         raise ValueError("need at least three positive probe estimates to extrapolate")
-    k_hat = -(eps**a) * np.abs(np.log(eps)) ** b * np.log(p)
+    scale = eps**a * np.abs(np.log(eps)) ** b
+    k_hat = -scale * np.log(p)
+    k_hat_se = scale * se_all[valid] / p
     slope, intercept = np.polyfit(eps[-3:], k_hat[-3:], 1)
     extrap = float(intercept)
     gaps = np.abs(k_hat - extrap)
     non_increasing = bool(np.all(np.diff(gaps) <= 0))
     return ConstantExtraction(
-        tuple(map(float, eps)), tuple(map(float, k_hat)), extrap, tuple(map(float, gaps)), non_increasing, dropped
+        tuple(map(float, eps)),
+        tuple(map(float, k_hat)),
+        tuple(map(float, k_hat_se)),
+        extrap,
+        tuple(map(float, gaps)),
+        non_increasing,
+        dropped,
     )
 
 

@@ -113,14 +113,19 @@ class TestSimulateCommand:
 
 
 class TestEstimationCommands:
-    def test_smallball_conditional_with_extraction(self, capsys):
+    def test_smallball_conditional_with_extraction(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
         code, out, _ = run(
             capsys, "smallball", "--conditional", "--clock", "chaos", "--q", "1.0",
             "--eps", "0.5", "0.4", "0.3", "--samples", "2000", "--n-steps", "256", "--seed", "9",
-            "--extract", "1", "0",
+            "--extract", "1", "0", "--output", str(path),
         )
         assert code == 0
         assert "extrapolated K" in out
+        *probes, extraction = json.loads(path.read_text())["results"]
+        # K_hat = -eps log p, so its delta-method SE is eps SE(p) / p
+        want = [p["params"]["eps"] * p["stdError"] / p["estimate"] for p in probes]
+        assert extraction["k_hat_se"] == want
 
     def test_smallball_raw(self, capsys):
         code, out, _ = run(

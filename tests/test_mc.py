@@ -274,6 +274,44 @@ class TestWorkerInvariance:
         assert all(r.samples == 3000 and r.std_error > 0 for r in serial)
 
 
+# Default batch layout: 512 samples at N = 512 split into two batches of 256.
+_DEFAULT_LAYOUT = {
+    "probe_smallball_conditional": lambda cfg: list(
+        sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg).results
+    ),
+    "probe_smallball_raw": lambda cfg: sb.probe_smallball_raw(
+        sb.ChaosDirectProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg
+    ),
+    "estimate_laplace_multi": lambda cfg: sb.estimate_laplace_multi(_CHAOS, sb.Partition((1.0,)), (0.5, 2.0, 8.0), cfg),
+}
+
+
+class TestDefaultBatchLayout:
+    def test_rule(self):
+        assert McConfig(samples=512, n_steps=512).effective_batch == 256
+        assert McConfig(samples=10**5, n_steps=512).effective_batch == 4096
+        assert McConfig(samples=10**6, n_steps=512).effective_batch == 4096
+        assert McConfig(samples=10**5, n_steps=2**14).effective_batch == 256
+        assert McConfig(samples=1, n_steps=512).effective_batch == 1
+        assert McConfig(samples=5001, n_steps=512).effective_batch == 2501
+
+    @pytest.mark.parametrize("name", sorted(_DEFAULT_LAYOUT))
+    def test_workers_do_not_change_results(self, name):
+        serial = _DEFAULT_LAYOUT[name](McConfig(samples=512, n_steps=512, seed=19))
+        threaded = _DEFAULT_LAYOUT[name](McConfig(samples=512, n_steps=512, seed=19, workers=2))
+        assert [(r.estimate, r.std_error) for r in serial] == [(r.estimate, r.std_error) for r in threaded]
+        assert all(r.samples == 512 and r.std_error > 0 for r in serial)
+
+    def test_two_batch_probe_matches_matched_law(self):
+        # 20 000 samples at N = 64 split into two batches of 10 000 (cap 32 768)
+        q = (1.0, 0.5)
+        cfg = McConfig(samples=20_000, n_steps=64, seed=47, workers=2)
+        assert cfg.effective_batch == 10_000
+        grid = sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, (0.8, 0.5), cfg)
+        for eps, est in zip(grid.epsilons, grid.results):
+            assert abs(est.estimate - sb.oracle_smallball_chaos(eps, 1.0, q, n_steps=64)) < 4 * est.std_error
+
+
 class TestOracles:
     def test_intbm2_frozen_value(self):
         assert sb.oracle_laplace_intbm2(0.0, 1.0) == 1.0
@@ -355,6 +393,21 @@ class TestConstantExtraction:
         for values in (ext.epsilons, ext.k_hat, ext.gaps):
             assert all(type(x) is float for x in values)
         assert type(ext.extrapolated) is float
+
+    def test_k_hat_standard_errors(self):
+        # SE(K_hat) = eps^a |log eps|^b SE(p) / p at each kept point
+        eps = (0.4, 0.3, 0.2, 0.15)
+        results = (
+            sb.EstimateResult(0.5, 0.02, 100, 0),
+            sb.EstimateResult(0.0, 0.03, 100, 0, zero_hits=True),
+            sb.EstimateResult(0.2, 0.01, 100, 0),
+            sb.EstimateResult(0.05, 0.004, 100, 0),
+        )
+        ext = sb.extract_constant(sb.ProbeGrid(eps, results), (2.0, 1.0))
+        kept = [(e, r) for e, r in zip(eps, results) if r.estimate > 0]
+        want = [e**2 * abs(np.log(e)) * r.std_error / r.estimate for e, r in kept]
+        assert ext.k_hat_se == pytest.approx(want, rel=1e-14)
+        assert all(type(x) is float for x in ext.k_hat_se)
 
     def test_nonpositive_estimates_dropped(self):
         eps = (0.4, 0.3, 0.2, 0.15)
