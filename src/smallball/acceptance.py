@@ -129,11 +129,13 @@ def criterion_4(seed: int) -> CriterionResult:
 def criterion_5(seed: int) -> CriterionResult:
     """Monte Carlo vs exact oracles, both at matched discretization.
 
-    (a) raw grid-sup estimates for plain Brownian motion against the exact
-        transfer-operator law of the grid maximum;
+    (a) raw grid-sup estimates for plain Brownian motion at eps 0.5 and 1.0,
+        read off one set of sups, against the exact transfer-operator law of
+        the grid maximum;
     (b) Laplace-functional estimates for the squared-Brownian clock against
-        the exact law of the N-step trapezoid clock they sample (z-gate) and
-        the closed-form cosh oracle (1% gate).
+        the exact law of the N = 512 trapezoid clock they sample (z-gate) and
+        the closed-form cosh oracle (1% gate; the two oracles differ by 7e-6
+        relative at lambda = 10).
     """
     t0 = time.perf_counter()
     lines = []
@@ -141,9 +143,9 @@ def criterion_5(seed: int) -> CriterionResult:
 
     n_a = 512
     part = asy.Partition((1.0,), windows=((0.0, 1.0),))
-    for i, eps in enumerate((0.5, 1.0)):
-        cfg = mc.McConfig(samples=10**6, n_steps=n_a, seed=seed, stream_base=_STREAM_C5A + 20 * i, workers=2)
-        est = mc.estimate_smallball_raw(paths.BrownianProcess(), part, eps, cfg)
+    cfg = mc.McConfig(samples=10**6, n_steps=n_a, seed=seed, stream_base=_STREAM_C5A, workers=2)
+    eps_a = (0.5, 1.0)
+    for eps, est in zip(eps_a, mc.probe_smallball_raw(paths.BrownianProcess(), part, eps_a, cfg)):
         exact = mc.sup_bm_grid_cdf(eps, n_a)
         z = (est.estimate - exact) / est.std_error
         ok &= abs(z) <= 3.0
@@ -154,7 +156,7 @@ def criterion_5(seed: int) -> CriterionResult:
 
     clock = paths.PowerClockSpec(p=2.0)
     part1 = asy.Partition((1.0,))
-    cfg = mc.McConfig(samples=10**5, n_steps=2**14, seed=seed, stream_base=_STREAM_C5B, workers=2)
+    cfg = mc.McConfig(samples=10**5, n_steps=512, seed=seed, stream_base=_STREAM_C5B, workers=2)
     lams = (1.0, 5.0, 10.0)
     for lam, est in zip(lams, mc.estimate_laplace_multi(clock, part1, lams, cfg)):
         matched = mc.oracle_laplace_matched(lam, 1.0, cfg.n_steps, clock)

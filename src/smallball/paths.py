@@ -28,6 +28,14 @@ Simulated objects:
   independent chi-squared variables, equal in law to the path quadrature but
   not pathwise coupled to it.
 
+Every chaos sampler (clock paths, direct chaos sums and the spectral draw)
+draws nothing for the smallest q_j whose q_j^2 sum to at most
+2^-53 sum_j q_j^2, one unit roundoff (``_sampled_q``; 23 of q_j = 2^-j at
+J = 50).  Those terms carry at most that share of E C(t) and of Var Z(t), and
+the skipped part of Z is independent of the rest with mean zero, so every
+sampled law moves by O(2^-53) relative.  The exact spectrum, ``effective_q``
+and ``one_norm`` keep every term.
+
 Sup functionals are taken over the simulation grid; grid sups underestimate
 continuous sups, so comparisons elsewhere in the package are always made at
 matched discretization.
@@ -68,6 +76,9 @@ __all__ = [
 
 # Target doubles per temporary block array; keeps batch temporaries ~16 MB.
 _BLOCK_DOUBLES = 2**21
+
+# Unit roundoff of a double: the largest share of sum q_j^2 a chaos sampler skips.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -156,7 +167,10 @@ class ChaosClockSpec:
 
     ``q`` holds the collapsed singular values (one per conjugate pair); the
     trace norm of the underlying form is 2 * sum q_j.  ``truncation`` further
-    caps the number of simulated terms.
+    caps the number of terms.  The samplers then also skip the smallest q_j
+    whose q_j^2 sum to at most 2^-53 sum_j q_j^2 (one unit roundoff of the
+    clock's mean and of Var Z), which moves no sampled law beyond O(2^-53);
+    ``effective_q``, ``one_norm`` and the exact spectrum keep every term.
     """
 
     q: tuple[float, ...]
@@ -178,6 +192,22 @@ class ChaosClockSpec:
     @property
     def one_norm(self) -> float:
         return 2.0 * float(np.sum(self.effective_q))
+
+
+def _sampled_q(spec: ChaosClockSpec) -> np.ndarray:
+    """The terms of ``spec.effective_q`` that the chaos samplers draw, in order.
+
+    The smallest q_j whose q_j^2 sum to at most 2^-53 sum_j q_j^2 are skipped;
+    for a decreasing q the kept terms are a prefix (27 of q_j = 2^-j, J = 50).
+    The skipped terms carry that share of E C(t) and of Var Z(t), so the law
+    of every sampled clock, path and sup moves by O(2^-53) relative.
+    """
+    q = spec.effective_q
+    w = q * q
+    order = np.argsort(w, kind="stable")
+    keep = np.ones(q.size, dtype=bool)
+    keep[order[np.cumsum(w[order]) <= _UNIT_ROUNDOFF * w.sum()]] = False
+    return q[keep]
 
 
 ClockSpec = Union[PowerClockSpec, ChaosClockSpec]
@@ -308,7 +338,7 @@ def _fill_chaos_clock_steps(d_c, ws: _Workspace, spec: ChaosClockSpec, horizon: 
     v[:] = 0.0
     paths = ws.paths[:b]
     buf = ws.steps[:b]
-    for qj in spec.effective_q:
+    for qj in _sampled_q(spec):
         w = qj * qj
         for _ in range(2):  # X_j then Y_j
             _fill_bm(paths, buf, sqh, rng)
@@ -362,7 +392,7 @@ def _fill_increments(d, ws: _Workspace, process: ProcessSpec, times, rng) -> Non
         rng.standard_normal(out=d)
         d *= np.sqrt(horizon / d.shape[1])
     elif isinstance(process, ChaosDirectProcess):
-        _fill_chaos_direct_increments(d, ws, process.clock.effective_q, horizon, rng)
+        _fill_chaos_direct_increments(d, ws, _sampled_q(process.clock), horizon, rng)
     elif isinstance(process, TimeChangedProcess):
         _fill_clock_steps(d, ws, process.clock, times, rng)
         xi = ws.steps2[: len(d)]
@@ -469,9 +499,9 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
 
     For the clocks of :func:`quadratic_clock_spectrum` no path is simulated:
     a chaos clock is sum_{j,k} 2 q_j^2 mu_k E_jk with E_jk ~ Exp(1) (chi2_2 is
-    2 Exp(1)), a p = 2 power clock rho^2 sum_k mu_k xi_k^2.  Every term j <= J
-    and mode k <= N is kept, so the law equals that of
-    :func:`clock_terminal_samples` up to rounding, but the draws are not
+    2 Exp(1)), a p = 2 power clock rho^2 sum_k mu_k xi_k^2.  Every mode k <= N
+    is kept, and every term j the path samplers draw, so the law equals that
+    of :func:`clock_terminal_samples` up to rounding, but the draws are not
     pathwise coupled to it.  Any other clock falls through to
     :func:`clock_terminal_samples`, bit for bit.
     """
@@ -479,6 +509,8 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
     if form is None:
         return clock_terminal_samples(spec, t, n_steps, n, rng)
     w, mu, nu = form
+    if isinstance(spec, ChaosClockSpec):
+        w = _sampled_q(spec) ** 2  # the exact law keeps every term; the draw skips the negligible ones
     gen = as_generator(rng)
     coef = [(2.0 if nu == 2 else 1.0) * wj * mu for wj in w]
 

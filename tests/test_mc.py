@@ -592,6 +592,14 @@ class TestSpectralClockEstimators:
             want = 4.0 / np.pi * np.sum(np.where(m % 2 == 0, 1.0, -1.0) / (2 * m + 1) * terms)
             assert abs(est.estimate - want) < 4 * est.std_error
 
+    def test_trimmed_geometric_probe_matches_full_matched_law(self):
+        # the sampler draws 27 of the 50 terms; the oracle keeps all 50
+        q = sb.geometric_q(0.5, 50)
+        cfg = McConfig(samples=20_000, n_steps=64, seed=50, workers=2)
+        grid = sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, (0.4, 0.2), cfg)
+        for eps, est in zip(grid.epsilons, grid.results):
+            assert abs(est.estimate - sb.oracle_smallball_chaos(eps, 1.0, q, n_steps=64)) < 4 * est.std_error
+
 
 class TestExactSmallballLaw:
     def test_geometric_clock_constant_to_second_order(self):

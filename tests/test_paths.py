@@ -11,7 +11,7 @@ from scipy.stats import kstest
 
 import smallball as sb
 from smallball import paths
-from smallball.paths import _increments, _time_indices
+from smallball.paths import _increments, _sampled_q, _time_indices
 
 
 class TestRngStream:
@@ -389,3 +389,66 @@ class TestSpectralClockLaw:
         a = sb.clock_terminal_law_samples(spec, 2.0, 64, 300, sb.RngStream(41, 0))
         b = sb.clock_terminal_samples(spec, 2.0, 64, 300, sb.RngStream(41, 0))
         assert np.array_equal(a, b)
+
+
+class TestSampledChaosTerms:
+    # the chaos samplers skip the smallest q_j whose q_j^2 sum to at most one
+    # unit roundoff of sum q_j^2; the exact spectrum keeps every term
+    def test_kept_terms(self):
+        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
+        assert np.array_equal(_sampled_q(spec), spec.effective_q[:27])
+        for q in (sb.geometric_q(0.5, 20), (1.0, 0.5)):
+            assert np.array_equal(_sampled_q(sb.ChaosClockSpec(q)), q)
+        # unsorted: only the three smallest go, the rest keep their order
+        q = (2e-8, 1e-9, 1.0, 3e-9, 0.5, 2e-9)
+        assert np.array_equal(_sampled_q(sb.ChaosClockSpec(q)), [2e-8, 1.0, 0.5])
+        # truncation applies first
+        short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50), truncation=5)
+        assert np.array_equal(_sampled_q(short), sb.geometric_q(0.5, 5))
+
+    @pytest.mark.parametrize(
+        "q",
+        [sb.geometric_q(0.5, 50), sb.geometric_q(0.3, 80), sb.geometric_q(0.9, 400),
+         tuple(np.random.default_rng(3).lognormal(0.0, 12.0, 60))],
+        ids=["half", "0.3", "0.9", "lognormal"],
+    )
+    def test_dropped_share_below_unit_roundoff(self, q):
+        q = np.asarray(q)
+        kept = _sampled_q(sb.ChaosClockSpec(tuple(q)))
+        dropped = np.setdiff1d(q, kept)
+        assert kept.size + dropped.size == q.size and kept.size < q.size
+        assert np.sum(dropped**2) <= 2.0**-53 * np.sum(q**2)
+        # the smallest kept term would push the share over: no more could go
+        assert dropped.max() < kept.min()
+        assert np.sum(dropped**2) + kept.min() ** 2 > 2.0**-53 * np.sum(q**2)
+
+    def test_exact_law_keeps_every_term(self):
+        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
+        w, _, _ = sb.quadratic_clock_spectrum(spec, 1.0, 8)
+        assert w.size == 50 and spec.effective_q.size == 50
+        assert spec.one_norm == 2.0 * np.sum(sb.geometric_q(0.5, 50))
+
+    def test_samplers_equal_the_explicit_truncation(self):
+        q = sb.geometric_q(0.5, 50)
+        full, short = sb.ChaosClockSpec(q), sb.ChaosClockSpec(q, truncation=27)
+        for kind in (sb.ChaosDirectProcess, sb.TimeChangedProcess):
+            a = sb.sup_samples(kind(full), (0.5, 1.0), 64, 300, sb.RngStream(48, 0))
+            b = sb.sup_samples(kind(short), (0.5, 1.0), 64, 300, sb.RngStream(48, 0))
+            assert np.array_equal(a, b)
+        a = sb.clock_terminal_law_samples(full, 1.0, 64, 300, sb.RngStream(48, 1))
+        b = sb.clock_terminal_law_samples(short, 1.0, 64, 300, sb.RngStream(48, 1))
+        assert np.array_equal(a, b)
+
+    def test_nothing_dropped_keeps_every_bit(self, monkeypatch):
+        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 20))
+
+        def draw():
+            return (
+                sb.sup_samples(sb.ChaosDirectProcess(spec), (1.0,), 64, 200, sb.RngStream(49, 0)),
+                sb.sup_samples(sb.TimeChangedProcess(spec), (1.0,), 64, 200, sb.RngStream(49, 1)),
+                sb.clock_terminal_law_samples(spec, 1.0, 64, 200, sb.RngStream(49, 2)),
+            )
+
+        trimmed = draw()
+        monkeypatch.setattr(paths, "_sampled_q", lambda s: s.effective_q)
+        assert all(np.array_equal(a, b) for a, b in zip(trimmed, draw()))
