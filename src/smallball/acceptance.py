@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,12 +25,22 @@ from . import mc, paths, schrodinger
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "lil_demo_trajectory"]
 
 # Stream-id offsets per criterion; keeps all acceptance randomness disjoint.
+# A Monte Carlo run draws one stream per batch from its base up (C5(b) and C7
+# take 25 each) and C6 two per rep; C5(a) takes 245, so its base comes last.
 _STREAM_C3 = 300
 _STREAM_C4 = 400
-_STREAM_C5A = 510
 _STREAM_C5B = 520
 _STREAM_C6 = 600
 _STREAM_C7 = 700
+_STREAM_LIL = 900
+_STREAM_C5A = 1000
+
+# Monte Carlo budgets; each criterion sets the master seed with ``replace``.
+_C5A_CONFIG = mc.McConfig(samples=10**6, n_steps=512, stream_base=_STREAM_C5A, workers=2)
+_C5B_CONFIG = mc.McConfig(samples=10**5, n_steps=512, stream_base=_STREAM_C5B, workers=2)
+# C6 rep r draws its direct sups from stream _STREAM_C6 + 2r, its time-changed ones from the next
+_C6_REPS = 3
+_C7_CONFIG = mc.McConfig(samples=10**5, n_steps=512, stream_base=_STREAM_C7, workers=2)
 
 _GEOMETRIC_Q = paths.geometric_q(0.5, 50)  # q_j = 2^-j, J = 50
 
@@ -141,12 +151,11 @@ def criterion_5(seed: int) -> CriterionResult:
     lines = []
     ok = True
 
-    n_a = 512
     part = asy.Partition((1.0,), windows=((0.0, 1.0),))
-    cfg = mc.McConfig(samples=10**6, n_steps=n_a, seed=seed, stream_base=_STREAM_C5A, workers=2)
+    cfg = replace(_C5A_CONFIG, seed=seed)
     eps_a = (0.5, 1.0)
     for eps, est in zip(eps_a, mc.probe_smallball_raw(paths.BrownianProcess(), part, eps_a, cfg)):
-        exact = mc.sup_bm_grid_cdf(eps, n_a)
+        exact = mc.sup_bm_grid_cdf(eps, cfg.n_steps)
         z = (est.estimate - exact) / est.std_error
         ok &= abs(z) <= 3.0
         lines.append(
@@ -156,7 +165,7 @@ def criterion_5(seed: int) -> CriterionResult:
 
     clock = paths.PowerClockSpec(p=2.0)
     part1 = asy.Partition((1.0,))
-    cfg = mc.McConfig(samples=10**5, n_steps=512, seed=seed, stream_base=_STREAM_C5B, workers=2)
+    cfg = replace(_C5B_CONFIG, seed=seed)
     lams = (1.0, 5.0, 10.0)
     for lam, est in zip(lams, mc.estimate_laplace_multi(clock, part1, lams, cfg)):
         matched = mc.oracle_laplace_matched(lam, 1.0, cfg.n_steps, clock)
@@ -194,14 +203,14 @@ def criterion_6(seed: int) -> CriterionResult:
 
     # the two sides of a rep draw from their own streams, so threads change no bit
     with ThreadPoolExecutor(max_workers=2) as ex:
-        for rep in range(3):
+        for rep in range(_C6_REPS):
             a = ex.submit(sups, direct, _STREAM_C6 + 2 * rep)
             b = ex.submit(sups, changed, _STREAM_C6 + 2 * rep + 1)
             d, p = mc.ks_two_sample(a.result(), b.result())
             stats.append(f"rep{rep}: D={d:.5f} p={p:.3f}")
             passes += d < crit
     ok = passes >= 2
-    detail = f"KS 1% critical={crit:.5f}, n={n} each, N={n_steps}; " + "; ".join(stats) + f"; {passes}/3 pass"
+    detail = f"KS 1% critical={crit:.5f}, n={n} each, N={n_steps}; " + "; ".join(stats) + f"; {passes}/{_C6_REPS} pass"
     return _finish("C6", "representation: direct chaos vs time change", ok, detail, t0, 300.0)
 
 
@@ -220,7 +229,7 @@ def criterion_7(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
     spec = paths.ChaosClockSpec(_GEOMETRIC_Q)
     target = np.pi / 4.0 * 2.0
-    cfg = mc.McConfig(samples=10**5, n_steps=512, seed=seed, stream_base=_STREAM_C7, workers=2)
+    cfg = replace(_C7_CONFIG, seed=seed)
     grid = mc.probe_smallball_conditional(spec, 1.0, (0.4, 0.3, 0.2, 0.15, 0.1), cfg)
     zs = [
         (r.estimate - mc.oracle_smallball_chaos(eps, 1.0, _GEOMETRIC_Q, cfg.n_steps)) / r.std_error
@@ -307,7 +316,7 @@ def lil_demo_trajectory(seed: int = 42, horizon: float = 2000.0, n_steps: int = 
     scales, far beyond any finite horizon.
     """
     spec = paths.ChaosClockSpec(paths.geometric_q(0.5, q_terms))
-    gen = paths.RngStream(seed, 900).generator()
+    gen = paths.RngStream(seed, _STREAM_LIL).generator()
     d_c = paths.clock_step_increments(spec, horizon, n_steps, gen)
     z = paths.simulate_time_changed(d_c, horizon, gen)
     run = z.running_sup()

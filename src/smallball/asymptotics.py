@@ -285,8 +285,6 @@ def sup_bm_log_cdf(x):
     Accepts scalars or arrays; series remainders are kept below 1e-14
     relative.
     """
-    from scipy.special import erfc
-
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("x must be positive")
@@ -308,6 +306,8 @@ def sup_bm_log_cdf(x):
         s = np.exp(-np.outer(c, odd**2 - 1)) @ signs
         out[small] = np.log(4.0 / np.pi) - c + np.log(s)
     if np.any(~small):
+        from scipy.special import erfc  # loaded on the first x >= 2, which conditional probes rarely reach
+
         xl = x[~small]
         odd = 2 * np.arange(12) + 1  # Qbar(3x)/Qbar(x) < e^{-4x^2}: 12 terms is far beyond double precision
         signs = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)

@@ -30,6 +30,10 @@ N-step grid the estimators sample (``log_oracle_laplace_matched``).
 ``log_oracle_smallball_chaos`` sums the theta series over either; each has an
 exp form.  ``sup_bm_grid_cdf`` is the exact law of the discrete-grid Brownian
 maximum, the matched counterpart of ``sup_bm_cdf``.
+
+Importing this module loads numpy only.  Each scipy module is imported by the
+one function that needs it, on its first call: ``sup_bm_grid_cdf`` loads
+``scipy.fft`` and ``ks_two_sample`` loads ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import fft
 
 from .asymptotics import Partition, sup_bm_cdf
 from .errors import NumericError
@@ -450,6 +453,8 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
     take sups over a grid must be compared against this law, not the
     continuous one.
     """
+    from scipy import fft  # scipy.fft costs ~0.3 s to import; only this oracle uses it
+
     if eps <= 0 or horizon <= 0:
         raise ValueError("eps and horizon must be positive")
     if n_steps < 1:

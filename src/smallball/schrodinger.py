@@ -10,6 +10,10 @@ Closed-form anchors used by the tests: lambda_1(2) = 1/sqrt(2) (harmonic
 oscillator with omega = sqrt(2)), lambda_1(1) = -a'_1 / 2^(1/3) with a'_1 the
 first zero of Ai', and lambda_1(p) -> pi^2/8 as p -> infinity (square well on
 (-1, 1)).
+
+Importing this module loads numpy only; ``scipy.linalg`` (for LAPACK's
+``dstebz`` and ``dstein``) is imported by the Sturm helper on the first call
+of ``lambda1`` or ``ground_state``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NumericError
 
@@ -77,20 +80,29 @@ def _grid(p: float, half_width: float, n: int):
     return x, diag, off
 
 
-def _smallest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
+def _sturm_ground(diag: np.ndarray, off: np.ndarray, vector: bool = False):
     """Smallest eigenvalue of a symmetric tridiagonal matrix by Sturm bisection.
 
     Uses LAPACK's bisection routine (dstebz) with an explicit absolute
     tolerance; the default norm-relative tolerance is useless when wall
-    potentials dominate the matrix norm.
+    potentials dominate the matrix norm.  A value that is not finite, not
+    positive or above max(diag) + 1 raises ``NumericError``.  With ``vector``
+    it returns (value, eigenvector), the vector from inverse iteration (dstein).
     """
+    from scipy.linalg import lapack  # ~60 ms to import; only the Sturm calls use it
+
     m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 2.0 * np.finfo(float).eps, b"B")
     if info != 0 or m < 1:
         raise NumericError(f"Sturm bisection failed: info={info}, found {m} eigenvalues")
     lam = float(w[0])
     if not np.isfinite(lam) or lam <= 0.0 or lam > float(np.max(diag)) + 1.0:
         raise NumericError(f"Sturm bisection returned an implausible ground value {lam!r}")
-    return lam
+    if not vector:
+        return lam
+    z, info = lapack.dstein(diag, off, w[:1], iblock, isplit)
+    if info != 0:
+        raise NumericError(f"inverse iteration for the ground eigenvector failed: info={info}")
+    return lam, z[:, 0]
 
 
 def lambda1(p: float, cfg: EigenConfig = EigenConfig()) -> Lambda1Result:
@@ -105,7 +117,7 @@ def lambda1(p: float, cfg: EigenConfig = EigenConfig()) -> Lambda1Result:
     raw = []
     for k in range(cfg.richardson_levels + 1):
         _, diag, off = _grid(p, cfg.half_width, cfg.grid_points * 2**k)
-        raw.append(_smallest_eigenvalue(diag, off))
+        raw.append(_sturm_ground(diag, off))
     # Richardson triangle for an h^2-expansion: stage m cancels the h^(2m) term.
     table = [raw]
     for m in range(1, cfg.richardson_levels + 1):
@@ -128,13 +140,7 @@ def ground_state(p: float, cfg: EigenConfig = EigenConfig()):
         raise ValueError("p must satisfy p >= 1")
     n = cfg.grid_points * 2**cfg.richardson_levels
     x, diag, off = _grid(p, cfg.half_width, n)
-    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 2.0 * np.finfo(float).eps, b"B")
-    if info != 0 or m < 1:
-        raise NumericError(f"Sturm bisection failed: info={info}")
-    z, info = lapack.dstein(diag, off, w[:1], iblock, isplit)
-    if info != 0:
-        raise NumericError(f"inverse iteration for the ground eigenvector failed: info={info}")
-    psi = z[:, 0]
+    _, psi = _sturm_ground(diag, off, vector=True)
     dx = 2.0 * cfg.half_width / n
     sq = psi**2
     norm_sq = dx * (sq.sum() - 0.5 * (sq[0] + sq[-1]))  # trapezoid; walls are 0

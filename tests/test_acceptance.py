@@ -5,10 +5,12 @@ per-criterion PASS/FAIL lines.  The heavy Monte Carlo criteria dominate the
 suite's runtime; everything is deterministic given the seed.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from smallball import acceptance
+from smallball import acceptance, mc
 
 SEED = 42
 
@@ -42,3 +44,22 @@ def test_lil_demo_is_informational_only():
     assert np.all(np.isfinite(ratio))
     assert np.all(ratio > 0)
     assert target == pytest.approx(np.pi / 4 * 2 * np.sum(0.5 ** np.arange(1, 11)))
+
+
+def test_stream_ids_are_disjoint():
+    # every criterion's streams, counted from its batch layout, against every other's
+    def batches(cfg):
+        return range(cfg.stream_base, cfg.stream_base + len(mc._batch_sizes(cfg)))
+
+    streams = {
+        "C3": [acceptance._STREAM_C3],
+        "C4": [acceptance._STREAM_C4],
+        "C5a": batches(acceptance._C5A_CONFIG),
+        "C5b": batches(acceptance._C5B_CONFIG),
+        "C6": range(acceptance._STREAM_C6, acceptance._STREAM_C6 + 2 * acceptance._C6_REPS),
+        "C7": batches(acceptance._C7_CONFIG),
+        "lil-demo": [acceptance._STREAM_LIL],
+    }
+    assert len(streams["C5a"]) == 245 and len(streams["C6"]) == 6
+    for a, b in itertools.combinations(streams, 2):
+        assert not set(streams[a]) & set(streams[b]), (a, b)

@@ -282,16 +282,47 @@ class TestRecordsAndConfig:
         assert "key = value" in err
 
 
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports smallball from this checkout; return stdout."""
+    root = str(Path(sb.__file__).resolve().parents[1])
+    prelude = f"import sys; sys.path.insert(0, {root!r}); "
+    out = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+
+
 class TestImport:
     def test_import_leaves_slow_scipy_modules_unloaded(self):
-        # every CLI call pays the import; scipy.signal and scipy.stats cost ~1.3 s
-        root = str(Path(sb.__file__).resolve().parents[1])
+        # every CLI call pays the import; scipy.fft alone costs ~0.3 s of it
+        assert run_fresh("import smallball.cli; " + SCIPY_LOADED) == "[]"
+
+    def test_benchmark_mc_commands_load_no_scipy(self):
+        # small versions of the benchmark's conditional, Laplace and raw probes
+        commands = [
+            ["smallball", "--conditional", "--clock", "chaos", "--q-ratio", "0.5", "--q-terms", "50",
+             "--n-steps", "64", "--samples", "64", "--eps", "0.4", "0.2", "0.1", "--extract", "1", "0"],
+            ["laplace", "--clock", "power", "--clock-p", "2", "--n-steps", "64", "--samples", "64",
+             "--lam", "1", "5", "10"],
+            ["smallball", "--process", "bm", "--n-steps", "64", "--samples", "64", "--eps", "0.5", "1.0"],
+        ]
         code = (
-            f"import sys; sys.path.insert(0, {root!r}); import smallball.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
+            "import contextlib, io; from smallball.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n" + SCIPY_LOADED
         )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert run_fresh(code) == "[]"
+
+    def test_lazy_scipy_gives_the_same_bits(self):
+        # each function imports its scipy module on first call in a fresh interpreter
+        code = (
+            "from smallball import lambda1, sup_bm_grid_cdf, sup_bm_log_cdf\n"
+            "print(repr((sup_bm_grid_cdf(0.5, 64), lambda1(2.0).value, sup_bm_log_cdf([0.5, 3.0]).tolist())))"
+        )
+        want = (sb.sup_bm_grid_cdf(0.5, 64), sb.lambda1(2.0).value, sb.sup_bm_log_cdf([0.5, 3.0]).tolist())
+        assert run_fresh(code) == repr(want)
 
 
     def test_package_reexports_every_public_name(self):

@@ -10,6 +10,7 @@ LAPACK path on small grids.
 import numpy as np
 import pytest
 from scipy import special
+from scipy.linalg import lapack
 
 import smallball as sb
 from smallball.schrodinger import EigenConfig, _grid
@@ -160,3 +161,28 @@ class TestValidation:
             EigenConfig(grid_points=32)
         with pytest.raises(ValueError):
             EigenConfig(richardson_levels=0)
+
+
+class TestImplausibleGroundValue:
+    """Both entry points share the Sturm helper's checks on the dstebz value."""
+
+    CFG = EigenConfig(grid_points=64, richardson_levels=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, 1e300])
+    @pytest.mark.parametrize("solve", [sb.lambda1, sb.ground_state])
+    def test_raises(self, monkeypatch, solve, bad):
+        real = lapack.dstebz
+
+        def fake(*args):
+            m, w, iblock, isplit, info = real(*args)
+            return m, np.full_like(w, bad), iblock, isplit, info
+
+        monkeypatch.setattr(lapack, "dstebz", fake)
+        with pytest.raises(sb.NumericError, match="implausible ground value"):
+            solve(2.0, self.CFG)
+
+    def test_failed_bisection_raises(self, monkeypatch):
+        real = lapack.dstebz
+        monkeypatch.setattr(lapack, "dstebz", lambda *args: (0, *real(*args)[1:4], 1))
+        with pytest.raises(sb.NumericError, match="Sturm bisection failed"):
+            sb.ground_state(2.0, self.CFG)
