@@ -29,7 +29,10 @@ products ``log_oracle_laplace_intbm2``, ``log_oracle_laplace_chaos``) or on the
 N-step grid the estimators sample (``log_oracle_laplace_matched``).
 ``log_oracle_smallball_chaos`` sums the theta series over either; each has an
 exp form.  ``sup_bm_grid_cdf`` is the exact law of the discrete-grid Brownian
-maximum, the matched counterpart of ``sup_bm_cdf``.
+maximum, the matched counterpart of ``sup_bm_cdf``: the (N-1)-th power of the
+killed Gaussian kernel on a midpoint grid, applied by Lanczos quadrature that
+stops once two successive estimates agree to 1e-14 relative (8 to 33 FFT
+matvecs at eps = 0.5, N = 64 to 4096).
 
 Importing this module loads numpy only.  Each scipy module is imported by the
 one function that needs it, on its first call: ``sup_bm_grid_cdf`` loads
@@ -87,6 +90,11 @@ __all__ = [
 
 # One-sided confidence level for the zero-hit Clopper-Pearson upper bound.
 _ZERO_HIT_CONFIDENCE = 0.95
+
+# Stop rule of the Lanczos evaluation in ``sup_bm_grid_cdf``: successive log
+# estimates within _LANCZOS_RTOL, or an error after _LANCZOS_MAX_STEPS steps.
+_LANCZOS_RTOL = 1e-14
+_LANCZOS_MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -445,18 +453,34 @@ def oracle_smallball_chaos(eps: float, t: float, q, n_steps: int | None = None) 
 def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_sigma: float = 16.0) -> float:
     """Exact P(max_{1<=k<=N} |B(k h)| <= eps) for the grid maximum, h = T/N.
 
-    The grid maximum is the running maximum of a Gaussian random walk; its
-    survival inside [-eps, eps] is computed by iterating the restricted
-    Gaussian transfer operator on a midpoint grid (spatial spacing
-    sigma / points_per_sigma, quadrature error O(delta^2) per step).  This is
-    the matched-discretization counterpart of ``sup_bm_cdf``: estimators that
-    take sups over a grid must be compared against this law, not the
-    continuous one.
+    The grid maximum is the running maximum of a Gaussian random walk.  On a
+    midpoint grid of m points in [-eps, eps], spacing delta = sigma /
+    points_per_sigma with sigma = sqrt(h), the killed Gaussian kernel A =
+    delta K, K_ij = phi_sigma(x_i - x_j), is symmetric positive semidefinite,
+    and the law is delta 1^T A^(N-1) f, where f_i = phi_sigma(x_i) is the
+    density of B(h).  The power is applied by Lanczos (Gauss) quadrature
+    (Golub & Meurant, "Matrices, Moments and Quadrature"): k steps from f,
+    with full reorthogonalization, give A V = V T + residual, T = S Theta S^T,
+    and the estimate delta |f| (V^T 1)^T S Theta^(N-1) S^T e_1.  It stops when
+    two successive estimates agree to 1e-14 relative (compared in logs, so an
+    estimate that underflows never passes), and when it is exact: k = N (the
+    polynomial degree is reached), k = m, or a zero residual (the Krylov space
+    is invariant).  Not converging in 1000 steps raises ``NumericError``.
+
+    Each step costs one FFT matvec with A, O(k m) of reorthogonalization and a
+    k x k eigensolve.  At eps = 0.5 it takes 8 to 33 steps for N = 64 to
+    4096, and the step count grows like eps sqrt(N / T) (about 150 at eps =
+    3, N = 4096).  The O(delta^2) midpoint-quadrature error remains: at
+    (0.5, 512) points_per_sigma 8, 16 and 32 differ from 64 by 9.8e-4, 2.3e-4
+    and 4.7e-5 relative.  This is the matched-discretization counterpart of
+    ``sup_bm_cdf``: estimators that take sups over a grid must be compared
+    against this law, not the continuous one.
     """
     from scipy import fft  # scipy.fft costs ~0.3 s to import; only this oracle uses it
 
-    if eps <= 0 or horizon <= 0:
-        raise ValueError("eps and horizon must be positive")
+    for name, value in (("eps", eps), ("horizon", horizon), ("points_per_sigma", points_per_sigma)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     sig = np.sqrt(horizon / n_steps)
@@ -466,14 +490,37 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * sig)
     f = norm * np.exp(-x * x / (2.0 * sig * sig))  # density of B(h) on [-eps, eps]
     offsets = np.arange(-(m - 1), m) * delta
-    kernel = norm * np.exp(-offsets * offsets / (2.0 * sig * sig))
-    # Each step is the 'valid' part of a linear convolution with the fixed
-    # kernel; its transform is taken once, at a length free of wrap-around.
+    # A v is the 'valid' part of a linear convolution with the fixed kernel;
+    # its transform is taken once, at a length free of wrap-around.
     size = fft.next_fast_len(3 * m - 2, real=True)
-    kernel_hat = fft.rfft(kernel, size)
-    for _ in range(n_steps - 1):
-        f = fft.irfft(fft.rfft(f, size) * kernel_hat, size)[m - 1 : 2 * m - 1] * delta
-    return float(min(1.0, f.sum() * delta))
+    kernel_hat = fft.rfft(delta * norm * np.exp(-offsets * offsets / (2.0 * sig * sig)), size)
+
+    f_norm = float(np.linalg.norm(f))
+    basis = np.empty((min(m, _LANCZOS_MAX_STEPS), m))
+    basis[0] = f / f_norm
+    alpha, beta, ones = [], [], []
+    log_prev = -np.inf
+    for k in range(basis.shape[0]):
+        v = basis[: k + 1]
+        w = fft.irfft(fft.rfft(v[k], size) * kernel_hat, size)[m - 1 : 2 * m - 1]
+        alpha.append(v[k] @ w)
+        ones.append(v[k].sum())
+        for _ in range(2):  # classical Gram-Schmidt, twice, against the whole basis
+            w -= v.T @ (v @ w)
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        # the Ritz values are scaled by the largest one, which is positive
+        weight = (np.asarray(ones) @ s) * s[0] @ (theta / theta[-1]) ** (n_steps - 1)
+        log_p = np.log(delta * f_norm) + (n_steps - 1) * np.log(theta[-1]) + np.log(weight) if weight > 0 else -np.inf
+        b = float(np.linalg.norm(w))
+        if abs(log_p - log_prev) <= _LANCZOS_RTOL or k + 1 in (n_steps, m) or b <= np.finfo(float).eps * theta[-1]:
+            return float(min(1.0, np.exp(log_p)))
+        log_prev = log_p
+        beta.append(b)
+        if k + 1 < basis.shape[0]:
+            basis[k + 1] = w / b
+    raise NumericError(
+        f"grid-sup law for eps={eps}, n_steps={n_steps} did not converge in {_LANCZOS_MAX_STEPS} Lanczos steps"
+    )
 
 
 # ---------------------------------------------------------------------------

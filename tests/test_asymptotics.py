@@ -87,9 +87,36 @@ class TestSupBmCdf:
         assert lo <= sb.sup_bm_cdf(1.0) <= hi
 
     def test_array_and_scalar_agree(self):
-        x = np.array([0.3, 1.0, 2.5])
-        arr = sb.sup_bm_cdf(x)
-        assert arr == pytest.approx([sb.sup_bm_cdf(v) for v in x], rel=1e-15)
+        # each value takes its own number of series terms, so no value depends
+        # on the rest of the array, to the bit
+        x = np.array([0.05, 0.3, 1.0, 1.9, 2.5])
+        assert [float(v) for v in sb.sup_bm_log_cdf(x)] == [sb.sup_bm_log_cdf(v) for v in x]
+        assert [float(v) for v in sb.sup_bm_cdf(x)] == [sb.sup_bm_cdf(v) for v in x]
+
+    def test_matches_mpmath_at_term_count_boundaries(self):
+        mpmath = pytest.importorskip("mpmath")
+        from smallball.asymptotics import _THETA_TOL
+
+        # term k of the reduced series joins where 4k(k+1)c < log(1/tol), c = pi^2/(8x^2);
+        # the boundaries of k = 1..5 lie below x = 2, where the reflection series takes over
+        c_edges = np.log(1.0 / _THETA_TOL) / (4.0 * np.arange(1, 6) * np.arange(2, 7))
+        edges = np.r_[np.pi / np.sqrt(8.0 * c_edges), 2.0]
+        x = np.sort(np.r_[edges * (1 - 1e-9), edges * (1 + 1e-9), np.nextafter(2.0, 0.0), 2.0, 0.05, 6.0])
+
+        def log_cdf(v):
+            v = mpmath.mpf(float(v))
+            total, k = mpmath.mpf(0), 0
+            while True:
+                term = mpmath.exp(-((2 * k + 1) ** 2) * mpmath.pi**2 / (8 * v * v)) / (2 * k + 1)
+                total += term if k % 2 == 0 else -term
+                if term < mpmath.mpf(10) ** -45:
+                    return float(mpmath.log(4 / mpmath.pi * total))
+                k += 1
+
+        got = sb.sup_bm_log_cdf(x)
+        with mpmath.workdps(40):
+            want = np.array([log_cdf(v) for v in x])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

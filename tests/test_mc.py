@@ -54,11 +54,57 @@ class TestGridSupOracle:
         for n_steps in (64, 1024):
             assert sb.sup_bm_grid_cdf(0.7, n_steps) > sb.sup_bm_cdf(0.7)
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 64, 256])
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0, 2.0])
+    def test_matches_dense_matrix_power(self, eps, n_steps):
+        # the same midpoint grid and killed kernel, powered as a dense m x m
+        # matrix; at eps = 0.05 and N <= 2 the grid is at its floor of 8 points
+        sig = np.sqrt(1.0 / n_steps)
+        m = max(8, int(np.ceil(2.0 * eps * 16.0 / sig)))
+        delta = 2.0 * eps / m
+        x = -eps + (np.arange(m) + 0.5) * delta
+
+        def phi(d):
+            return np.exp(-d * d / (2.0 * sig * sig)) / (np.sqrt(2.0 * np.pi) * sig)
+
+        kernel = delta * phi(x[:, None] - x[None, :])
+        want = delta * (np.linalg.matrix_power(kernel, n_steps - 1) @ phi(x)).sum()
+        assert sb.sup_bm_grid_cdf(eps, n_steps) == pytest.approx(want, rel=1e-11)
+
+    def test_frozen_values(self):
+        # values of the (N - 1)-step FFT iteration the Lanczos evaluation replaced
+        assert sb.sup_bm_grid_cdf(0.5, 512) == pytest.approx(0.0146469899529994, rel=1e-11)
+        assert sb.sup_bm_grid_cdf(0.5, 4096) == pytest.approx(0.0109050945368937, rel=1e-11)
+
+    def test_underflowing_first_estimates_do_not_stop_it(self):
+        # at N = 16384 the first Ritz values raised to N - 1 underflow to 0.0, so
+        # two successive estimates agree only if they are compared in logs
+        for eps in (0.5, 1.0):
+            grid = sb.sup_bm_grid_cdf(eps, 16384)
+            shifted = sb.sup_bm_cdf(eps + 0.5826 * np.sqrt(1.0 / 16384))
+            assert abs(grid - shifted) < 1e-4 * shifted
+
+    def test_unconverged_raises(self, monkeypatch):
+        from smallball import mc
+
+        monkeypatch.setattr(mc, "_LANCZOS_MAX_STEPS", 3)
+        with pytest.raises(sb.NumericError, match="did not converge in 3 Lanczos steps"):
+            sb.sup_bm_grid_cdf(0.5, 512)
+        assert sb.sup_bm_grid_cdf(0.05, 2) > 0  # exact at k = N, before the cap
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sb.sup_bm_grid_cdf(-1.0, 16)
         with pytest.raises(ValueError):
             sb.sup_bm_grid_cdf(0.5, 0)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="points_per_sigma"):
+                sb.sup_bm_grid_cdf(0.5, 64, points_per_sigma=bad)
+            with pytest.raises(ValueError, match="horizon"):
+                sb.sup_bm_grid_cdf(0.5, 64, horizon=bad)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps"):
+                sb.sup_bm_grid_cdf(bad, 64)
 
 
 class TestRawSmallball:
@@ -181,7 +227,7 @@ class TestConditionalSmallball:
         part = sb.Partition((1.0,), windows=((0.0, 1.0),))
         deficits = []
         for i, n_steps in enumerate((1024, 4096)):
-            cfg = McConfig(samples=50_000, n_steps=n_steps, seed=10, stream_base=10 * i)
+            cfg = McConfig(samples=50_000, n_steps=n_steps, seed=10, stream_base=10 * i, workers=2)
             est = sb.estimate_smallball_raw(sb.TimeChangedProcess(spec), part, eps, cfg)
             deficits.append((est.estimate - exact, est.std_error))
         # positive bias, clearly resolved (true deficit ~ +24% at N=1024,
