@@ -352,6 +352,11 @@ class TestExitCodes:
         assert code == 2
         assert "p must satisfy" in err
 
+    def test_non_finite_p_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "lambda1", "--p", "nan")
+        assert code == 2
+        assert "finite" in err
+
     def test_verify_subset_exits_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", "42", "--only", "C4")
         assert code == 0

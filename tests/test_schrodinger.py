@@ -13,7 +13,7 @@ from scipy import special
 from scipy.linalg import lapack
 
 import smallball as sb
-from smallball.schrodinger import EigenConfig, _grid
+from smallball.schrodinger import EigenConfig, _even_sector, _grid, _sturm_ground
 
 HARMONIC = 2.0 ** -0.5
 SQUARE_WELL = np.pi**2 / 8.0
@@ -138,13 +138,69 @@ class TestIndependentSturmOracle:
         got = sb.lambda1(p, EigenConfig(half_width=half_width, grid_points=n, richardson_levels=1)).grid_values[0]
         assert got == pytest.approx(oracle, rel=1e-10)
 
-    def test_matches_dense_eigensolver(self):
-        n = 192
+    @pytest.mark.parametrize("n", [192, 193])  # x = 0 a node; x = 0 between two nodes
+    def test_matches_dense_eigensolver(self, n):
         _, diag, off = _grid(2.0, 8.0, n)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         want = np.linalg.eigvalsh(dense)[0]
         got = sb.lambda1(2.0, EigenConfig(half_width=8.0, grid_points=n, richardson_levels=1)).grid_values[0]
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 10.0, 50.0, 200.0])
+    @pytest.mark.parametrize("half_width", [1.5, 12.0])
+    @pytest.mark.parametrize("n", [64, 65, 1024])
+    def test_bracket_holds_ground_value(self, p, half_width, n):
+        # dstebz by index on the full matrix, with its own Gershgorin bracket.
+        # A Sturm count sees lambda only through fl(diag - lambda), so two
+        # brackets can end half an ulp of 1/dx^2 apart (7.3e-12 at half_width
+        # 1.5, n = 1024); on these inputs they agree to a few ulps of lambda,
+        # and p >= 50 keeps a 1e-10 margin for its hard walls.
+        _, diag, off = _grid(p, half_width, n)
+        m, w, *_, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 2.0 * np.finfo(float).eps, b"E")
+        assert info == 0 and m == 1
+        got = sb.lambda1(p, EigenConfig(half_width=half_width, grid_points=n, richardson_levels=1)).grid_values[0]
+        assert got == pytest.approx(w[0], rel=1e-13 if p <= 10 else 1e-10)
+
+    def test_bracket_without_a_node_below_one(self):
+        # n = 65 on [-100, 100]: the first node past 0 is x = 100/65 > 1, so
+        # the cos(pi x / 2) trial vector is empty and the bracket falls back
+        # to that node's unit vector
+        _, diag, off = _grid(1.0, 100.0, 65)
+        want = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
+        got = sb.lambda1(1.0, EigenConfig(half_width=100.0, grid_points=65, richardson_levels=1)).grid_values[0]
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def _dense_ground_vector(x, diag, off):
+    """Full-matrix ground eigenvector, positive, with unit trapezoid norm."""
+    _, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    v = np.abs(vecs[:, 0])  # a ground state has one sign
+    dx = x[1] - x[0]
+    return v / np.sqrt(dx * (v @ v - 0.5 * (v[0] ** 2 + v[-1] ** 2)))
+
+
+class TestEvenSector:
+    """The even-sector reduction reproduces the full matrix's ground state."""
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_ground_state_matches_dense_eigenvector(self, p):
+        cfg = EigenConfig(half_width=8.0, grid_points=96, richardson_levels=1)  # n = 192
+        x, psi = sb.ground_state(p, cfg)
+        x_full, diag, off = _grid(p, 8.0, 192)
+        assert np.array_equal(x, x_full)
+        np.testing.assert_allclose(psi, _dense_ground_vector(x_full, diag, off), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_odd_grid_eigenvector_matches_dense(self, p):
+        # ground_state's grids are even (richardson_levels >= 1), so the odd
+        # sector's eigenvector is checked here: no x = 0 scaling to undo
+        n = 193
+        x, diag, off = _grid(p, 8.0, n)
+        _, sd, so, trial = _even_sector(p, 8.0, n)
+        _, half = _sturm_ground(sd, so, trial, vector=True)
+        want = _dense_ground_vector(x, diag, off)[-half.size :]
+        half = np.abs(half) * (want @ want) ** 0.5 / (half @ half) ** 0.5
+        np.testing.assert_allclose(half, want, rtol=0, atol=1e-10)
 
 
 class TestValidation:
@@ -153,6 +209,14 @@ class TestValidation:
             sb.lambda1(0.5)
         with pytest.raises(ValueError):
             sb.ground_state(0.0)
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    @pytest.mark.parametrize("solve", [sb.lambda1, sb.ground_state])
+    def test_p_not_finite(self, solve, p):
+        # nan used to reach dstebz (info=4); inf returned a value from grids
+        # whose wall at |x| = 1 moves between levels
+        with pytest.raises(ValueError, match="finite"):
+            solve(p)
 
     def test_config_guards(self):
         with pytest.raises(ValueError):
