@@ -101,11 +101,13 @@ _LANCZOS_MAX_STEPS = 1000
 class McConfig:
     """Sampling configuration: budget, grid, batching and RNG provenance.
 
-    ``batch_size`` defaults to min(max(256, 2**21 // n_steps), ceil(samples / 2)):
-    the memory cap, except that a run with fewer than two full capped batches
-    splits into two near-equal batches, so two workers both have one.  The
-    layout depends only on (samples, n_steps) and is part of the
-    reproducibility contract (a config determines output exactly).
+    ``batch_size`` defaults to min(max(256, 2**21 // n_steps), ceil(samples / 2)),
+    except that a run with fewer than two full batches splits into two
+    near-equal batches, so two workers both have one.  This is the stream
+    layout and a worker's unit of work, not a memory cap: the samplers in
+    ``paths`` simulate each batch in 1 MB row blocks.  The layout depends
+    only on (samples, n_steps) and is part of the reproducibility contract
+    (a config determines output exactly).
     ``workers`` only parallelizes batch execution and never affects results.
     """
 

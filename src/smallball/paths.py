@@ -8,7 +8,7 @@ kernel, and every batch sampler runs it through one block loop whose layout
 depends only on the arguments, so batching is not a source of
 nondeterminism; single-path simulators are one-row calls of the same kernels.
 Times (partition times or a horizon) must be positive, finite and strictly
-increasing.
+increasing, and must land on distinct grid nodes after node 0.
 
 Simulated objects:
 
@@ -74,8 +74,9 @@ __all__ = [
     "dump_csv",
 ]
 
-# Target doubles per temporary block array; keeps batch temporaries ~16 MB.
-_BLOCK_DOUBLES = 2**21
+# Target doubles per (rows, N) block buffer: 1 MB, half of a 2 MB L2 cache.
+# 256-row batches at N = 512 still fit one block.
+_BLOCK_DOUBLES = 2**17
 
 # Unit roundoff of a double: the largest share of sum q_j^2 a chaos sampler skips.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -252,7 +253,8 @@ def _time_indices(times, n_steps: int) -> np.ndarray:
     The one check of every time grid: the times must be positive, finite and
     strictly increasing, and each must land on a grid node (n_steps a multiple
     of every per-interval resolution), or quadrature would smear the interval
-    boundaries.
+    boundaries.  The nodes must be distinct and after node 0, so that every
+    interval holds at least one step (a sup reads each as a nonempty segment).
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0 or not (t[0] > 0 and np.all(np.diff(t) > 0) and np.isfinite(t[-1])):
@@ -261,6 +263,8 @@ def _time_indices(times, n_steps: int) -> np.ndarray:
     rounded = np.rint(idx)
     if np.any(np.abs(idx - rounded) > 1e-9 * n_steps):
         raise ValueError("every partition time must be a grid node; adjust n_steps")
+    if rounded[0] < 1 or np.any(np.diff(rounded) < 1):
+        raise ValueError("partition times must fall on distinct grid nodes after 0; adjust n_steps")
     return rounded.astype(int)
 
 
@@ -270,17 +274,28 @@ def _time_indices(times, n_steps: int) -> np.ndarray:
 # The fill-style kernels write into caller-provided buffers so the one block
 # loop behind the public samplers can reuse memory; on long runs the allocator
 # churn of fresh multi-MB temporaries would otherwise dominate.
+#
+# Bits and block layout: kernels that fill a block with one draw (Brownian
+# paths, power clocks, the p = 2 spectral draw) consume the stream row-major,
+# so their output does not depend on the block size.  Kernels that fill a
+# block with several draws (chaos clocks, direct chaos sums, the chaos
+# spectral draw, and every time change: clock, then xi) consume it block by
+# block: a batch that spans several blocks splits the same i.i.d. stream
+# differently from one that fits one block, equal in law but not in bits.
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Reusable (rows, N)/(rows, N+1) buffers for one block loop."""
+    """Reusable buffers for one block loop of b <= rows rows.
+
+    ``steps`` (2 rows, N) and ``paths`` (2 rows, N+1) each stack two blocks:
+    the chaos kernels take their first 2b rows as one view, X_j in rows
+    [0, b) and Y_j in rows [b, 2b), so one call draws, scales or cumulates
+    both, in the stream order of two (b, N) draws.
+    """
 
     def __init__(self, rows: int, n_steps: int):
-        self.steps = np.empty((rows, n_steps))
-        self.steps2 = np.empty((rows, n_steps))
-        self.paths = np.empty((rows, n_steps + 1))
-        self.paths2 = np.empty((rows, n_steps + 1))
-        self.acc = np.empty((rows, n_steps + 1))
+        self.steps = np.empty((2 * rows, n_steps))
+        self.paths = np.empty((2 * rows, n_steps + 1))
 
 
 def _cumulate(paths, d) -> None:
@@ -330,23 +345,28 @@ def _fill_power_clock_steps(d_c, ws: _Workspace, spec: PowerClockSpec, t_idx, ho
 
 
 def _fill_chaos_clock_steps(d_c, ws: _Workspace, spec: ChaosClockSpec, horizon: float, rng) -> None:
-    """Per-step increments of a chaos clock into d_c (b, N), streaming over j."""
+    """Per-step increments of a chaos clock into d_c (b, N), streaming over j.
+
+    d_c first accumulates v = sum_j q_j^2 (X_j^2 + Y_j^2) at nodes 1..N (v is
+    0 at node 0); the trapezoid rule then turns v into per-step increments.
+    """
     b, n_steps = d_c.shape
     h = horizon / n_steps
     sqh = np.sqrt(h)
-    v = ws.acc[:b]
-    v[:] = 0.0
-    paths = ws.paths[:b]
-    buf = ws.steps[:b]
+    xy = ws.steps[: 2 * b]
+    d_c[:] = 0.0
     for qj in _sampled_q(spec):
-        w = qj * qj
-        for _ in range(2):  # X_j then Y_j
-            _fill_bm(paths, buf, sqh, rng)
-            np.multiply(paths, paths, out=paths)
-            np.multiply(paths, w, out=paths)
-            v += paths
-    np.add(v[:, :-1], v[:, 1:], out=d_c)
-    d_c *= 0.5 * h
+        rng.standard_normal(out=xy)  # X_j, then Y_j
+        xy *= sqh
+        np.cumsum(xy, axis=1, out=xy)
+        np.multiply(xy, xy, out=xy)
+        np.multiply(xy, qj * qj, out=xy)
+        d_c += xy[:b]
+        d_c += xy[b:]
+    trap = xy[:b]
+    trap[:, 0] = d_c[:, 0]
+    np.add(d_c[:, :-1], d_c[:, 1:], out=trap[:, 1:])
+    np.multiply(trap, 0.5 * h, out=d_c)
 
 
 def _fill_clock_steps(d_c, ws: _Workspace, spec: ClockSpec, times, rng) -> None:
@@ -364,19 +384,14 @@ def _fill_chaos_direct_increments(d_z, ws: _Workspace, q, horizon: float, rng) -
     b, n_steps = d_z.shape
     sqh = np.sqrt(horizon / n_steps)
     d_z[:] = 0.0
-    d_x = ws.steps[:b]
-    d_y = ws.steps2[:b]
-    x_left = ws.paths[:b, :n_steps]
-    y_left = ws.paths2[:b, :n_steps]
+    d_xy = ws.steps[: 2 * b]
+    left = ws.paths[: 2 * b, :n_steps]
+    d_x, d_y, x_left, y_left = d_xy[:b], d_xy[b:], left[:b], left[b:]
     for qj in q:
-        rng.standard_normal(out=d_x)
-        d_x *= sqh
-        rng.standard_normal(out=d_y)
-        d_y *= sqh
-        x_left[:, 0] = 0.0
-        np.cumsum(d_x[:, :-1], axis=1, out=x_left[:, 1:])
-        y_left[:, 0] = 0.0
-        np.cumsum(d_y[:, :-1], axis=1, out=y_left[:, 1:])
+        rng.standard_normal(out=d_xy)  # dX_j, then dY_j
+        d_xy *= sqh
+        left[:, 0] = 0.0
+        np.cumsum(d_xy[:, :-1], axis=1, out=left[:, 1:])
         # d_z += q_j * (X dY - Y dX), without temporaries
         np.multiply(x_left, d_y, out=x_left)
         np.multiply(y_left, d_x, out=y_left)
@@ -395,7 +410,7 @@ def _fill_increments(d, ws: _Workspace, process: ProcessSpec, times, rng) -> Non
         _fill_chaos_direct_increments(d, ws, _sampled_q(process.clock), horizon, rng)
     elif isinstance(process, TimeChangedProcess):
         _fill_clock_steps(d, ws, process.clock, times, rng)
-        xi = ws.steps2[: len(d)]
+        xi = ws.steps[: len(d)]
         rng.standard_normal(out=xi)
         np.sqrt(d, out=d)
         np.multiply(d, xi, out=d)
@@ -424,21 +439,23 @@ def sup_samples(process: ProcessSpec, times, n_steps: int, n: int, rng: RngLike)
     """Samples of the running sup M(t_i) = sup_{[0, t_i]} |Z| at partition times.
 
     Returns an (n, m) array for m partition times.  All processes are sampled
-    on the same uniform grid of ``n_steps`` steps over [0, t_m].
+    on the same uniform grid of ``n_steps`` steps over [0, t_m].  |Z| at nodes
+    1..N is cumulated in place; each partition time's sup is the running max
+    over the maxima of the segments between partition nodes (Z(0) = 0 never
+    raises a sup).
     """
     gen = as_generator(rng)
     times = np.asarray(times, dtype=float)
-    t_idx = _time_indices(times, n_steps)
+    starts = np.concatenate(([0], _time_indices(times, n_steps)[:-1]))
 
     def block(d, ws):
         _fill_increments(d, ws, process, times, gen)
-        z = ws.acc[: len(d)]  # free once the increment kernels return
-        _cumulate(z, d)
-        np.abs(z, out=z)
-        np.maximum.accumulate(z, axis=1, out=z)
-        return z[:, t_idx]
+        np.cumsum(d, axis=1, out=d)  # column k holds Z at node k + 1
+        np.abs(d, out=d)
+        sup = np.maximum.reduceat(d, starts, axis=1)
+        return np.maximum.accumulate(sup, axis=1, out=sup)
 
-    return _block_loop(n, n_steps, len(t_idx), block)
+    return _block_loop(n, n_steps, len(starts), block)
 
 
 def clock_interval_increment_samples(spec: ClockSpec, part, n_steps: int, n: int, rng: RngLike) -> np.ndarray:
@@ -453,9 +470,8 @@ def clock_interval_increment_samples(spec: ClockSpec, part, n_steps: int, n: int
 
     def block(d, ws):
         _fill_clock_steps(d, ws, spec, times, gen)
-        c = ws.paths[: len(d)]  # free once the clock kernels return
-        _cumulate(c, d)
-        return np.diff(c[:, t_idx], axis=1, prepend=0.0)
+        np.cumsum(d, axis=1, out=d)  # column k holds C at node k + 1
+        return np.diff(d[:, t_idx - 1], axis=1, prepend=0.0)
 
     return _block_loop(n, n_steps, len(t_idx), block)
 

@@ -56,8 +56,8 @@ class EigenConfig:
     richardson_levels: int = 2
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError("half_width must be positive and finite")
         if self.grid_points < 64:
             raise ValueError("grid_points must be at least 64")
         if self.richardson_levels < 1:

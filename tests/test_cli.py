@@ -357,6 +357,12 @@ class TestExitCodes:
         assert code == 2
         assert "finite" in err
 
+    def test_non_finite_half_width_is_usage_error(self, capsys):
+        # nan used to reach Sturm bisection and exit 3
+        code, _, err = run(capsys, "lambda1", "--p", "2", "--half-width", "nan")
+        assert code == 2
+        assert "half_width" in err
+
     def test_verify_subset_exits_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", "42", "--only", "C4")
         assert code == 0

@@ -5,6 +5,8 @@ moments (Ito isometry, Fubini on E B(s)^2 = s, Brownian scaling), with seeds
 fixed so the suite is deterministic.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -268,25 +270,117 @@ class TestSupSamples:
         def draw():
             return (
                 sb.sup_samples(sb.BrownianProcess(), (1.0,), 128, 700, sb.RngStream(20, 0)),
+                sb.sup_samples(sb.BrownianProcess(), (0.25, 0.5, 1.0), 128, 700, sb.RngStream(20, 2)),
                 sb.clock_interval_increment_samples(
                     sb.PowerClockSpec(2.0, rho=(1.0, 2.0)), (0.5, 1.0), 128, 700, sb.RngStream(20, 1)
                 ),
+                sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0), 1.0, 128, 700, sb.RngStream(20, 3)),
             )
 
         default = draw()
         assert all(np.array_equal(a, b) for a, b in zip(default, draw()))
-        # Brownian paths and power clocks draw row-major, so 48-row blocks
-        # (fifteen of them, the last of 28 rows) give the same bits
+        # Brownian paths, power clocks and the p = 2 spectral draw fill each
+        # block with one row-major draw, so 48-row blocks (fifteen of them,
+        # the last of 28 rows) give the same bits
         monkeypatch.setattr(paths, "_BLOCK_DOUBLES", 48 * 128)
         assert all(np.array_equal(a, b) for a, b in zip(default, draw()))
+
+    @pytest.mark.parametrize(
+        "process",
+        [
+            sb.BrownianProcess(),
+            sb.ChaosDirectProcess(sb.ChaosClockSpec((1.0, 0.5, 0.25))),
+            sb.TimeChangedProcess(sb.ChaosClockSpec((1.0, 0.5, 0.25))),
+        ],
+    )
+    def test_segment_sup_equals_running_max_of_the_path(self, process):
+        # the sup is read as segment maxima between partition nodes; it must
+        # equal the running max of |Z| over the whole path at those nodes
+        times, n_steps, n = (0.125, 0.5, 0.75, 1.0), 64, 300
+        sups = sb.sup_samples(process, times, n_steps, n, sb.RngStream(21, 0))
+        d = _increments(process, times, n_steps, n, sb.RngStream(21, 0))  # one block, same stream
+        z = np.zeros((n, n_steps + 1))
+        np.cumsum(d, axis=1, out=z[:, 1:])
+        ref = np.maximum.accumulate(np.abs(z), axis=1)[:, _time_indices(times, n_steps)]
+        assert np.array_equal(sups, ref)
 
     def test_unknown_process_rejected(self):
         with pytest.raises(TypeError):
             sb.sup_samples(object(), (1.0,), 64, 10, sb.RngStream(0, 0))
 
 
+class TestBlockKernels:
+    def test_chaos_draw_order(self):
+        # each chaos term draws X_j for every row of the block, then Y_j:
+        # two sequential (b, N) standard normal draws per sampled term
+        spec = sb.ChaosClockSpec((1.0, 0.5, 0.25))
+        n_steps, b, t = 32, 5, 2.0
+        h = t / n_steps
+
+        def reference_pairs(seed, rows):
+            gen = sb.RngStream(seed, 0).generator()
+            for qj in _sampled_q(spec):
+                d_x = gen.standard_normal((rows, n_steps)) * np.sqrt(h)
+                yield qj, d_x, gen.standard_normal((rows, n_steps)) * np.sqrt(h)
+
+        def left(dw):
+            out = np.zeros_like(dw)
+            np.cumsum(dw[:, :-1], axis=1, out=out[:, 1:])
+            return out
+
+        def clock_steps(seed, rows):
+            v = np.zeros((rows, n_steps + 1))
+            for qj, d_x, d_y in reference_pairs(seed, rows):
+                for dw in (d_x, d_y):
+                    w = np.zeros((rows, n_steps + 1))
+                    np.cumsum(dw, axis=1, out=w[:, 1:])
+                    v += w * w * (qj * qj)
+            return (v[:, :-1] + v[:, 1:]) * (0.5 * h)
+
+        d_z = np.zeros((b, n_steps))
+        for qj, d_x, d_y in reference_pairs(22, b):
+            d_z += (left(d_x) * d_y - left(d_y) * d_x) * qj
+        assert np.array_equal(_increments(sb.ChaosDirectProcess(spec), (t,), n_steps, b, sb.RngStream(22, 0)), d_z)
+        assert np.array_equal(sb.clock_step_increments(spec, t, n_steps, sb.RngStream(23, 0)), clock_steps(23, 1)[0])
+        c = sb.clock_terminal_samples(spec, t, n_steps, b, sb.RngStream(24, 0))
+        assert np.array_equal(c, np.cumsum(clock_steps(24, b), axis=1)[:, -1])
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: sb.sup_samples(sb.BrownianProcess(), (1.0,), 512, 4096, sb.RngStream(24, 0)),
+            lambda: sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0), 1.0, 2**14, 256, sb.RngStream(24, 1)),
+        ],
+    )
+    def test_block_buffers_stay_small(self, draw):
+        # block buffers of 2^17 doubles (1 MB) bound the working set; 16 MB
+        # blocks made each of these calls peak near 96 MB
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestTimeGridChecks:
     # every entry point checks its time grid before it simulates anything
+    @pytest.mark.parametrize("times", [(1e-12, 1.0), (0.5, 0.5 + 1e-13, 1.0)])
+    def test_partition_times_on_distinct_nodes(self, times):
+        # both lie within the grid-node tolerance at N = 64, but the first
+        # rounds to node 0 and the second pair to one node: an empty segment
+        rng = sb.RngStream(0, 0)
+        calls = (
+            lambda: sb.sup_samples(sb.BrownianProcess(), times, 64, 10, rng),
+            lambda: sb.clock_interval_increment_samples(sb.ChaosClockSpec((1.0,)), times, 64, 10, rng),
+            lambda: sb.clock_increments(sb.PowerClockSpec(2.0), times, 64, rng),
+            lambda: sb.clock_step_increments(sb.ChaosClockSpec((1.0,)), times, 64, rng),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="distinct grid nodes"):
+                call()
+
     @pytest.mark.parametrize("times", [(-1.0,), (0.0,), (0.5, 0.25), (0.5, 0.5), (np.nan,), (np.inf,), ()])
     def test_partition_times_positive_and_increasing(self, times):
         rng = sb.RngStream(0, 0)

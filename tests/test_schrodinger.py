@@ -219,8 +219,9 @@ class TestValidation:
             solve(p)
 
     def test_config_guards(self):
-        with pytest.raises(ValueError):
-            EigenConfig(half_width=-1.0)
+        for half_width in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                EigenConfig(half_width=half_width)
         with pytest.raises(ValueError):
             EigenConfig(grid_points=32)
         with pytest.raises(ValueError):
