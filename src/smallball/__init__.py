@@ -63,18 +63,13 @@ from .paths import (
     ProcessSpec,
     RngStream,
     TimeChangedProcess,
-    clock_increments,
     clock_interval_increment_samples,
-    clock_step_increments,
     clock_terminal_law_samples,
     clock_terminal_samples,
     dump_csv,
     geometric_q,
     quadratic_clock_spectrum,
-    simulate_bm,
-    simulate_chaos_direct,
-    simulate_levy_area,
-    simulate_time_changed,
+    simulate_path,
     sup_samples,
 )
 from .schrodinger import EigenConfig, Lambda1Result, ground_state, lambda1

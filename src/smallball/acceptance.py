@@ -288,11 +288,18 @@ _LIL_NOTE = (
 
 
 def run_all(seed: int = 42, only=None, printer=print) -> list[CriterionResult]:
-    """Run the acceptance criteria in order, printing one line per criterion."""
+    """Run the acceptance criteria in order, printing one line per criterion.
+
+    ``only`` selects criterion ids (C1-C9, C9 being the LIL note); an unknown
+    id raises ValueError before anything runs.
+    """
     selected = set(only) if only else None
+    cids = [fn.__name__.replace("criterion_", "C") for fn in CRITERIA]
+    if selected is not None and not selected <= {*cids, "C9"}:
+        unknown = ", ".join(map(repr, sorted(selected - {*cids, "C9"})))
+        raise ValueError(f"unknown criterion id(s) {unknown}; choose from {', '.join(cids)}, C9")
     results = []
-    for fn in CRITERIA:
-        cid = fn.__name__.replace("criterion_", "C")
+    for cid, fn in zip(cids, CRITERIA):
         if selected is not None and cid not in selected:
             continue
         res = fn(seed)
@@ -311,17 +318,22 @@ def lil_demo_trajectory(seed: int = 42, horizon: float = 2000.0, n_steps: int = 
 
     Simulates one long path of the geometric chaos integral via its time-change
     representation and evaluates the Chung-type scaling at log-spaced
-    checkpoints.  Returns (checkpoint times, scaled sups, liminf target).
-    Qualitative only: the liminf is approached on doubly exponential time
-    scales, far beyond any finite horizon.
+    checkpoints from t = 10 to the horizon, each read at the grid node at or
+    before it.  Returns (checkpoint times, scaled sups, liminf target).  A
+    horizon of at most 10, or a grid on which t = 10 rounds down to node 0,
+    raises ValueError before anything is simulated.  Qualitative only: the
+    liminf is approached on doubly exponential time scales, far beyond any
+    finite horizon.
     """
-    spec = paths.ChaosClockSpec(paths.geometric_q(0.5, q_terms))
-    gen = paths.RngStream(seed, _STREAM_LIL).generator()
-    d_c = paths.clock_step_increments(spec, horizon, n_steps, gen)
-    z = paths.simulate_time_changed(d_c, horizon, gen)
-    run = z.running_sup()
+    if not 10.0 < horizon < np.inf:
+        raise ValueError(f"horizon must be finite and exceed the first checkpoint t = 10, got {horizon!r}")
     checkpoints = np.geomspace(10.0, horizon, 14)
     idx = np.minimum((checkpoints / horizon * n_steps).astype(int), n_steps)
+    if idx[0] < 1:
+        raise ValueError(f"n_steps = {n_steps} is too coarse: the first checkpoint t = 10 rounds down to node 0")
+    spec = paths.ChaosClockSpec(paths.geometric_q(0.5, q_terms))
+    z = paths.simulate_path(paths.TimeChangedProcess(spec), n_steps, horizon, paths.RngStream(seed, _STREAM_LIL))
+    run = z.running_sup()
     t = idx * horizon / n_steps
     ratio = np.log(np.log(t)) / t * run[idx]
     target = np.pi / 4.0 * spec.one_norm

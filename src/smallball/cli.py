@@ -168,6 +168,8 @@ def _clock_from(args) -> paths.ClockSpec:
 def _process_from(args) -> paths.ProcessSpec:
     if args.process == "bm":
         return paths.BrownianProcess()
+    if args.process == "levy-area":
+        return paths.ChaosDirectProcess(paths.ChaosClockSpec((1.0,)))
     if args.process == "chaos":
         return paths.ChaosDirectProcess(paths.ChaosClockSpec(_q_from(args)))
     if args.process == "time-changed":
@@ -276,20 +278,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    rng = paths.RngStream(args.seed, args.stream)
-    if args.process == "bm":
-        grid = paths.simulate_bm(args.n_steps, args.horizon, rng)
-    elif args.process == "levy-area":
-        grid = paths.simulate_levy_area(args.n_steps, args.horizon, rng)
-    elif args.process == "chaos":
-        grid = paths.simulate_chaos_direct(paths.ChaosClockSpec(_q_from(args)), args.n_steps, args.horizon, rng)
-    elif args.process == "time-changed":
-        clock = _clock_from(args)
-        gen = rng.generator()
-        d_c = paths.clock_step_increments(clock, args.horizon, args.n_steps, gen)
-        grid = paths.simulate_time_changed(d_c, args.horizon, gen)
-    else:
-        raise ValueError(f"unknown process {args.process!r}")
+    grid = paths.simulate_path(_process_from(args), args.n_steps, args.horizon, paths.RngStream(args.seed, args.stream))
     sup = float(grid.running_sup()[-1])
     print(f"{args.process}: terminal={grid.values[-1]:.6f} sup|path|={sup:.6f} (N={args.n_steps}, T={args.horizon:g})")
     if args.dump:
@@ -372,13 +361,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lil_demo(args) -> int:
+    t, ratio, target = acceptance.lil_demo_trajectory(args.seed, args.horizon, args.n_steps, args.q_terms)
     print("=" * 72)
     print("LIL demonstration: (log log t / t) * sup_{[0,t]} |Z| along one path.")
     print("Demonstration only, no pass/fail: almost-sure liminf statements are")
     print("not desk-verifiable; the liminf target is approached on doubly")
     print("exponential time scales.")
     print("=" * 72)
-    t, ratio, target = acceptance.lil_demo_trajectory(args.seed, args.horizon, args.n_steps, args.q_terms)
     print(f"liminf target (pi/4)||w||_1 = {target:.6f}")
     for ti, ri in zip(t, ratio):
         bar = "#" * min(60, int(ri / target * 20))

@@ -265,8 +265,8 @@ def probe_smallball_raw(
     eps_grid = tuple(float(e) for e in eps_grid)
     if not eps_grid:
         raise ValueError("need at least one eps")
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("eps must be positive")
+    if not all(0 < e < np.inf for e in eps_grid):
+        raise ValueError("eps must be positive and finite")
     if part.windows is None:
         raise ValueError("partition must carry windows")
     a = np.asarray([w[0] for w in part.windows])
@@ -325,7 +325,7 @@ def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[floa
     several intervals need the increments of simulated clock paths.
     """
     lams = np.asarray([float(l) for l in lams])
-    if np.any(lams < 0):
+    if not np.all(lams >= 0):
         raise ValueError("lambda must be nonnegative")
     d = np.asarray(part.weights) if part.weights is not None else np.ones(part.m)
 
@@ -358,7 +358,7 @@ def _log_laplace(lams, t: float, clock: ClockSpec, n_steps: int | None) -> np.nd
     gives -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if np.any(lams < 0) or t <= 0:
+    if not (np.all(lams >= 0) and t > 0):
         raise ValueError("need lambda >= 0 and t > 0")
     # the continuous law reads only (w, nu); the one-step mu goes unused
     form = quadratic_clock_spectrum(clock, t, 1 if n_steps is None else n_steps)
@@ -428,8 +428,8 @@ def log_oracle_smallball_chaos(eps: float, t: float, q, n_steps: int | None = No
     Relative to its leading term the sum never underflows.  Its terms fall in
     k, and it stops at the first one below 1e-17, which bounds the error.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     clock = ChaosClockSpec(q)
     lam0 = np.pi**2 / (8.0 * eps * eps)
     log0, total = _log_laplace(lam0, t, clock, n_steps)[0], 0.0
@@ -531,8 +531,8 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
 
 def _decreasing_eps(epsilons) -> tuple[float, ...]:
     eps = tuple(float(e) for e in epsilons)
-    if any(e <= 0 for e in eps):
-        raise ValueError("epsilons must be positive")
+    if not all(0 < e < np.inf for e in eps):
+        raise ValueError("epsilons must be positive and finite")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
     return eps

@@ -6,7 +6,8 @@ the same pair reproduces output bit-for-bit on any platform or thread layout
 (numpy's PCG64 + SeedSequence guarantee).  Each process has one increment
 kernel, and every batch sampler runs it through one block loop whose layout
 depends only on the arguments, so batching is not a source of
-nondeterminism; single-path simulators are one-row calls of the same kernels.
+nondeterminism; a single path (``simulate_path``) is a one-row call of the
+same kernels.
 Times (partition times or a horizon) must be positive, finite and strictly
 increasing, and must land on distinct grid nodes after node 0.
 
@@ -60,17 +61,12 @@ __all__ = [
     "TimeChangedProcess",
     "ProcessSpec",
     "geometric_q",
-    "simulate_bm",
-    "simulate_levy_area",
-    "simulate_chaos_direct",
-    "simulate_time_changed",
-    "clock_increments",
-    "clock_step_increments",
     "clock_interval_increment_samples",
     "clock_terminal_samples",
     "quadratic_clock_spectrum",
     "clock_terminal_law_samples",
     "sup_samples",
+    "simulate_path",
     "dump_csv",
 ]
 
@@ -144,22 +140,19 @@ class PowerClockSpec:
     """Clock C(t) = int_0^t rho(s)^p |B(s)|^p ds with piecewise-constant rho.
 
     ``rho`` is a scalar (constant weight) or one value per partition interval.
+    ``p`` and every rho must be finite.
     """
 
     p: float
     rho: float | tuple[float, ...] = 1.0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must satisfy p >= 1")
-        if np.isscalar(self.rho):
-            if self.rho < 0:
-                raise ValueError("rho must be nonnegative")
-        else:
-            r = tuple(float(v) for v in self.rho)
-            if any(v < 0 for v in r):
-                raise ValueError("rho must be nonnegative")
-            object.__setattr__(self, "rho", r)
+        if not 1 <= self.p < np.inf:
+            raise ValueError("p must be finite and satisfy p >= 1")
+        rho = self.rho if np.isscalar(self.rho) else tuple(float(v) for v in self.rho)
+        if not all(0 <= v < np.inf for v in np.atleast_1d(rho)):
+            raise ValueError("rho must be nonnegative and finite")
+        object.__setattr__(self, "rho", rho)
 
 
 @dataclass(frozen=True)
@@ -172,6 +165,7 @@ class ChaosClockSpec:
     whose q_j^2 sum to at most 2^-53 sum_j q_j^2 (one unit roundoff of the
     clock's mean and of Var Z), which moves no sampled law beyond O(2^-53);
     ``effective_q``, ``one_norm`` and the exact spectrum keep every term.
+    Every q_j must be finite, and so must sum_j q_j^2.
     """
 
     q: tuple[float, ...]
@@ -179,8 +173,10 @@ class ChaosClockSpec:
 
     def __post_init__(self):
         q = tuple(float(v) for v in self.q)
-        if len(q) == 0 or any(v <= 0 for v in q):
-            raise ValueError("q must be a nonempty positive sequence")
+        if len(q) == 0 or not all(0 < v < np.inf for v in q):
+            raise ValueError("q must be a nonempty sequence of positive finite values")
+        if sum(v * v for v in q) == np.inf:
+            raise ValueError("sum of q_j^2 overflows")
         object.__setattr__(self, "q", q)
         if self.truncation is not None and self.truncation < 1:
             raise ValueError("truncation must be at least 1")
@@ -546,7 +542,7 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
 
 
 # ---------------------------------------------------------------------------
-# Single-path simulators (spec surface; batch kernels with b = 1)
+# Single paths (the batch kernels with b = 1)
 # ---------------------------------------------------------------------------
 
 def _increments(process: ProcessSpec, times, n_steps: int, b: int, rng: RngLike) -> np.ndarray:
@@ -556,65 +552,21 @@ def _increments(process: ProcessSpec, times, n_steps: int, b: int, rng: RngLike)
     return d
 
 
-def _one_path(process: ProcessSpec, n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
-    """One path of ``process`` on n_steps uniform steps over [0, horizon]."""
+def simulate_path(process: ProcessSpec, n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
+    """One path of ``process`` on n_steps uniform steps over [0, horizon].
+
+    This is the one-row block of the batch kernel behind :func:`sup_samples`:
+    a Brownian path, a Levy area or chaos sum (``ChaosDirectProcess``), or
+    B(C) along a clock drawn from the same stream (``TimeChangedProcess``:
+    the clock, then the Gaussian increments).  Its running sup at the horizon
+    equals ``sup_samples(process, (horizon,), n_steps, 1, rng)`` bit for bit.
+    """
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
     _time_indices((horizon,), n_steps)
     values = np.empty((1, n_steps + 1))
     _cumulate(values, _increments(process, (horizon,), n_steps, 1, rng))
     return PathGrid(n_steps, horizon, values[0])
-
-
-def simulate_bm(n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
-    """One Brownian path on the uniform grid; increments are exact Gaussians."""
-    return _one_path(BrownianProcess(), n_steps, horizon, rng)
-
-
-def simulate_levy_area(n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
-    """One Levy area path A(t) = int_0^t X dY - Y dX by left-point Ito sums."""
-    return _one_path(ChaosDirectProcess(ChaosClockSpec((1.0,))), n_steps, horizon, rng)
-
-
-def simulate_chaos_direct(spec: ChaosClockSpec, n_steps: int, horizon: float, rng: RngLike) -> PathGrid:
-    """One chaos integral path Z = sum_j q_j A_j with independent Levy areas."""
-    return _one_path(ChaosDirectProcess(spec), n_steps, horizon, rng)
-
-
-def simulate_time_changed(clock_step_increments, horizon: float, rng: RngLike) -> PathGrid:
-    """B evaluated along a clock: Gaussian increments with variances Delta C.
-
-    ``clock_step_increments`` is the per-fine-step increment array of a
-    simulated (or deterministic) clock; it must be nonnegative.
-    """
-    d_c = np.asarray(clock_step_increments, dtype=float)
-    if d_c.ndim != 1 or d_c.size < 2:
-        raise ValueError("need a 1-D array of at least 2 clock increments")
-    _time_indices((horizon,), d_c.size)
-    if not np.all(d_c >= 0):
-        raise ValueError("clock increments must be nonnegative")
-    xi = as_generator(rng).standard_normal(d_c.size)
-    values = np.concatenate([[0.0], np.cumsum(np.sqrt(d_c) * xi)])
-    return PathGrid(d_c.size, horizon, values)
-
-
-def clock_increments(spec: ClockSpec, part, n_steps: int, rng: RngLike) -> np.ndarray:
-    """Per-interval increments Delta_i C of one simulated clock path.  Shape (m,)."""
-    return clock_interval_increment_samples(spec, part, n_steps, 1, rng)[0]
-
-
-def clock_step_increments(spec: ClockSpec, times, n_steps: int, rng: RngLike) -> np.ndarray:
-    """Per-fine-step increments of one simulated clock path.  Shape (N,).
-
-    This is the input format of :func:`simulate_time_changed`; ``times`` may be
-    a single horizon or a partition's time tuple (power clocks with per-interval
-    weights need the full partition).
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    _time_indices(times, n_steps)
-    d_c = np.empty((1, n_steps))
-    _fill_clock_steps(d_c, _Workspace(1, n_steps), spec, times, as_generator(rng))
-    return d_c[0]
 
 
 def dump_csv(grid: PathGrid, path) -> None:

@@ -46,6 +46,14 @@ def test_lil_demo_is_informational_only():
     assert target == pytest.approx(np.pi / 4 * 2 * np.sum(0.5 ** np.arange(1, 11)))
 
 
+@pytest.mark.parametrize("horizon, n_steps", [(5.0, 2**13), (10.0, 2**13), (np.nan, 2**13), (2000.0, 100)])
+def test_lil_demo_rejects_bad_grids(horizon, n_steps, monkeypatch):
+    # a horizon of at most 10 or a first checkpoint on node 0 fails before anything is simulated
+    monkeypatch.setattr(acceptance.paths, "simulate_path", None)
+    with pytest.raises(ValueError, match="t = 10"):
+        acceptance.lil_demo_trajectory(seed=SEED, horizon=horizon, n_steps=n_steps, q_terms=10)
+
+
 def test_stream_ids_are_disjoint():
     # every criterion's streams, counted from its batch layout, against every other's
     def batches(cfg):

@@ -104,6 +104,30 @@ class TestSimulateCommand:
         assert code == 0
         assert "time-changed:" in out
 
+    def test_levy_area_is_the_single_term_chaos(self, capsys, tmp_path):
+        recs = []
+        for i, flags in enumerate((["--process", "levy-area"], ["--process", "chaos", "--q", "1.0"])):
+            out = tmp_path / f"{i}.json"
+            code, _, _ = run(capsys, "simulate", *flags, "--n-steps", "64", "--seed", "5", "--output", str(out))
+            assert code == 0
+            recs.append(json.loads(out.read_text())["results"])
+        assert recs[0] == recs[1]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--clock", "power", "--rho", "nan"],
+            ["--clock", "power", "--clock-p", "nan"],
+            ["--clock", "power", "--clock-p", "inf"],
+            ["--clock", "chaos", "--q", "0.5", "nan"],
+        ],
+    )
+    def test_non_finite_clock_is_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, "simulate", "--process", "time-changed", *flags, "--n-steps", "64")
+        assert code == 2
+        assert "finite" in err
+        assert out == ""
+
     @pytest.mark.parametrize("process", ["bm", "levy-area", "chaos", "time-changed"])
     def test_nonpositive_horizon_is_usage_error(self, capsys, process):
         code, out, err = run(capsys, "simulate", "--process", process, "--horizon", "-1", "--n-steps", "64")
@@ -363,6 +387,32 @@ class TestExitCodes:
         assert code == 2
         assert "half_width" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["smallball", "--eps", "nan"],
+            ["smallball", "--eps", "0.5", "inf"],
+            ["smallball", "--conditional", "--eps", "nan"],
+            ["laplace", "--lam", "nan"],
+            ["laplace", "--clock", "chaos", "--q", "1e200", "--lam", "1"],
+            ["laplace", "--t", "0.5", "1", "--d", "2", "1", "--clock", "power", "--rho", "1", "nan", "--lam", "1"],
+        ],
+        ids=["raw-eps-nan", "raw-eps-inf", "conditional-eps-nan", "lam-nan", "q-overflow", "rho-nan"],
+    )
+    def test_non_finite_estimator_input_is_usage_error(self, capsys, argv):
+        # NaN passes an `x <= 0` check; an inf eps makes inf * 0 window bounds
+        code, out, err = run(capsys, *argv, "--n-steps", "64", "--samples", "64")
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("only", ["C1,X1", "C10", "C1,"])
+    def test_verify_unknown_id_is_usage_error(self, capsys, only):
+        code, out, err = run(capsys, "verify", "--seed", "42", "--only", only)
+        assert code == 2
+        assert "C1, C2, C3, C4, C5, C6, C7, C8, C9" in err
+        assert out == ""
+
     def test_verify_subset_exits_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", "42", "--only", "C4")
         assert code == 0
@@ -397,6 +447,14 @@ class TestLilDemo:
         assert out.count("ratio=") >= 10
         target = np.pi / 4 * 2 * sum(0.5 ** np.arange(1, 9))
         assert f"{target:.6f}" in out
+
+    @pytest.mark.parametrize("flags", [["--horizon", "5"], ["--horizon", "10"], ["--n-steps", "100"]])
+    def test_bad_grid_is_usage_error(self, capsys, flags):
+        # the first checkpoint t = 10 must lie below the horizon and on a grid node after 0
+        code, out, err = run(capsys, "lil-demo", *flags)
+        assert code == 2
+        assert "t = 10" in err
+        assert out == ""
 
 
 class TestConfigValues:

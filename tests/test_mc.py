@@ -156,7 +156,7 @@ class TestRawSmallball:
             )
         with pytest.raises(ValueError):
             sb.probe_smallball_raw(sb.BrownianProcess(), sb.Partition((1.0,)), (1.0, 0.5), cfg)
-        for eps_grid in ((1.0, 0.0), (0.5, -1.0, 2.0), ()):
+        for eps_grid in ((1.0, 0.0), (0.5, -1.0, 2.0), (), (np.nan,), (1.0, np.inf)):
             with pytest.raises(ValueError):
                 sb.probe_smallball_raw(
                     sb.BrownianProcess(), sb.Partition((1.0,), windows=((0.0, 1.0),)), eps_grid, cfg
@@ -196,6 +196,12 @@ class TestConditionalSmallball:
         want = np.mean(sb.sup_bm_cdf(0.5 / np.sqrt(samples)))
         assert est.estimate == pytest.approx(want, rel=1e-14)
         assert est.samples == 3
+
+    def test_non_finite_eps_rejected(self):
+        cfg = McConfig(samples=3, n_steps=64, seed=7)
+        for eps_grid in ((np.nan,), (np.inf, 0.5), (0.5, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                sb.probe_smallball_conditional(sb.ChaosClockSpec((1.0,)), 1.0, eps_grid, cfg)
 
     def test_bad_clock_samples_rejected(self):
         # arrays, callables and simulated clocks share one check, and NaN fails it
@@ -291,6 +297,9 @@ class TestLaplaceEstimation:
         cfg = McConfig(samples=10, n_steps=64, seed=0)
         with pytest.raises(ValueError):
             sb.estimate_laplace(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), -1.0, cfg)
+        # NaN fails the nonnegativity check too
+        with pytest.raises(ValueError, match="nonnegative"):
+            sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), (1.0, np.nan), cfg)
 
 
 _CHAOS = sb.ChaosClockSpec((0.5, 0.25))
@@ -597,6 +606,10 @@ class TestMatchedLaplaceOracle:
             sb.oracle_laplace_matched(-1.0, 1.0, 8, sb.PowerClockSpec(2.0))
         with pytest.raises(ValueError):
             sb.oracle_laplace_matched(1.0, 0.0, 8, sb.PowerClockSpec(2.0))
+        with pytest.raises(ValueError):
+            sb.log_oracle_laplace_matched(np.nan, 1.0, 8, sb.PowerClockSpec(2.0))
+        with pytest.raises(ValueError):
+            sb.log_oracle_laplace_intbm2(np.nan, 1.0)
         for spec in (sb.PowerClockSpec(1.0), sb.PowerClockSpec(2.0, rho=(1.0,))):
             with pytest.raises(ValueError, match="matched oracle"):
                 sb.oracle_laplace_matched(1.0, 1.0, 8, spec)
@@ -663,7 +676,7 @@ class TestExactSmallballLaw:
             assert np.isfinite(sb.log_oracle_smallball_chaos(eps, 1.0, q))
 
     def test_validation(self):
-        for eps, n_steps in ((0.0, None), (-0.5, 8), (0.5, 0), (0.5, -4)):
+        for eps, n_steps in ((0.0, None), (-0.5, 8), (0.5, 0), (0.5, -4), (np.nan, None), (np.inf, 8)):
             with pytest.raises(ValueError):
                 sb.log_oracle_smallball_chaos(eps, 1.0, [1.0], n_steps)
         with pytest.raises(ValueError):

@@ -9,11 +9,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
 
 import smallball as sb
 from smallball import paths
 from smallball.paths import _increments, _sampled_q, _time_indices
+
+BM = sb.BrownianProcess()
+LEVY_AREA = sb.ChaosDirectProcess(sb.ChaosClockSpec((1.0,)))
+
+
+def clock_step_increments(spec, t, n_steps, rng):
+    """(N,) per-step increments of one clock path: the clock half of a time change's block."""
+    d_c = np.empty((1, n_steps))
+    paths._fill_clock_steps(d_c, paths._Workspace(1, n_steps), spec, (t,), paths.as_generator(rng))
+    return d_c[0]
 
 
 class TestRngStream:
@@ -32,29 +41,29 @@ class TestRngStream:
 
 class TestSimulateBm:
     def test_bit_for_bit_determinism(self):
-        g1 = sb.simulate_bm(128, 1.0, sb.RngStream(1, 2))
-        g2 = sb.simulate_bm(128, 1.0, sb.RngStream(1, 2))
+        g1 = sb.simulate_path(BM, 128, 1.0, sb.RngStream(1, 2))
+        g2 = sb.simulate_path(BM, 128, 1.0, sb.RngStream(1, 2))
         assert np.array_equal(g1.values, g2.values)
         assert g1.values[0] == 0.0
 
     def test_terminal_moments(self):
         n, t_hor = 5000, 2.0
         gen = sb.RngStream(11, 0).generator()
-        finals = np.array([sb.simulate_bm(32, t_hor, gen).values[-1] for _ in range(n)])
+        finals = np.array([sb.simulate_path(BM, 32, t_hor, gen).values[-1] for _ in range(n)])
         se_mean = np.sqrt(t_hor / n)
         assert abs(finals.mean()) < 4 * se_mean
         # sample variance of N(0, T): SE ~ T sqrt(2/n)
         assert abs(finals.var(ddof=1) - t_hor) < 4 * t_hor * np.sqrt(2.0 / n)
 
     def test_times_attribute(self):
-        g = sb.simulate_bm(4, 2.0, sb.RngStream(0, 0))
+        g = sb.simulate_path(BM, 4, 2.0, sb.RngStream(0, 0))
         assert g.times == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sb.simulate_bm(1, 1.0, sb.RngStream(0, 0))
+            sb.simulate_path(BM, 1, 1.0, sb.RngStream(0, 0))
         with pytest.raises(ValueError):
-            sb.simulate_bm(8, -1.0, sb.RngStream(0, 0))
+            sb.simulate_path(BM, 8, -1.0, sb.RngStream(0, 0))
 
 
 class TestClocks:
@@ -101,7 +110,7 @@ class TestClocks:
 
     def test_step_increments_match_interval_sums(self):
         spec = sb.PowerClockSpec(2.0)
-        d_c = sb.clock_step_increments(spec, 1.0, 256, sb.RngStream(7, 0))
+        d_c = clock_step_increments(spec, 1.0, 256, sb.RngStream(7, 0))
         total = sb.clock_terminal_samples(spec, 1.0, 256, 1, sb.RngStream(7, 0))[0]
         assert d_c.shape == (256,)
         assert d_c.sum() == pytest.approx(total, rel=1e-12)
@@ -146,6 +155,17 @@ class TestClocks:
             sb.PowerClockSpec(0.5)
         with pytest.raises(ValueError):
             sb.ChaosClockSpec(())
+        # negative or non-finite parameters (NaN fails every ordered comparison)
+        for p, rho in ((np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, np.inf), (2.0, (1.0, np.nan)), (2.0, -1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                sb.PowerClockSpec(p, rho=rho)
+        for q in ((np.nan,), (0.5, np.inf), (0.5, -0.25)):
+            with pytest.raises(ValueError, match="finite"):
+                sb.ChaosClockSpec(q)
+        # each q_j is finite but sum q_j^2 is not: every term would look negligible
+        for q in ((1e200,), (1e154, 1e154, 1e154)):
+            with pytest.raises(ValueError, match="overflows"):
+                sb.ChaosClockSpec(q)
         with pytest.raises(ValueError):
             sb.ChaosClockSpec((1.0,), truncation=0)
         with pytest.raises(ValueError):
@@ -179,17 +199,19 @@ class TestLevyArea:
         assert 1.3 < d1 / d2 < 3.1  # exact ratio 2, wide band for MC noise
 
     def test_path_starts_at_zero(self):
-        g = sb.simulate_levy_area(64, 1.0, sb.RngStream(10, 0))
+        g = sb.simulate_path(LEVY_AREA, 64, 1.0, sb.RngStream(10, 0))
         assert g.values[0] == 0.0
         assert g.values[1] == 0.0  # left-point sum: first increment vanishes
 
 
 class TestChaosDirect:
     def test_single_term_reduces_to_levy_area(self):
-        spec = sb.ChaosClockSpec((1.0,))
-        a = sb.simulate_chaos_direct(spec, 128, 1.0, sb.RngStream(12, 5))
-        b = sb.simulate_levy_area(128, 1.0, sb.RngStream(12, 5))
-        assert np.array_equal(a.values, b.values)
+        # q = (1,): the left-point sum of X dY - Y dX from one (2, N) draw
+        n_steps = 128
+        g = sb.simulate_path(LEVY_AREA, n_steps, 1.0, sb.RngStream(12, 5))
+        d_x, d_y = sb.RngStream(12, 5).generator().standard_normal((2, n_steps)) * np.sqrt(1.0 / n_steps)
+        x_left, y_left = (np.concatenate(([0.0], np.cumsum(d[:-1]))) for d in (d_x, d_y))
+        assert np.array_equal(g.values[1:], np.cumsum(x_left * d_y - y_left * d_x))
 
     def test_ito_isometry_variance(self):
         # E Z(1)^2 = sum q_j^2 * (1 - 1/N) for the left-point discretization
@@ -213,7 +235,7 @@ class TestChaosDirect:
         assert d < sb.ks_critical_value(n, n, 0.01)
 
     def test_running_sup_exposed(self):
-        g = sb.simulate_chaos_direct(sb.ChaosClockSpec((0.5,)), 64, 1.0, sb.RngStream(15, 0))
+        g = sb.simulate_path(sb.ChaosDirectProcess(sb.ChaosClockSpec((0.5,))), 64, 1.0, sb.RngStream(15, 0))
         run = g.running_sup()
         assert run.shape == (65,)
         assert np.all(np.diff(run) >= 0)
@@ -221,41 +243,40 @@ class TestChaosDirect:
 
 
 class TestTimeChanged:
-    def test_identity_clock_reproduces_brownian_sup_law(self):
-        # deterministic clock C(t) = t: sup law matches the continuous theta
-        # series; grid-sup deficit at this resolution sits far below the KS
-        # resolution of 2.5k samples
-        n, n_steps = 2500, 8192
-        h = 1.0 / n_steps
-        gen = sb.RngStream(16, 0).generator()
-        sups = np.empty(n)
-        for i in range(n):
-            g = sb.simulate_time_changed(np.full(n_steps, h), 1.0, gen)
-            sups[i] = g.running_sup()[-1]
-        stat = kstest(sups, lambda x: sb.sup_bm_cdf(np.maximum(x, 1e-9)))
-        assert stat.statistic < 1.628 / np.sqrt(n)
-
     def test_deterministic_degenerate_clock(self):
-        g = sb.simulate_time_changed(np.zeros(8), 1.0, sb.RngStream(17, 0))
+        # rho = 0 freezes the clock, so B(C) stays at 0
+        g = sb.simulate_path(sb.TimeChangedProcess(sb.PowerClockSpec(2.0, rho=0.0)), 8, 1.0, sb.RngStream(17, 0))
         assert np.all(g.values == 0.0)
 
     def test_variance_equals_expected_clock(self):
         # Var Z(t) = E C(t) by conditional variance
-        spec = sb.ChaosClockSpec((0.5,))
+        process = sb.TimeChangedProcess(sb.ChaosClockSpec((0.5,)))
         n, n_steps = 4000, 256
-        sup_gen = sb.RngStream(18, 0).generator()
-        finals = np.empty(n)
-        for i in range(n):
-            d_c = sb.clock_step_increments(spec, 1.0, n_steps, sup_gen)
-            finals[i] = sb.simulate_time_changed(d_c, 1.0, sup_gen).values[-1]
+        finals = _increments(process, (1.0,), n_steps, n, sb.RngStream(18, 0)).sum(axis=1)
         want = 2.0 * 0.25 * 0.5  # 2 q^2 E int_0^1 B^2 = q^2
         f2 = finals**2
         se = f2.std(ddof=1) / np.sqrt(n)
         assert abs(f2.mean() - want) < 4 * se
 
-    def test_negative_increments_rejected(self):
-        with pytest.raises(ValueError):
-            sb.simulate_time_changed(np.array([0.1, -0.2, 0.1]), 1.0, sb.RngStream(0, 0))
+
+class TestSinglePath:
+    @pytest.mark.parametrize(
+        "process, horizon",
+        [
+            (BM, 1.0),
+            (sb.ChaosDirectProcess(sb.ChaosClockSpec(sb.geometric_q(0.5, 50))), 1.0),
+            (LEVY_AREA, 2.0),
+            (sb.TimeChangedProcess(sb.ChaosClockSpec(sb.geometric_q(0.5, 50))), 1.0),
+            (sb.TimeChangedProcess(sb.PowerClockSpec(3.0)), 7.5),
+        ],
+        ids=["bm", "chaos", "levy-area", "time-changed-chaos", "time-changed-p3"],
+    )
+    def test_running_sup_equals_one_row_batch(self, process, horizon):
+        # a single path is the one-row block of the batch kernel, bit for bit
+        n_steps = 512
+        g = sb.simulate_path(process, n_steps, horizon, sb.RngStream(25, 3))
+        sup = sb.sup_samples(process, (horizon,), n_steps, 1, sb.RngStream(25, 3))
+        assert g.running_sup()[-1] == sup[0, 0]
 
 
 class TestSupSamples:
@@ -341,7 +362,7 @@ class TestBlockKernels:
         for qj, d_x, d_y in reference_pairs(22, b):
             d_z += (left(d_x) * d_y - left(d_y) * d_x) * qj
         assert np.array_equal(_increments(sb.ChaosDirectProcess(spec), (t,), n_steps, b, sb.RngStream(22, 0)), d_z)
-        assert np.array_equal(sb.clock_step_increments(spec, t, n_steps, sb.RngStream(23, 0)), clock_steps(23, 1)[0])
+        assert np.array_equal(clock_step_increments(spec, t, n_steps, sb.RngStream(23, 0)), clock_steps(23, 1)[0])
         c = sb.clock_terminal_samples(spec, t, n_steps, b, sb.RngStream(24, 0))
         assert np.array_equal(c, np.cumsum(clock_steps(24, b), axis=1)[:, -1])
 
@@ -374,8 +395,7 @@ class TestTimeGridChecks:
         calls = (
             lambda: sb.sup_samples(sb.BrownianProcess(), times, 64, 10, rng),
             lambda: sb.clock_interval_increment_samples(sb.ChaosClockSpec((1.0,)), times, 64, 10, rng),
-            lambda: sb.clock_increments(sb.PowerClockSpec(2.0), times, 64, rng),
-            lambda: sb.clock_step_increments(sb.ChaosClockSpec((1.0,)), times, 64, rng),
+            lambda: sb.clock_interval_increment_samples(sb.PowerClockSpec(2.0), times, 64, 10, rng),
         )
         for call in calls:
             with pytest.raises(ValueError, match="distinct grid nodes"):
@@ -387,8 +407,7 @@ class TestTimeGridChecks:
         calls = (
             lambda: sb.sup_samples(sb.BrownianProcess(), times, 64, 10, rng),
             lambda: sb.clock_interval_increment_samples(sb.ChaosClockSpec((1.0,)), times, 64, 10, rng),
-            lambda: sb.clock_increments(sb.PowerClockSpec(2.0), times, 64, rng),
-            lambda: sb.clock_step_increments(sb.ChaosClockSpec((1.0,)), times, 64, rng),
+            lambda: sb.clock_interval_increment_samples(sb.PowerClockSpec(2.0), times, 64, 10, rng),
         )
         for call in calls:
             with pytest.raises(ValueError, match="strictly increasing"):
@@ -397,14 +416,15 @@ class TestTimeGridChecks:
     @pytest.mark.parametrize("horizon", [-1.0, 0.0, np.nan, np.inf])
     def test_horizon_positive(self, horizon):
         rng = sb.RngStream(0, 0)
-        calls = (
-            lambda: sb.clock_terminal_samples(sb.PowerClockSpec(2.0), horizon, 64, 10, rng),
-            lambda: sb.clock_step_increments(sb.PowerClockSpec(2.0), horizon, 64, rng),
-            lambda: sb.simulate_bm(64, horizon, rng),
-            lambda: sb.simulate_levy_area(64, horizon, rng),
-            lambda: sb.simulate_chaos_direct(sb.ChaosClockSpec((0.5,)), 64, horizon, rng),
-            lambda: sb.simulate_time_changed(np.full(64, 1.0 / 64), horizon, rng),
+        processes = (
+            BM,
+            LEVY_AREA,
+            sb.ChaosDirectProcess(sb.ChaosClockSpec((0.5,))),
+            sb.TimeChangedProcess(sb.PowerClockSpec(2.0)),
+            sb.TimeChangedProcess(sb.ChaosClockSpec((0.5,))),
         )
+        calls = [lambda: sb.clock_terminal_samples(sb.PowerClockSpec(2.0), horizon, 64, 10, rng)]
+        calls += [lambda p=p: sb.simulate_path(p, 64, horizon, rng) for p in processes]
         for call in calls:
             with pytest.raises(ValueError, match="positive"):
                 call()
@@ -420,7 +440,7 @@ class TestPathGridAndDump:
             sb.PathGrid(4, 1.0, np.zeros(4))  # wrong length
 
     def test_csv_dump(self, tmp_path):
-        g = sb.simulate_bm(8, 1.0, sb.RngStream(21, 0))
+        g = sb.simulate_path(BM, 8, 1.0, sb.RngStream(21, 0))
         out = tmp_path / "path.csv"
         sb.dump_csv(g, out)
         rows = out.read_text().strip().splitlines()
