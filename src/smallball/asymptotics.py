@@ -58,6 +58,10 @@ __all__ = [
 # term is below this, so the series remainder is under 1e-14 everywhere.
 _THETA_TOL = 1e-17
 
+# Values per block of ``sup_bm_log_cdf``: 128 KB of doubles, so a block's
+# temporaries stay in cache and a call's memory does not grow with its size.
+_THETA_BLOCK = 2**14
+
 # Relative tail threshold for explicit/polynomial weight sums.
 _WEIGHT_TAIL_RTOL = 1e-12
 
@@ -282,18 +286,29 @@ def sup_bm_log_cdf(x):
     For x >= 2 it switches to the complement via the Gaussian reflection
     series, P(sup > x) = 4 sum_{k>=0} (-1)^k Qbar((2k+1) x), so the log cdf
     resolves tail values down to ~1e-300 and stays strictly increasing.
-    Accepts scalars or arrays; series remainders are kept below 1e-14
-    relative.
+    Accepts scalars or arrays of any shape and memory layout; series
+    remainders are kept below 1e-14 relative.
+
+    The flattened argument is evaluated in blocks of ``_THETA_BLOCK`` values
+    (128 KB), each written straight into the one output array.  Every value is
+    computed elementwise, so it does not depend on the block it falls in, and
+    the temporaries of a call stay below 1 MB beside the output whatever the
+    argument's size (0.6 MB at 10^6 values, where the output is 7.6 MB).
     """
     x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    flat = out.reshape(-1)  # a view: out is C-ordered
+    for lo in range(0, flat.size, _THETA_BLOCK):
+        _theta_block(x.flat[lo : lo + _THETA_BLOCK], flat[lo : lo + _THETA_BLOCK])
+    return float(out) if out.ndim == 0 else out
+
+
+def _theta_block(x: np.ndarray, out: np.ndarray) -> None:
+    """``sup_bm_log_cdf`` of the 1-D block x into out."""
     if np.any(x <= 0):
         raise ValueError("x must be positive")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-
     small = x < 2.0
-    if np.any(small):
+    if small.any():
         c = np.pi**2 / (8.0 * x[small] ** 2)
         # series in the reduced variable: S = sum (-1)^k/(2k+1) e^{-4k(k+1)c},
         # so log P = log(4/pi) - c + log S.  Term k joins only the rows where
@@ -308,14 +323,13 @@ def sup_bm_log_cdf(x):
             s[rows] += (-1) ** k / (2 * k + 1) * np.exp(-exponent[keep])
             k += 1
         out[small] = np.log(4.0 / np.pi) - c + np.log(s)
-    if np.any(~small):
+    if not small.all():
         from scipy.special import erfc  # loaded on the first x >= 2, which conditional probes rarely reach
 
         z = x[~small] / np.sqrt(2.0)
         # 4 Qbar(y) = 2 erfc(y / sqrt 2); Qbar(5x)/Qbar(x) <= 3.4e-22 on x >= 2,
         # so three terms are beyond double precision
         out[~small] = np.log1p(-2.0 * (erfc(z) - erfc(3.0 * z) + erfc(5.0 * z)))
-    return float(out[0]) if scalar else out
 
 
 def sup_bm_cdf(x):

@@ -36,7 +36,8 @@ matvecs at eps = 0.5, N = 64 to 4096).
 
 Importing this module loads numpy only.  Each scipy module is imported by the
 one function that needs it, on its first call: ``sup_bm_grid_cdf`` loads
-``scipy.fft`` and ``ks_two_sample`` loads ``scipy.stats``.
+``scipy.fft`` and ``scipy.linalg``, and ``ks_two_sample`` loads
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -469,16 +470,18 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
     polynomial degree is reached), k = m, or a zero residual (the Krylov space
     is invariant).  Not converging in 1000 steps raises ``NumericError``.
 
-    Each step costs one FFT matvec with A, O(k m) of reorthogonalization and a
-    k x k eigensolve.  At eps = 0.5 it takes 8 to 33 steps for N = 64 to
-    4096, and the step count grows like eps sqrt(N / T) (about 150 at eps =
-    3, N = 4096).  The O(delta^2) midpoint-quadrature error remains: at
-    (0.5, 512) points_per_sigma 8, 16 and 32 differ from 64 by 9.8e-4, 2.3e-4
+    Each step costs one FFT matvec with A, O(k m) of reorthogonalization and
+    the Ritz pairs of the k x k tridiagonal T (``eigh_tridiagonal``, LAPACK's
+    divide and conquer), not a dense eigensolve.  At eps = 0.5 it takes 8 to
+    33 steps for N = 64 to 4096, and the step count grows like
+    eps sqrt(N / T) (about 150 at eps = 3, N = 4096).  The O(delta^2)
+    midpoint-quadrature error remains: at (0.5, 512) points_per_sigma 8, 16 and 32 differ from 64 by 9.8e-4, 2.3e-4
     and 4.7e-5 relative.  This is the matched-discretization counterpart of
     ``sup_bm_cdf``: estimators that take sups over a grid must be compared
     against this law, not the continuous one.
     """
     from scipy import fft  # scipy.fft costs ~0.3 s to import; only this oracle uses it
+    from scipy.linalg import eigh_tridiagonal
 
     for name, value in (("eps", eps), ("horizon", horizon), ("points_per_sigma", points_per_sigma)):
         if not (np.isfinite(value) and value > 0):
@@ -509,7 +512,7 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
         ones.append(v[k].sum())
         for _ in range(2):  # classical Gram-Schmidt, twice, against the whole basis
             w -= v.T @ (v @ w)
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta, s = eigh_tridiagonal(alpha, beta)
         # the Ritz values are scaled by the largest one, which is positive
         weight = (np.asarray(ones) @ s) * s[0] @ (theta / theta[-1]) ** (n_steps - 1)
         log_p = np.log(delta * f_norm) + (n_steps - 1) * np.log(theta[-1]) + np.log(weight) if weight > 0 else -np.inf

@@ -50,6 +50,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import NumericError
+
 __all__ = [
     "RngStream",
     "PathGrid",
@@ -414,12 +416,26 @@ def _fill_increments(d, ws: _Workspace, process: ProcessSpec, times, rng) -> Non
         raise TypeError(f"not a process spec: {process!r}")
 
 
+def _require_finite(values: np.ndarray) -> None:
+    """Raise ``NumericError`` unless every sample is finite.
+
+    A power clock whose |B|^p overflows (a large p over a long horizon) turns
+    into inf, and B(C) into inf or nan; without this check they would read as
+    a sup of nan, zero hits or a Laplace value of 0.  The kernels run under
+    ``np.errstate(over="ignore", invalid="ignore")``: every overflow or
+    invalid operation in them leaves a sample that is not finite, and this
+    check reports it.
+    """
+    if not np.isfinite(values).all():
+        raise NumericError("a simulated sample is not finite (a clock overflowed double precision)")
+
+
 def _block_loop(n: int, n_steps: int, m: int, body) -> np.ndarray:
     """(n, m) array filled by ``body(d, ws)`` one row block at a time.
 
     ``d`` is the block's (b, N) increment buffer and ``ws`` the workspace
-    shared by all blocks; ``body`` returns the block's (b, m) output rows.
-    The block layout depends only on (n, n_steps).
+    shared by all blocks; ``body`` returns the block's (b, m) output rows,
+    which must be finite.  The block layout depends only on (n, n_steps).
     """
     block = max(1, min(n, _BLOCK_DOUBLES // max(n_steps, 1)))
     ws = _Workspace(block, n_steps)
@@ -427,7 +443,9 @@ def _block_loop(n: int, n_steps: int, m: int, body) -> np.ndarray:
     out = np.empty((n, m))
     for lo in range(0, n, block):
         rows = out[lo : lo + block]
-        rows[:] = body(d[: len(rows)], ws)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows[:] = body(d[: len(rows)], ws)
+        _require_finite(rows)
     return out
 
 
@@ -565,7 +583,9 @@ def simulate_path(process: ProcessSpec, n_steps: int, horizon: float, rng: RngLi
         raise ValueError("need at least 2 steps")
     _time_indices((horizon,), n_steps)
     values = np.empty((1, n_steps + 1))
-    _cumulate(values, _increments(process, (horizon,), n_steps, 1, rng))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _cumulate(values, _increments(process, (horizon,), n_steps, 1, rng))
+    _require_finite(values)
     return PathGrid(n_steps, horizon, values[0])
 
 

@@ -6,11 +6,16 @@ representations agree to 19 digits), and the Airy/harmonic-oscillator ground
 state anchors.
 """
 
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import smallball as sb
-from smallball.asymptotics import Partition, WeightSequenceSpec
+from smallball.asymptotics import _THETA_BLOCK, Partition, WeightSequenceSpec
 
 # Frozen by 40-digit evaluation of the alternating theta series; the Gaussian
 # reflection series gives the same digits.
@@ -123,6 +128,82 @@ class TestSupBmCdf:
             sb.sup_bm_cdf(0.0)
         with pytest.raises(ValueError):
             sb.sup_bm_log_cdf(-1.0)
+
+
+class TestSupBmLogCdfBlocks:
+    """The theta series runs over the flattened argument in blocks of _THETA_BLOCK values."""
+
+    @staticmethod
+    def blocked_inputs():
+        # block 0 all below 2 (theta series), block 1 all at or above 2
+        # (reflection series), block 2 and the tail mixed
+        gen = np.random.default_rng(16)
+        b = _THETA_BLOCK
+        return np.concatenate((
+            np.exp(gen.uniform(np.log(0.03), np.log(2.0), b)),
+            np.exp(gen.uniform(np.log(2.0), np.log(8.0), b)),
+            np.exp(gen.uniform(np.log(0.03), np.log(8.0), b + 5)),
+        ))
+
+    def test_array_equals_scalar_across_block_edges(self):
+        assert _THETA_BLOCK == 2**14
+        x = self.blocked_inputs()
+        assert x[_THETA_BLOCK : 2 * _THETA_BLOCK].min() >= 2.0
+        scalar = np.array([sb.sup_bm_log_cdf(v) for v in x])
+        for n in (_THETA_BLOCK - 1, _THETA_BLOCK, _THETA_BLOCK + 1, 3 * _THETA_BLOCK + 5):
+            assert np.array_equal(sb.sup_bm_log_cdf(x[:n]), scalar[:n]), n
+
+    def test_any_shape_and_layout(self):
+        x = self.blocked_inputs()[: 3 * _THETA_BLOCK]
+        flat = sb.sup_bm_log_cdf(x)
+        for view in (
+            x.reshape(96, -1),
+            np.asfortranarray(x.reshape(96, -1)),
+            x[::3],
+            x.reshape(3, -1)[:, 1::2],
+            x.reshape(96, -1).T,
+        ):
+            got = sb.sup_bm_log_cdf(view)
+            assert got.shape == view.shape
+            want = sb.sup_bm_log_cdf(np.ascontiguousarray(view).ravel()).reshape(view.shape)
+            assert np.array_equal(got, want)
+        assert np.array_equal(sb.sup_bm_log_cdf(x.reshape(96, -1)).ravel(), flat)
+        assert sb.sup_bm_log_cdf(np.array([])).shape == (0,)
+        assert isinstance(sb.sup_bm_log_cdf(np.float64(0.7)), float)
+
+    def test_nonpositive_value_in_a_later_block(self):
+        x = np.full(2 * _THETA_BLOCK + 3, 0.5)
+        x[-1] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            sb.sup_bm_log_cdf(x)
+
+    def test_scipy_loads_on_the_first_value_at_or_above_two(self):
+        root = str(Path(sb.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {root!r})\n"
+            "import numpy as np\n"
+            "from smallball.asymptotics import sup_bm_log_cdf, _THETA_BLOCK\n"
+            "x = np.linspace(0.05, 1.99, 3 * _THETA_BLOCK)\n"
+            "sup_bm_log_cdf(x)\n"
+            "print('scipy.special' in sys.modules)\n"
+            "x[-1] = 2.0\n"
+            "sup_bm_log_cdf(x)\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True"]
+
+    def test_memory_stays_near_the_output(self):
+        x = np.exp(np.random.default_rng(17).uniform(np.log(0.05), np.log(6.0), 1_000_000))
+        sb.sup_bm_log_cdf(np.array([3.0]))  # load scipy.special outside the trace
+        tracemalloc.start()
+        try:
+            out = sb.sup_bm_log_cdf(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # unblocked, the call made about ten full-length temporaries (36 MB here)
+        assert peak < out.nbytes + 2 * 2**20
 
 
 class TestKappaP:

@@ -406,6 +406,23 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--process", "time-changed", "--horizon", "100"],
+            ["smallball", "--process", "time-changed", "--t", "100", "--eps", "0.5", "--samples", "1000"],
+            ["laplace", "--t", "100", "--lam", "1", "--samples", "1000"],
+        ],
+        ids=["simulate", "smallball", "laplace"],
+    )
+    def test_overflowing_power_clock_is_numeric_failure(self, capsys, argv):
+        # |B|^2000 overflows over a long horizon; it used to print nan, zero
+        # hits or E = 0 +/- 0 and exit 0
+        code, out, err = run(capsys, *argv, "--clock", "power", "--clock-p", "2000", "--n-steps", "64")
+        assert code == 3
+        assert err.startswith("numeric failure:")
+        assert "not finite" in err
+
     @pytest.mark.parametrize("only", ["C1,X1", "C10", "C1,"])
     def test_verify_unknown_id_is_usage_error(self, capsys, only):
         code, out, err = run(capsys, "verify", "--seed", "42", "--only", only)

@@ -71,6 +71,20 @@ class TestGridSupOracle:
         want = delta * (np.linalg.matrix_power(kernel, n_steps - 1) @ phi(x)).sum()
         assert sb.sup_bm_grid_cdf(eps, n_steps) == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "eps,n_steps", [(0.5, 64), (0.5, 128), (0.5, 256), (0.5, 512), (0.5, 1024), (0.5, 2048), (0.5, 4096), (3.0, 4096)]
+    )
+    def test_tridiagonal_ritz_pairs_match_dense_eigh(self, monkeypatch, eps, n_steps):
+        # the Ritz pairs come from the Lanczos tridiagonal; a dense eigensolve
+        # of the same k x k matrix gives the same law
+        import scipy.linalg
+
+        fast = sb.sup_bm_grid_cdf(eps, n_steps)
+        monkeypatch.setattr(
+            scipy.linalg, "eigh_tridiagonal", lambda a, b: np.linalg.eigh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+        )
+        assert fast == pytest.approx(sb.sup_bm_grid_cdf(eps, n_steps), rel=1e-12)
+
     def test_frozen_values(self):
         # values of the (N - 1)-step FFT iteration the Lanczos evaluation replaced
         assert sb.sup_bm_grid_cdf(0.5, 512) == pytest.approx(0.0146469899529994, rel=1e-11)

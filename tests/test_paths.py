@@ -430,6 +430,30 @@ class TestTimeGridChecks:
                 call()
 
 
+class TestNonFiniteSamples:
+    """A clock that overflows double precision raises instead of returning inf or nan."""
+
+    CLOCK = sb.PowerClockSpec(2000.0)
+
+    def test_every_sampler_raises(self):
+        rng = sb.RngStream(0, 0)
+        calls = (
+            lambda: sb.clock_terminal_samples(self.CLOCK, 100.0, 64, 10, rng),
+            lambda: sb.clock_interval_increment_samples(self.CLOCK, (50.0, 100.0), 64, 10, rng),
+            lambda: sb.clock_terminal_law_samples(self.CLOCK, 100.0, 64, 10, rng),
+            lambda: sb.sup_samples(sb.TimeChangedProcess(self.CLOCK), (100.0,), 64, 10, rng),
+            lambda: sb.simulate_path(sb.TimeChangedProcess(self.CLOCK), 64, 100.0, rng),
+        )
+        for call in calls:
+            with pytest.raises(sb.NumericError, match="not finite"):
+                call()
+
+    def test_underflow_is_not_an_error(self):
+        # on a short horizon |B|^2000 underflows to 0: finite, so no raise
+        got = sb.clock_terminal_samples(self.CLOCK, 1e-3, 64, 10, sb.RngStream(0, 0))
+        assert np.array_equal(got, np.zeros(10))
+
+
 class TestPathGridAndDump:
     def test_grid_validation(self):
         with pytest.raises(ValueError):

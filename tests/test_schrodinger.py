@@ -13,6 +13,7 @@ from scipy import special
 from scipy.linalg import lapack
 
 import smallball as sb
+from smallball import schrodinger
 from smallball.schrodinger import EigenConfig, _even_sector, _grid, _sturm_ground
 
 HARMONIC = 2.0 ** -0.5
@@ -169,6 +170,93 @@ class TestIndependentSturmOracle:
         want = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
         got = sb.lambda1(1.0, EigenConfig(half_width=100.0, grid_points=65, richardson_levels=1)).grid_values[0]
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _sturm_resolution(half_width, n):
+    """Half an ulp of 1/dx^2: how finely a double-precision Sturm count sees lambda."""
+    return 0.5 * np.spacing((n / (2.0 * half_width)) ** 2)
+
+
+def _full_bracket_grid_values(p, cfg):
+    """Every level bisected on (0, vu], as before the predicted brackets."""
+    values = []
+    for k in range(cfg.richardson_levels + 1):
+        _, diag, off, trial = _even_sector(p, cfg.half_width, cfg.grid_points * 2**k)
+        values.append(_sturm_ground(diag, off, trial))
+    return values
+
+
+class TestPredictedBracket:
+    """Refined levels bisect in a certified bracket around the Richardson prediction."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.3, 10.0, 50.0, 200.0])
+    @pytest.mark.parametrize("half_width", [6.0, 12.0])
+    @pytest.mark.parametrize("grid_points", [1024, 1025])
+    def test_grid_values_match_full_bracket(self, p, half_width, grid_points):
+        cfg = EigenConfig(half_width=half_width, grid_points=grid_points, richardson_levels=2)
+        got = sb.lambda1(p, cfg).grid_values
+        want = _full_bracket_grid_values(p, cfg)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert abs(a - b) <= _sturm_resolution(half_width, grid_points * 2**k), (k, a, b)
+
+    @pytest.mark.parametrize("n", [4096, 4097])
+    @pytest.mark.parametrize(
+        "shift,half",
+        [(5.0, 1e-9), (-0.5, 1e-12), (1e-6, 1e-12), (0.0, 0.0), (1e-9, 1e-9), (-1e-9, 1e-9)],
+        ids=["far-above", "far-below", "just-above", "zero-width", "lower-end-on-value", "upper-end-on-value"],
+    )
+    def test_bad_prediction_widens_to_the_full_bracket_value(self, n, shift, half):
+        # the ends widen until certified; an end that lands on the value is
+        # padded clear of the Sturm resolution
+        _, diag, off, trial = _even_sector(3.0, 12.0, n)
+        want = _sturm_ground(diag, off, trial)
+        got = _sturm_ground(diag, off, trial, want + shift, half)
+        assert abs(got - want) <= _sturm_resolution(12.0, n)
+
+    def test_end_inside_the_sturm_resolution_is_padded(self):
+        # LDL^T (dpttrf) and dstebz's Sturm count round differently, so within
+        # the Sturm resolution of the value a shift can pass the certificate
+        # while dstebz counts the value below it; an unpadded lower end there
+        # leaves dstebz an empty bracket
+        n = 16384
+        _, diag, off, trial = _even_sector(3.3, 12.0, n)
+        want = _sturm_ground(diag, off, trial)
+        res = _sturm_resolution(12.0, n)
+        shifts = [
+            s
+            for s in np.linspace(want - 3 * res, want + 3 * res, 121)
+            if lapack.dpttrf(diag - s, off)[2] == 0 and lapack.dstebz(diag, off, 1, s, 2.0, 0, 0, 1.0, b"E")[0] == 0
+        ]
+        if not shifts:
+            pytest.skip("the two counts agree everywhere on this LAPACK")
+        half = 1e-8
+        for s in shifts[:: max(1, len(shifts) // 4)]:
+            got = _sturm_ground(diag, off, trial, s + half, half)  # lower end at s
+            assert abs(got - want) <= res
+
+    def test_forced_bad_prediction_in_lambda1(self, monkeypatch):
+        cfg = EigenConfig(grid_points=1024, richardson_levels=2)
+        want = _full_bracket_grid_values(2.0, cfg)
+        monkeypatch.setattr(schrodinger, "_prediction", lambda raw: (5.0, 1e-6) if raw else (0.0, np.inf))
+        got = sb.lambda1(2.0, cfg).grid_values
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert abs(a - b) <= _sturm_resolution(12.0, 1024 * 2**k)
+
+    def test_each_end_is_certified_by_one_factorization(self, monkeypatch):
+        # at the default grid the predictions hold: one dpttrf per bracket end
+        # of each refined level, none at level 0
+        calls = []
+        real = lapack.dpttrf
+        monkeypatch.setattr(lapack, "dpttrf", lambda d, e: calls.append(len(d)) or real(d, e))
+        res = sb.lambda1(3.3)
+        assert calls == [4096, 4096, 8192, 8192]
+        assert res.grid_values[0] < res.grid_values[1] < res.grid_values[2]
+
+    def test_prediction(self):
+        assert schrodinger._prediction([]) == (0.0, np.inf)
+        assert schrodinger._prediction([2.0]) == (2.0, 2e-3)
+        centre, half = schrodinger._prediction([1.0, 1.0 + 2**-10])
+        assert centre == 1.0 + 2**-10 + 2**-12 and half == 2**-14
 
 
 def _dense_ground_vector(x, diag, off):
