@@ -26,8 +26,9 @@ Simulated objects:
   scalar rho, without a path: the N-step trapezoid clock is a Gaussian
   quadratic form with the closed-form spectrum of
   ``quadratic_clock_spectrum``, so it is drawn as a weighted sum of
-  independent chi-squared variables, equal in law to the path quadrature but
-  not pathwise coupled to it.
+  independent chi-squared variables (squared normals for one degree of
+  freedom, 2E with E = -log(1 - U) by inversion for two), equal in law to the
+  path quadrature up to the 2^-53 grid of U but not pathwise coupled to it.
 
 Every chaos sampler (clock paths, direct chaos sums and the spectral draw)
 draws nothing for the smallest q_j whose q_j^2 sum to at most
@@ -330,15 +331,17 @@ def _fill_power_clock_steps(d_c, ws: _Workspace, spec: PowerClockSpec, t_idx, ho
     np.add(paths[:, :-1], paths[:, 1:], out=d_c)
     d_c *= 0.5 * h
     rho = spec.rho
+    # np.float64 powers overflow to inf (which _require_finite reports) where
+    # float ** float raises; both call the C library's pow, so the bits agree
     if np.isscalar(rho):
         if rho != 1.0:
-            d_c *= float(rho) ** spec.p
+            d_c *= np.float64(rho) ** spec.p
     else:
         if len(rho) != len(t_idx):
             raise ValueError("need one rho value per partition interval")
         lo = 0
         for r, hi in zip(rho, t_idx):
-            d_c[:, lo:hi] *= float(r) ** spec.p
+            d_c[:, lo:hi] *= np.float64(r) ** spec.p
             lo = hi
 
 
@@ -534,6 +537,14 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
     of :func:`clock_terminal_samples` up to rounding, but the draws are not
     pathwise coupled to it.  Any other clock falls through to
     :func:`clock_terminal_samples`, bit for bit.
+
+    E_jk is drawn by inversion, -log(1 - U) with U from ``Generator.random``
+    (one uniform and one vectorized log per value, cheaper than numpy's
+    ziggurat ``standard_exponential``).  U lies on the 2^-53 grid of [0, 1),
+    so 1 - U is exact and positive and E_jk is finite and at most
+    53 ln 2 ~ 36.7; the cut tail has probability 2^-53.  Chaos-clock samples
+    therefore differ in bits, not in law, from those of the ziggurat draw; the
+    p = 2 power clock's squared normals are unchanged.
     """
     form = quadratic_clock_spectrum(spec, t, n_steps)
     if form is None:
@@ -542,13 +553,15 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
     if isinstance(spec, ChaosClockSpec):
         w = _sampled_q(spec) ** 2  # the exact law keeps every term; the draw skips the negligible ones
     gen = as_generator(rng)
-    coef = [(2.0 if nu == 2 else 1.0) * wj * mu for wj in w]
+    coef = [(-2.0 if nu == 2 else 1.0) * wj * mu for wj in w]  # nu = 2 scales log(1 - U) = -E
 
     def block(x, ws):
         c = np.zeros(len(x))
         for cj in coef:  # one (b, N) buffer per term
             if nu == 2:
-                gen.standard_exponential(out=x)
+                gen.random(out=x)
+                np.subtract(1.0, x, out=x)
+                np.log(x, out=x)
             else:
                 gen.standard_normal(out=x)
                 np.multiply(x, x, out=x)

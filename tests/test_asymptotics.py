@@ -123,6 +123,16 @@ class TestSupBmCdf:
             want = np.array([log_cdf(v) for v in x])
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
+    def test_reflection_series_equals_three_terms(self):
+        # Qbar(5x) <= 3.4e-22 Qbar(x) on x >= 2 is below half an ulp of the
+        # two-term sum, so the third term leaves every double unchanged
+        from scipy.special import erfc
+
+        x = np.concatenate((np.linspace(2.0, 40.0, 400_001), np.geomspace(40.0, 1000.0, 1001)))
+        z = x / np.sqrt(2.0)
+        three = np.log1p(-2.0 * (erfc(z) - erfc(3.0 * z) + erfc(5.0 * z)))
+        assert np.array_equal(sb.sup_bm_log_cdf(x), three)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             sb.sup_bm_cdf(0.0)

@@ -423,6 +423,20 @@ class TestExitCodes:
         assert err.startswith("numeric failure:")
         assert "not finite" in err
 
+    @pytest.mark.parametrize(
+        "extra", [["--rho", "2"], ["--rho", "2", "1", "--t", "0.5", "1", "--d", "2", "1"]], ids=["scalar", "stepwise"]
+    )
+    def test_overflowing_power_clock_weight_is_numeric_failure(self, capsys, extra):
+        # rho^p = 2^2000 overflows; float ** float used to raise OverflowError
+        # with a traceback and exit 1
+        code, out, err = run(
+            capsys, "laplace", "--clock", "power", "--clock-p", "2000", *extra,
+            "--lam", "1", "--n-steps", "64", "--samples", "100",
+        )
+        assert code == 3
+        assert err.startswith("numeric failure:")
+        assert "not finite" in err
+
     @pytest.mark.parametrize("only", ["C1,X1", "C10", "C1,"])
     def test_verify_unknown_id_is_usage_error(self, capsys, only):
         code, out, err = run(capsys, "verify", "--seed", "42", "--only", only)

@@ -644,6 +644,16 @@ class TestSpectralClockEstimators:
             separations.append(abs(np.exp(_continuous_log_laplace(lam, 2.0, spec)) - matched) / est.std_error)
         assert max(separations) > 8
 
+    def test_trimmed_chaos_laplace_matches_matched_oracle(self):
+        # the Exp(1) draws by inversion, on the trimmed 27-term geometric clock
+        q = sb.geometric_q(0.5, 50)
+        cfg = McConfig(samples=100_000, n_steps=64, seed=54, workers=2)
+        lams = (0.5, 2.0, 8.0)
+        ests = sb.estimate_laplace_multi(sb.ChaosClockSpec(q), sb.Partition((1.0,)), lams, cfg)
+        for lam, est in zip(lams, ests):
+            exact = sb.oracle_laplace_matched(lam, 1.0, 64, sb.ChaosClockSpec(q))
+            assert abs(est.estimate - exact) < 4 * est.std_error
+
     def test_weighted_one_interval_scales_the_clock(self):
         spec = sb.ChaosClockSpec((1.0, 0.5))
         cfg = McConfig(samples=2000, n_steps=16, seed=45)

@@ -518,6 +518,61 @@ class TestSpectralClockLaw:
         stat, _ = sb.ks_two_sample(a, b)
         assert stat < sb.ks_critical_value(n, n, 0.01)
 
+    def test_chaos_draw_moments_match_the_spectrum(self):
+        # C_N = sum_{j,k} c_jk E_jk, c_jk = 2 w_j mu_k over the sampled terms:
+        # cumulants kappa_r = (r - 1)! sum c^r, and Var s^2 = (kappa_4 + 2 kappa_2^2) / n
+        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
+        _, mu, _ = sb.quadratic_clock_spectrum(spec, 1.0, 64)
+        c = np.outer(2.0 * _sampled_q(spec) ** 2, mu)
+        k2, k4 = np.sum(c**2), 6.0 * np.sum(c**4)
+        n = 50_000
+        x = sb.clock_terminal_law_samples(spec, 1.0, 64, n, sb.RngStream(51, 0))
+        assert abs(x.mean() - c.sum()) < 4 * np.sqrt(k2 / n)
+        assert abs(x.var(ddof=1) - k2) < 4 * np.sqrt((k4 + 2 * k2**2) / n)
+
+    def test_one_mode_chaos_draw_is_exponential(self):
+        # one term at N = 1: mu_1 = h^2 / 2, so C_1(1) = E ~ Exp(1)
+        from scipy.stats import kstest
+
+        x = sb.clock_terminal_law_samples(sb.ChaosClockSpec((1.0,)), 1.0, 1, 20_000, sb.RngStream(52, 0))
+        assert kstest(x, "expon").pvalue > 1e-3
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53], ids=["zero", "largest"])
+    def test_exponential_inversion_stays_finite(self, u):
+        # E = -log(1 - U) over U in [0, 1) on the 2^-53 grid: E = 0 at U = 0,
+        # and at most 53 ln 2 at the largest U
+        class ConstantUniform:
+            def random(self, out):
+                out[:] = u
+
+        x = sb.clock_terminal_law_samples(sb.ChaosClockSpec((1.0,)), 1.0, 1, 5, ConstantUniform())
+        # mu_1 = h^2 / (4 sin^2(pi / 4)) is 1/2 to rounding
+        assert x == pytest.approx(np.full(5, -np.log1p(-u)), rel=1e-15, abs=0.0)
+        assert np.all(np.isfinite(x)) and np.all(x <= 53 * np.log(2.0) * (1 + 1e-15))
+
+    @pytest.mark.parametrize(
+        "spec", [sb.PowerClockSpec(2.0, rho=1.5), sb.ChaosClockSpec((1.0, 0.5))], ids=["power", "chaos"]
+    )
+    def test_draw_equals_inline_reference(self, spec):
+        # rows in blocks of _BLOCK_DOUBLES // N; per block and term j, one (b, N)
+        # draw: chi2_1 as a squared normal, chi2_2 as 2 E with E = -log(1 - U)
+        n_steps = 64
+        block = paths._BLOCK_DOUBLES // n_steps
+        n = block + 5
+        w, mu, nu = sb.quadratic_clock_spectrum(spec, 1.0, n_steps)
+        gen = sb.RngStream(53, 0).generator()
+        want = np.zeros(n)
+        for lo in range(0, n, block):
+            rows = want[lo : lo + block]
+            for wj in w:
+                if nu == 1:
+                    x = gen.standard_normal((len(rows), n_steps)) ** 2 * (wj * mu)
+                else:
+                    x = -np.log(1.0 - gen.random((len(rows), n_steps))) * (2.0 * wj * mu)
+                rows += x.sum(axis=1)
+        got = sb.clock_terminal_law_samples(spec, 1.0, n_steps, n, sb.RngStream(53, 0))
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize(
         "spec",
         [sb.PowerClockSpec(1.0), sb.PowerClockSpec(3.0, rho=2.0), sb.PowerClockSpec(2.0, rho=(1.5,))],
