@@ -25,14 +25,12 @@ from .asymptotics import (
     weighted_sum_constant,
     chaos_sup_constant,
     chaos_clock_constant,
-    chaos_clock_constant_dsq,
 )
 from .errors import NumericError
 from .mc import (
     ConstantExtraction,
     EstimateResult,
     McConfig,
-    ProbeGrid,
     estimate_laplace,
     estimate_laplace_multi,
     estimate_smallball_conditional,

@@ -230,15 +230,16 @@ def criterion_7(seed: int) -> CriterionResult:
     spec = paths.ChaosClockSpec(_GEOMETRIC_Q)
     target = np.pi / 4.0 * 2.0
     cfg = replace(_C7_CONFIG, seed=seed)
-    grid = mc.probe_smallball_conditional(spec, 1.0, (0.4, 0.3, 0.2, 0.15, 0.1), cfg)
+    eps_grid = (0.4, 0.3, 0.2, 0.15, 0.1)
+    probes = mc.probe_smallball_conditional(spec, 1.0, eps_grid, cfg)
     zs = [
         (r.estimate - mc.oracle_smallball_chaos(eps, 1.0, _GEOMETRIC_Q, cfg.n_steps)) / r.std_error
-        for eps, r in zip(grid.epsilons, grid.results)
+        for eps, r in zip(eps_grid, probes)
     ]
-    ext = mc.extract_constant(grid, (1.0, 0.0))
+    ext = mc.extract_constant(eps_grid, probes, (1.0, 0.0))
     k_last = ext.k_hat[-1]
     rel = abs(k_last - target) / target
-    eps = grid.epsilons[-1]
+    eps = eps_grid[-1]
     second = (k_last + eps * np.log(4.0 / eps) - target) / ext.k_hat_se[-1]
     ok = max(map(abs, zs)) <= 3.0 and rel <= 0.30 and abs(second) <= 3.0
     ok = ok and ext.gaps_non_increasing and not ext.dropped

@@ -51,7 +51,6 @@ __all__ = [
     "weighted_sum_constant",
     "chaos_sup_constant",
     "chaos_clock_constant",
-    "chaos_clock_constant_dsq",
 ]
 
 # Truncation threshold for the alternating theta series; the first omitted
@@ -523,8 +522,7 @@ def chaos_clock_constant(omega_one_norm: float, part: Partition) -> float:
             = -(1/8) ||w||_1^2 ( sum_i d_i^(1/2) Delta_i t )^2.
 
     Returns the positive constant.  This convention (1/8 inside) is the one
-    consistent with ``tsb_constant`` and ``chaos_sup_constant``; see
-    :func:`chaos_clock_constant_dsq` for the d^2-parameterized variant.
+    consistent with ``tsb_constant`` and ``chaos_sup_constant``.
     """
     if omega_one_norm <= 0:
         raise ValueError("omega_one_norm must be positive")
@@ -532,22 +530,3 @@ def chaos_clock_constant(omega_one_norm: float, part: Partition) -> float:
         raise ValueError("partition must carry weights d_i")
     d = np.asarray(part.weights)
     return float(omega_one_norm**2 / 8.0 * np.sum(np.sqrt(d) * part.delta_t) ** 2)
-
-
-def chaos_clock_constant_dsq(omega_one_norm: float, part: Partition) -> float:
-    """The d^2-parameterized variant (1/2) ||w||_1^2 (sum_i d_i Delta_i t)^2.
-
-    Parameterizes the same functional via coefficients d_i^2, in the
-    convention where singular values are counted once rather than in pairs.
-    Under d_i -> d_i^2 it equals exactly 4 times
-    ``chaos_clock_constant`` -- the documented factor of 4 between the
-    one-Brownian and two-Brownian clock conventions.  The paired-convention
-    :func:`chaos_clock_constant` is the one used everywhere else in this
-    package.
-    """
-    if omega_one_norm <= 0:
-        raise ValueError("omega_one_norm must be positive")
-    if part.weights is None:
-        raise ValueError("partition must carry weights d_i")
-    d = np.asarray(part.weights)
-    return float(omega_one_norm**2 / 2.0 * np.sum(d * part.delta_t) ** 2)

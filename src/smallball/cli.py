@@ -193,11 +193,9 @@ def _cmd_constants(args) -> int:
     elif args.chaos_clock:
         part = asy.Partition(tuple(args.t), weights=tuple(args.d))
         value = asy.chaos_clock_constant(args.omega_one_norm, part)
-        dsq = asy.chaos_clock_constant_dsq(args.omega_one_norm, part)
         params = {"omega_one_norm": args.omega_one_norm, "t": args.t, "d": args.d}
         print(f"{value:.10f}")
-        print(f"d-squared variant: {dsq:.10f}")
-        results = [{"constant": value, "dsq_variant": dsq}]
+        results = [{"constant": value}]
     elif args.tsb:
         value = asy.tsb_constant(args.alpha, args.beta, args.k, args.b)
         params = {"alpha": args.alpha, "beta": args.beta, "k": args.k, "b": args.b}
@@ -296,20 +294,22 @@ def _cmd_simulate(args) -> int:
 def _cmd_smallball(args) -> int:
     cfg = mc.McConfig(samples=args.samples, n_steps=args.n_steps, seed=args.seed, workers=args.workers)
     results = []
-    if args.extract and not args.conditional:
-        raise ValueError("--extract needs --conditional")
-    if args.extract and len(args.eps) < 3:
-        raise ValueError("--extract needs at least three eps")
+    if args.extract:
+        if not args.conditional:
+            raise ValueError("--extract needs --conditional")
+        if len(args.eps) < 3:
+            raise ValueError("--extract needs at least three eps")
+        mc._decreasing_eps(args.eps)  # extract_constant's check, before any sampling
     if args.conditional and (len(args.t) > 1 or args.a is not None or args.b is not None):
         raise ValueError("--conditional takes one --t and no --a or --b windows")
     if args.conditional:
         t = args.t[0] if args.t else 1.0
-        grid = mc.probe_smallball_conditional(_clock_from(args), t, args.eps, cfg)
-        for eps, est in zip(grid.epsilons, grid.results):
+        probes = mc.probe_smallball_conditional(_clock_from(args), t, args.eps, cfg)
+        for eps, est in zip(args.eps, probes):
             print(f"eps={eps:g}: P = {est.estimate:.6e} +/- {est.std_error:.2e} ({est.samples} samples)")
             results.append(est.record("smallball-conditional", {"eps": eps, "t": t, "n_steps": args.n_steps}))
         if args.extract:
-            ext = mc.extract_constant(grid, (args.extract[0], args.extract[1]))
+            ext = mc.extract_constant(args.eps, probes, (args.extract[0], args.extract[1]))
             print(f"K_hat = {[f'{k:.5f}' for k in ext.k_hat]}")
             print(f"extrapolated K = {ext.extrapolated:.5f}; gaps non-increasing: {ext.gaps_non_increasing}")
             results.append(

@@ -2,15 +2,17 @@
 
 Every estimator runs on one batching engine.  A sampler returns one column per
 probe (an eps or a lambda) for each sampled clock or path, so coupled probes
-share their samples; ``probe_smallball_raw``, for one, reads the indicators of
-all its eps, in any order, off one set of running sups.  The sample budget is
-split into batches; batch k draws from ``RngStream(seed, stream_base + k)``
-and yields a per-column (count, mean, sum of squared deviations) triple.  The
-triples are merged in batch order with the pairwise update of Chan, Golub &
-LeVeque ("Algorithms for computing the sample variance", Am. Stat. 1983),
-which avoids the cancellation of sum-of-squares formulas.  Batches run on
-``McConfig.workers`` threads; the fixed merge order keeps every output bit
-independent of the worker count.
+share their samples.  The three coupled estimators (``probe_smallball_raw``,
+``probe_smallball_conditional``, ``estimate_laplace_multi``) share one
+contract: a process or clock spec, the probes in any order (duplicates
+allowed) and a ``McConfig`` in, one ``EstimateResult`` per probe out, in input
+order.  The sample budget is split into batches; batch k draws from
+``RngStream(seed, stream_base + k)`` and yields a per-column (count, mean, sum
+of squared deviations) triple.  The triples are merged in batch order with the
+pairwise update of Chan, Golub & LeVeque ("Algorithms for computing the sample
+variance", Am. Stat. 1983), which avoids the cancellation of sum-of-squares
+formulas.  Batches run on ``McConfig.workers`` threads; the fixed merge order
+keeps every output bit independent of the worker count.
 
 The rare-event strategy is conditional Monte Carlo: for a single-interval sup
 event of a time-changed Brownian motion, the conditional probability given the
@@ -42,10 +44,9 @@ one function that needs it, on its first call: ``sup_bm_grid_cdf`` loads
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,7 +67,6 @@ from .paths import (
 __all__ = [
     "McConfig",
     "EstimateResult",
-    "ProbeGrid",
     "ConstantExtraction",
     "estimate_smallball_raw",
     "estimate_smallball_conditional",
@@ -100,23 +100,22 @@ _LANCZOS_MAX_STEPS = 1000
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling configuration: budget, grid, batching and RNG provenance.
+    """Sampling configuration: budget, grid, parallelism and RNG provenance.
 
-    ``batch_size`` defaults to min(max(256, 2**21 // n_steps), ceil(samples / 2)),
-    except that a run with fewer than two full batches splits into two
-    near-equal batches, so two workers both have one.  This is the stream
-    layout and a worker's unit of work, not a memory cap: the samplers in
-    ``paths`` simulate each batch in 1 MB row blocks.  The layout depends
-    only on (samples, n_steps) and is part of the reproducibility contract
-    (a config determines output exactly).
-    ``workers`` only parallelizes batch execution and never affects results.
+    A batch holds min(max(256, 2**21 // n_steps), ceil(samples / 2)) samples
+    (``effective_batch``), so a run with fewer than two full batches splits
+    into two near-equal batches and two workers both have one.  This is the
+    stream layout and a worker's unit of work, not a memory cap: the samplers
+    in ``paths`` simulate each batch in 1 MB row blocks.  The layout depends
+    only on (samples, n_steps) and is part of the reproducibility contract (a
+    config determines output exactly).  ``workers`` only parallelizes batch
+    execution and never affects results.
     """
 
     samples: int = 100_000
     n_steps: int = 2**14
     seed: int = 0
     stream_base: int = 0
-    batch_size: int | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -129,10 +128,6 @@ class McConfig:
 
     @property
     def effective_batch(self) -> int:
-        if self.batch_size is not None:
-            if self.batch_size < 1:
-                raise ValueError("batch_size must be positive")
-            return self.batch_size
         return min(max(256, 2**21 // self.n_steps), -(-self.samples // 2))
 
 
@@ -168,9 +163,6 @@ class EstimateResult:
             "zeroHits": self.zero_hits,
         }
 
-    def to_json(self, op: str, params: dict) -> str:
-        return json.dumps(self.record(op, params), sort_keys=True)
-
 
 def _batch_sizes(cfg: McConfig) -> list[int]:
     batch = cfg.effective_batch
@@ -191,12 +183,6 @@ def _batch_moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     mean = cols.sum(axis=1) / n
     dev = cols - mean[:, None]
     return n, mean, np.square(dev, out=dev).sum(axis=1)
-
-
-def _summarize(n: int, mean: np.ndarray, m2: np.ndarray) -> list[tuple[float, float, int]]:
-    """(mean, std error, n) per column."""
-    var = m2 / (n - 1) if n > 1 else np.zeros_like(m2)
-    return [(float(m), float(np.sqrt(v / n)), n) for m, v in zip(mean, var)]
 
 
 def _batched_moments(
@@ -227,7 +213,8 @@ def _batched_moments(
         mean = mean + delta * (nb / total)
         m2 = m2 + m2_b + delta * delta * (n * nb / total)
         n = total
-    return _summarize(n, mean, m2)
+    var = m2 / (n - 1) if n > 1 else np.zeros_like(m2)
+    return [(float(m), float(np.sqrt(v / n)), n) for m, v in zip(mean, var)]
 
 
 def _indicator_result(mean: float, se: float, n: int, cfg: McConfig) -> EstimateResult:
@@ -240,6 +227,16 @@ def _indicator_result(mean: float, se: float, n: int, cfg: McConfig) -> Estimate
 # ---------------------------------------------------------------------------
 # Small-ball estimators
 # ---------------------------------------------------------------------------
+
+def _eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
+    """The probes' eps as floats: at least one, each positive and finite, in any order."""
+    eps = tuple(float(e) for e in eps_grid)
+    if not eps:
+        raise ValueError("need at least one eps")
+    if not all(0 < e < np.inf for e in eps):
+        raise ValueError("eps must be positive and finite")
+    return eps
+
 
 def estimate_smallball_raw(process: ProcessSpec, part: Partition, eps: float, cfg: McConfig) -> EstimateResult:
     """Indicator-mean estimate of P( for all i: a_i eps <= M(t_i) <= b_i eps ).
@@ -263,11 +260,7 @@ def probe_smallball_raw(
     are not nested across eps, so the grid may come in any order.  Zero hits
     are flagged per eps.
     """
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if not eps_grid:
-        raise ValueError("need at least one eps")
-    if not all(0 < e < np.inf for e in eps_grid):
-        raise ValueError("eps must be positive and finite")
+    eps_grid = _eps_grid(eps_grid)
     if part.windows is None:
         raise ValueError("partition must carry windows")
     a = np.asarray([w[0] for w in part.windows])
@@ -281,22 +274,38 @@ def probe_smallball_raw(
     return [_indicator_result(m, se, n, cfg) for m, se, n in _batched_moments(sampler, cfg)]
 
 
-ClockLike = Union[ClockSpec, np.ndarray, Callable[[int, np.random.Generator], np.ndarray]]
-
-
-def estimate_smallball_conditional(clock: ClockLike, t: float, eps: float, cfg: McConfig) -> EstimateResult:
+def estimate_smallball_conditional(clock: ClockSpec, t: float, eps: float, cfg: McConfig) -> EstimateResult:
     """Rao-Blackwellized estimate of P(sup_{[0,t]} |B(C)| <= eps), one interval.
 
     Conditionally on the clock, the sup law is exactly that of sqrt(C(t))
     times the Brownian sup over [0, 1], so the indicator is replaced by the
-    exact theta series F(eps / sqrt(C(t))).  ``clock`` may be a ClockSpec
-    (terminal values are drawn by ``paths.clock_terminal_law_samples``), an
-    array of precomputed C(t) samples, or a callable (n, rng) -> samples; a
-    constant-returning callable models a deterministic clock and gives a
-    zero-variance estimate.  This is the one-probe case of
+    exact theta series F(eps / sqrt(C(t))).  The terminal values C_N(t) are
+    drawn by ``paths.clock_terminal_law_samples``; a clock frozen at 0 (a
+    zero weight) gives 1 with zero variance.  This is the one-probe case of
     :func:`probe_smallball_conditional`.
     """
-    return probe_smallball_conditional(clock, t, (eps,), cfg).results[0]
+    return probe_smallball_conditional(clock, t, (eps,), cfg)[0]
+
+
+def probe_smallball_conditional(
+    clock: ClockSpec, t: float, eps_grid: Sequence[float], cfg: McConfig
+) -> list[EstimateResult]:
+    """Conditional small-ball probes at several eps from one set of clock samples.
+
+    The clock terminal values are drawn once per batch and the exact
+    conditional series is averaged for every eps, coupling the probes; this
+    preserves unbiasedness per eps and makes the K-hat trend smooth in eps.
+    Each eps is its own column, so the grid may come in any order and each
+    estimate equals the one-eps :func:`estimate_smallball_conditional` bit
+    for bit.
+    """
+    eps_grid = _eps_grid(eps_grid)
+
+    def sampler(b, gen):
+        c = clock_terminal_law_samples(clock, t, cfg.n_steps, b, gen)
+        return np.column_stack([_conditional_values(c, eps) for eps in eps_grid])
+
+    return [EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in _batched_moments(sampler, cfg)]
 
 
 def _conditional_values(c_samples: np.ndarray, eps: float) -> np.ndarray:
@@ -326,8 +335,8 @@ def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[floa
     several intervals need the increments of simulated clock paths.
     """
     lams = np.asarray([float(l) for l in lams])
-    if not np.all(lams >= 0):
-        raise ValueError("lambda must be nonnegative")
+    if lams.size == 0 or not np.all((lams >= 0) & (lams < np.inf)):
+        raise ValueError("need at least one lambda, each nonnegative and finite")
     d = np.asarray(part.weights) if part.weights is not None else np.ones(part.m)
 
     def sampler(b, gen):
@@ -359,8 +368,8 @@ def _log_laplace(lams, t: float, clock: ClockSpec, n_steps: int | None) -> np.nd
     gives -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if not (np.all(lams >= 0) and t > 0):
-        raise ValueError("need lambda >= 0 and t > 0")
+    if not (np.all((lams >= 0) & (lams < np.inf)) and t > 0):
+        raise ValueError("need a finite lambda >= 0 and t > 0")
     # the continuous law reads only (w, nu); the one-step mu goes unused
     form = quadratic_clock_spectrum(clock, t, 1 if n_steps is None else n_steps)
     if form is None:
@@ -529,31 +538,14 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
 
 
 # ---------------------------------------------------------------------------
-# Constant extraction from a probe grid
+# Constant extraction from probe estimates
 # ---------------------------------------------------------------------------
 
-def _decreasing_eps(epsilons) -> tuple[float, ...]:
-    eps = tuple(float(e) for e in epsilons)
-    if not all(0 < e < np.inf for e in eps):
-        raise ValueError("epsilons must be positive and finite")
+def _decreasing_eps(epsilons: Sequence[float]) -> tuple[float, ...]:
+    eps = _eps_grid(epsilons)
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
     return eps
-
-
-@dataclass(frozen=True)
-class ProbeGrid:
-    """Small-ball estimates at a strictly decreasing grid of eps values."""
-
-    epsilons: tuple[float, ...]
-    results: tuple[EstimateResult, ...]
-
-    def __post_init__(self):
-        eps = _decreasing_eps(self.epsilons)
-        if len(self.results) != len(eps):
-            raise ValueError("need one result per epsilon")
-        object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "results", tuple(self.results))
 
 
 @dataclass(frozen=True)
@@ -576,19 +568,24 @@ class ConstantExtraction:
     dropped: tuple[int, ...] = field(default=())
 
 
-def extract_constant(pg: ProbeGrid, order: tuple[float, float]) -> ConstantExtraction:
+def extract_constant(
+    epsilons: Sequence[float], results: Sequence[EstimateResult], order: tuple[float, float]
+) -> ConstantExtraction:
     """Turn probe estimates into K_hat(eps) = -eps^a |log eps|^b log p(eps).
 
+    ``epsilons`` must be strictly decreasing, with one result per epsilon.
     The limit is estimated by a least-squares line in eps through the last
     three valid probe points, evaluated at eps = 0.  Needs at least three
     valid (positive-estimate) points.  The line is biased where K_hat has an
     eps log eps term: on the exact K_hat(eps) = pi/2 - eps log(4/eps) + ... of
     the geometric chaos clock at eps = 0.2, 0.15, 0.1 it returns 1.4293.
     """
+    eps_all = np.asarray(_decreasing_eps(epsilons))
+    if len(results) != eps_all.size:
+        raise ValueError("need one result per epsilon")
     a, b = order
-    eps_all = np.asarray(pg.epsilons)
-    p_all = np.asarray([r.estimate for r in pg.results])
-    se_all = np.asarray([r.std_error for r in pg.results])
+    p_all = np.asarray([r.estimate for r in results])
+    se_all = np.asarray([r.std_error for r in results])
     valid = p_all > 0
     dropped = tuple(int(i) for i in np.nonzero(~valid)[0])
     eps = eps_all[valid]
@@ -611,40 +608,6 @@ def extract_constant(pg: ProbeGrid, order: tuple[float, float]) -> ConstantExtra
         non_increasing,
         dropped,
     )
-
-
-def probe_smallball_conditional(clock: ClockLike, t: float, eps_grid: Sequence[float], cfg: McConfig) -> ProbeGrid:
-    """Conditional small-ball probes at several eps sharing one clock sample set.
-
-    The clock terminal values are drawn once (per batch) and the exact
-    conditional series is averaged for every eps, coupling the probes; this
-    preserves unbiasedness per eps and makes the K-hat trend smooth in eps.
-    ``clock`` takes the forms :func:`estimate_smallball_conditional` accepts;
-    an array of clock samples is treated as one pre-drawn batch.  A negative
-    or NaN clock sample, from any form, raises ValueError.
-    """
-    eps_grid = _decreasing_eps(eps_grid)
-    if t <= 0:
-        raise ValueError("t must be positive")
-
-    def values(c):
-        c = np.asarray(c, dtype=float)
-        if not np.all(c >= 0):
-            raise ValueError("clock samples must be nonnegative")
-        return np.column_stack([_conditional_values(c, e) for e in eps_grid])
-
-    if isinstance(clock, np.ndarray):
-        moments = _summarize(*_batch_moments(values(clock)))
-    else:
-        if callable(clock):
-            draw = clock
-        else:
-            def draw(b, gen):
-                return clock_terminal_law_samples(clock, t, cfg.n_steps, b, gen)
-
-        moments = _batched_moments(lambda b, gen: values(draw(b, gen)), cfg)
-    results = tuple(EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in moments)
-    return ProbeGrid(eps_grid, results)
 
 
 # ---------------------------------------------------------------------------

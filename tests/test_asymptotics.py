@@ -422,20 +422,6 @@ class TestChaosConstants:
         base = sb.chaos_clock_constant(1.5, part)
         assert sb.chaos_clock_constant(1.5, part.scaled_weights(2.5)) == pytest.approx(2.5 * base, rel=1e-13)
 
-    def test_dsq_variant_factor_of_four(self):
-        # the d^2-parameterized variant equals 4x the paired convention under d -> d^2
-        r = rng()
-        for _ in range(50):
-            m = int(r.integers(1, 5))
-            times = tuple(np.cumsum(r.uniform(0.2, 1.5, m)))
-            d = np.sort(r.uniform(0.3, 4.0, m))[::-1]
-            d = tuple(d + np.arange(m, 0, -1) * 1e-9)
-            w = float(r.uniform(0.2, 3.0))
-            dsq_part = Partition(times, weights=tuple(v * v for v in d))
-            lhs = sb.chaos_clock_constant_dsq(w, Partition(times, weights=d))
-            rhs = 4.0 * sb.chaos_clock_constant(w, dsq_part)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             sb.chaos_sup_constant(1.0, Partition((1.0,)))  # no windows

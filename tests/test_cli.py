@@ -25,12 +25,10 @@ class TestConstantsCommand:
         assert code == 0
         assert out.strip() == "0.7853981634"
 
-    def test_chaos_clock_with_dsq_variant(self, capsys):
+    def test_chaos_clock_prints_one_eighth(self, capsys):
         code, out, _ = run(capsys, "constants", "--chaos-clock", "--omega-one-norm", "1", "--t", "1", "--d", "1")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "0.1250000000"
-        assert "0.5000000000" in lines[1]
+        assert out.strip() == "0.1250000000"
 
     def test_tauberian_round_trip(self, capsys):
         code, out, _ = run(capsys, "constants", "--tauberian-forward", "--alpha", "1", "--beta", "0", "--big-k", "0.125")
@@ -197,6 +195,18 @@ class TestEstimationCommands:
         )
         assert code == 2
         assert "three eps" in err
+        assert out == ""
+
+    def test_conditional_takes_any_eps_order_but_extract_needs_decreasing(self, capsys):
+        # the probes take eps in any order, like the raw ones; only the K_hat
+        # fit needs a decreasing grid, and it is checked before any sampling
+        argv = ["smallball", "--conditional", "--clock", "chaos", "--q", "1.0", "--samples", "200", "--n-steps", "64"]
+        code, out, _ = run(capsys, *argv, "--eps", "0.2", "0.4")
+        assert code == 0
+        assert out.count("P = ") == 2
+        code, out, err = run(capsys, *argv, "--eps", "0.2", "0.4", "0.3", "--extract", "1", "0")
+        assert code == 2
+        assert "strictly decreasing" in err
         assert out == ""
 
     def test_extract_needs_conditional(self, capsys):
@@ -394,10 +404,11 @@ class TestExitCodes:
             ["smallball", "--eps", "0.5", "inf"],
             ["smallball", "--conditional", "--eps", "nan"],
             ["laplace", "--lam", "nan"],
+            ["laplace", "--lam", "inf", "--clock", "power", "--rho", "0"],
             ["laplace", "--clock", "chaos", "--q", "1e200", "--lam", "1"],
             ["laplace", "--t", "0.5", "1", "--d", "2", "1", "--clock", "power", "--rho", "1", "nan", "--lam", "1"],
         ],
-        ids=["raw-eps-nan", "raw-eps-inf", "conditional-eps-nan", "lam-nan", "q-overflow", "rho-nan"],
+        ids=["raw-eps-nan", "raw-eps-inf", "conditional-eps-nan", "lam-nan", "lam-inf", "q-overflow", "rho-nan"],
     )
     def test_non_finite_estimator_input_is_usage_error(self, capsys, argv):
         # NaN passes an `x <= 0` check; an inf eps makes inf * 0 window bounds

@@ -7,12 +7,11 @@ matched-discretization reference for the raw estimator.  Conditional
 estimators are checked against the exact theta-series/product-Laplace oracle.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 import smallball as sb
+from smallball import mc
 from smallball.mc import McConfig, logcosh
 
 COSH_ORACLE_AT_1 = 0.6775678055260783  # (cosh sqrt 2)^(-1/2)
@@ -180,7 +179,7 @@ class TestRawSmallball:
         # one set of sups serves every eps, in any order; each column must be
         # the standalone estimate bit for bit, zero-hit flag included
         part = sb.Partition((0.5, 1.0), windows=((0.0, 0.8), (0.8, 1.6)))
-        cfg = McConfig(samples=2500, n_steps=64, seed=19, batch_size=1000)  # three batches, the last short
+        cfg = McConfig(samples=2500, n_steps=2048, seed=19)  # batches of 1024, 1024 and 452
         eps_grid = (1.0, 0.01, 2.0)
         probes = sb.probe_smallball_raw(sb.BrownianProcess(), part, eps_grid, cfg)
         singles = [sb.estimate_smallball_raw(sb.BrownianProcess(), part, eps, cfg) for eps in eps_grid]
@@ -190,26 +189,19 @@ class TestRawSmallball:
 
 class TestConditionalSmallball:
     def test_deterministic_clock_zero_variance(self):
-        cfg = McConfig(samples=200, n_steps=64, seed=6)
-        c = 0.7
-        est = sb.estimate_smallball_conditional(lambda n, g: np.full(n, c), 1.0, 0.4, cfg)
-        assert est.estimate == pytest.approx(sb.sup_bm_cdf(0.4 / np.sqrt(c)), rel=1e-14)
-        assert est.std_error < 1e-10  # analytically zero; float cancellation residue
-        # across many batches the merge must not amplify rounding: a sum of
-        # squares formula leaves an SE of ~1e-12 here
-        cfg = McConfig(samples=100_000, n_steps=64, seed=6, batch_size=700)
-        c = 0.37
-        est = sb.estimate_smallball_conditional(lambda n, g: np.full(n, c), 1.0, 0.3, cfg)
-        assert est.estimate == pytest.approx(sb.sup_bm_cdf(0.3 / np.sqrt(c)), rel=1e-14)
-        assert est.std_error <= 1e-15 * est.estimate
+        # a zero weight freezes the clock at 0, so Z stays at 0 and every
+        # probe is certain
+        cfg = McConfig(samples=600, n_steps=64, seed=6)
+        probes = sb.probe_smallball_conditional(sb.PowerClockSpec(2.0, rho=0.0), 1.0, (0.4, 0.1, 1e-3), cfg)
+        assert [(r.estimate, r.std_error, r.samples) for r in probes] == [(1.0, 0.0, 600)] * 3
 
-    def test_precomputed_sample_input(self):
-        samples = np.array([0.5, 1.0, 2.0])
-        cfg = McConfig(samples=3, n_steps=64, seed=7)
-        est = sb.estimate_smallball_conditional(samples, 1.0, 0.5, cfg)
-        want = np.mean(sb.sup_bm_cdf(0.5 / np.sqrt(samples)))
-        assert est.estimate == pytest.approx(want, rel=1e-14)
-        assert est.samples == 3
+    def test_probe_grid_in_any_order(self):
+        # every eps is its own column, so permuting the grid, or repeating an
+        # eps, permutes the results bit for bit
+        cfg = McConfig(samples=3000, n_steps=2048, seed=20)  # batches of 1024, 1024 and 952
+        probes = sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg)
+        permuted = sb.probe_smallball_conditional(_CHAOS, 1.0, (0.2, 0.5, 0.2, 0.3), cfg)
+        assert permuted == [probes[2], probes[0], probes[2], probes[1]]
 
     def test_non_finite_eps_rejected(self):
         cfg = McConfig(samples=3, n_steps=64, seed=7)
@@ -217,12 +209,19 @@ class TestConditionalSmallball:
             with pytest.raises(ValueError, match="finite"):
                 sb.probe_smallball_conditional(sb.ChaosClockSpec((1.0,)), 1.0, eps_grid, cfg)
 
-    def test_bad_clock_samples_rejected(self):
-        # arrays, callables and simulated clocks share one check, and NaN fails it
+    def test_empty_eps_grid_rejected(self):
         cfg = McConfig(samples=3, n_steps=64, seed=7)
-        for clock in (np.array([0.5, np.nan]), lambda n, g: np.full(n, -1.0), lambda n, g: np.full(n, np.nan)):
-            with pytest.raises(ValueError, match="nonnegative"):
-                sb.estimate_smallball_conditional(clock, 1.0, 0.5, cfg)
+        with pytest.raises(ValueError, match="at least one eps"):
+            sb.probe_smallball_conditional(sb.ChaosClockSpec((1.0,)), 1.0, (), cfg)
+        with pytest.raises(ValueError, match="at least one eps"):
+            sb.probe_smallball_raw(sb.BrownianProcess(), _WINDOW, (), cfg)
+
+    def test_bad_clock_samples_rejected(self):
+        # |B|^2000 overflows over a long horizon; the path sampler's finiteness
+        # check reports it instead of a probability read off inf
+        cfg = McConfig(samples=10, n_steps=64, seed=7)
+        with pytest.raises(sb.NumericError, match="not finite"):
+            sb.estimate_smallball_conditional(sb.PowerClockSpec(2000.0), 100.0, 0.5, cfg)
 
     def test_large_eps_saturates(self):
         spec = sb.ChaosClockSpec((1.0,))
@@ -311,9 +310,10 @@ class TestLaplaceEstimation:
         cfg = McConfig(samples=10, n_steps=64, seed=0)
         with pytest.raises(ValueError):
             sb.estimate_laplace(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), -1.0, cfg)
-        # NaN fails the nonnegativity check too
-        with pytest.raises(ValueError, match="nonnegative"):
-            sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), (1.0, np.nan), cfg)
+        # NaN, inf and an empty list fail the same check
+        for lams in ((1.0, np.nan), (1.0, np.inf), ()):
+            with pytest.raises(ValueError, match="nonnegative"):
+                sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), lams, cfg)
 
 
 _CHAOS = sb.ChaosClockSpec((0.5, 0.25))
@@ -325,9 +325,7 @@ _ESTIMATORS = {
     ),
     "estimate_smallball_raw": lambda cfg: [sb.estimate_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, 0.6, cfg)],
     "estimate_smallball_conditional": lambda cfg: [sb.estimate_smallball_conditional(_CHAOS, 1.0, 0.3, cfg)],
-    "probe_smallball_conditional": lambda cfg: list(
-        sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg).results
-    ),
+    "probe_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg),
     "probe_smallball_raw": lambda cfg: sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg),
 }
 
@@ -335,19 +333,30 @@ _ESTIMATORS = {
 class TestWorkerInvariance:
     @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
     def test_workers_do_not_change_results(self, name):
-        # seven batches, the last one short, spread over two threads
-        cfg = McConfig(samples=3000, n_steps=128, seed=17, batch_size=450)
-        serial = _ESTIMATORS[name](cfg)
-        threaded = _ESTIMATORS[name](McConfig(samples=3000, n_steps=128, seed=17, batch_size=450, workers=2))
+        # batches of 1024, 1024 and 952, spread over two threads
+        serial = _ESTIMATORS[name](McConfig(samples=3000, n_steps=2048, seed=17))
+        threaded = _ESTIMATORS[name](McConfig(samples=3000, n_steps=2048, seed=17, workers=2))
         assert [(r.estimate, r.std_error) for r in serial] == [(r.estimate, r.std_error) for r in threaded]
         assert all(r.samples == 3000 and r.std_error > 0 for r in serial)
 
 
+class TestBatchMerge:
+    def test_constant_samples_merge_without_residue(self):
+        # 391 batches (390 of 256 and one of 160): merging their moments must
+        # not amplify rounding, where a sum-of-squares formula leaves an SE of
+        # ~4e-10 relative
+        cfg = McConfig(samples=100_000, n_steps=2**14, seed=6)
+        assert len(mc._batch_sizes(cfg)) == 391
+        c = 0.37
+        ((mean, se, n),) = mc._batched_moments(lambda b, gen: np.full((b, 1), c), cfg)
+        assert n == 100_000
+        assert mean == pytest.approx(c, rel=1e-14)
+        assert se <= 1e-15 * mean
+
+
 # Default batch layout: 512 samples at N = 512 split into two batches of 256.
 _DEFAULT_LAYOUT = {
-    "probe_smallball_conditional": lambda cfg: list(
-        sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg).results
-    ),
+    "probe_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg),
     "probe_smallball_raw": lambda cfg: sb.probe_smallball_raw(
         sb.ChaosDirectProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg
     ),
@@ -376,8 +385,8 @@ class TestDefaultBatchLayout:
         q = (1.0, 0.5)
         cfg = McConfig(samples=20_000, n_steps=64, seed=47, workers=2)
         assert cfg.effective_batch == 10_000
-        grid = sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, (0.8, 0.5), cfg)
-        for eps, est in zip(grid.epsilons, grid.results):
+        eps_grid = (0.8, 0.5)
+        for eps, est in zip(eps_grid, sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, eps_grid, cfg)):
             assert abs(est.estimate - sb.oracle_smallball_chaos(eps, 1.0, q, n_steps=64)) < 4 * est.std_error
 
 
@@ -441,7 +450,7 @@ class TestConstantExtraction:
         eps = (0.4, 0.3, 0.2, 0.15, 0.1)
         k = 0.5
         results = tuple(sb.EstimateResult(np.exp(-k / e), 0.0, 1, 0) for e in eps)
-        ext = sb.extract_constant(sb.ProbeGrid(eps, results), (1.0, 0.0))
+        ext = sb.extract_constant(eps, results, (1.0, 0.0))
         assert ext.k_hat == pytest.approx([k] * 5, rel=1e-12)
         assert ext.extrapolated == pytest.approx(k, rel=1e-10)
 
@@ -450,7 +459,7 @@ class TestConstantExtraction:
         eps = (0.4, 0.3, 0.2, 0.15, 0.1)
         k = 0.5
         results = tuple(sb.EstimateResult(np.exp(-k / e) * (1 + e), 0.0, 1, 0) for e in eps)
-        ext = sb.extract_constant(sb.ProbeGrid(eps, results), (1.0, 0.0))
+        ext = sb.extract_constant(eps, results, (1.0, 0.0))
         assert abs(ext.extrapolated - k) < 2 * max(eps[-3:]) ** 2
         assert ext.gaps_non_increasing
 
@@ -458,7 +467,7 @@ class TestConstantExtraction:
         # numpy scalars would print as np.float64(...) in detail lines
         eps = (0.4, 0.3, 0.2)
         results = tuple(sb.EstimateResult(np.exp(-0.5 / e), 0.0, 1, 0) for e in eps)
-        ext = sb.extract_constant(sb.ProbeGrid(eps, results), (1.0, 0.0))
+        ext = sb.extract_constant(eps, results, (1.0, 0.0))
         for values in (ext.epsilons, ext.k_hat, ext.gaps):
             assert all(type(x) is float for x in values)
         assert type(ext.extrapolated) is float
@@ -472,7 +481,7 @@ class TestConstantExtraction:
             sb.EstimateResult(0.2, 0.01, 100, 0),
             sb.EstimateResult(0.05, 0.004, 100, 0),
         )
-        ext = sb.extract_constant(sb.ProbeGrid(eps, results), (2.0, 1.0))
+        ext = sb.extract_constant(eps, results, (2.0, 1.0))
         kept = [(e, r) for e, r in zip(eps, results) if r.estimate > 0]
         want = [e**2 * abs(np.log(e)) * r.std_error / r.estimate for e, r in kept]
         assert ext.k_hat_se == pytest.approx(want, rel=1e-14)
@@ -486,7 +495,7 @@ class TestConstantExtraction:
             sb.EstimateResult(0.2, 0.0, 1, 0),
             sb.EstimateResult(0.1, 0.0, 1, 0),
         )
-        ext = sb.extract_constant(sb.ProbeGrid(eps, results), (1.0, 0.0))
+        ext = sb.extract_constant(eps, results, (1.0, 0.0))
         assert ext.dropped == (1,)
         assert len(ext.k_hat) == 3
 
@@ -494,22 +503,21 @@ class TestConstantExtraction:
         eps = (0.4, 0.3)
         results = tuple(sb.EstimateResult(0.5, 0.0, 1, 0) for _ in eps)
         with pytest.raises(ValueError):
-            sb.extract_constant(sb.ProbeGrid(eps, results), (1.0, 0.0))
+            sb.extract_constant(eps, results, (1.0, 0.0))
 
     def test_probe_grid_validation(self):
-        with pytest.raises(ValueError):
-            sb.ProbeGrid((0.1, 0.2), (sb.EstimateResult(0.5, 0, 1, 0),) * 2)  # increasing
-        with pytest.raises(ValueError):
-            sb.ProbeGrid((0.2, 0.1), (sb.EstimateResult(0.5, 0, 1, 0),))  # length
+        results = (sb.EstimateResult(0.5, 0, 1, 0),) * 3
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            sb.extract_constant((0.3, 0.1, 0.2), results, (1.0, 0.0))
+        with pytest.raises(ValueError, match="one result per epsilon"):
+            sb.extract_constant((0.4, 0.3, 0.2, 0.1), results, (1.0, 0.0))
 
     def test_probe_matches_single_eps_estimator(self):
         # the shared-clock probe reproduces the standalone estimator exactly
         spec = sb.ChaosClockSpec((0.5,))
         cfg = McConfig(samples=3000, n_steps=256, seed=18)
-        grid = sb.probe_smallball_conditional(spec, 1.0, (0.5, 0.3), cfg)
-        single = sb.estimate_smallball_conditional(spec, 1.0, 0.3, cfg)
-        assert grid.results[1].estimate == single.estimate
-        assert grid.results[1].std_error == single.std_error
+        probes = sb.probe_smallball_conditional(spec, 1.0, (0.5, 0.3), cfg)
+        assert probes[1] == sb.estimate_smallball_conditional(spec, 1.0, 0.3, cfg)
 
 
 class TestKsAndRecords:
@@ -551,8 +559,6 @@ class TestKsAndRecords:
         assert rec["seed"] == 42
         assert rec["zeroHits"] is False
         assert sb.EstimateResult(0.0, 0.01, 400, 42, zero_hits=True).record("laplace", {})["zeroHits"] is True
-        parsed = json.loads(est.to_json("laplace", {"lambda": 2.0}))
-        assert parsed["estimate"] == 0.25
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -667,9 +673,8 @@ class TestSpectralClockEstimators:
         spec = sb.ChaosClockSpec((1.0, 0.5))
         eps_grid = (0.8, 0.5)
         cfg = McConfig(samples=200_000, n_steps=8, seed=46)
-        grid = sb.probe_smallball_conditional(spec, 1.0, eps_grid, cfg)
         m = np.arange(60)
-        for eps, est in zip(eps_grid, grid.results):
+        for eps, est in zip(eps_grid, sb.probe_smallball_conditional(spec, 1.0, eps_grid, cfg)):
             lams = (2 * m + 1) ** 2 * np.pi**2 / (8.0 * eps * eps)
             terms = np.exp([_dense_log_laplace(lam, 1.0, 8, spec) for lam in lams])
             want = 4.0 / np.pi * np.sum(np.where(m % 2 == 0, 1.0, -1.0) / (2 * m + 1) * terms)
@@ -679,8 +684,8 @@ class TestSpectralClockEstimators:
         # the sampler draws 27 of the 50 terms; the oracle keeps all 50
         q = sb.geometric_q(0.5, 50)
         cfg = McConfig(samples=20_000, n_steps=64, seed=50, workers=2)
-        grid = sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, (0.4, 0.2), cfg)
-        for eps, est in zip(grid.epsilons, grid.results):
+        eps_grid = (0.4, 0.2)
+        for eps, est in zip(eps_grid, sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, eps_grid, cfg)):
             assert abs(est.estimate - sb.oracle_smallball_chaos(eps, 1.0, q, n_steps=64)) < 4 * est.std_error
 
 
