@@ -440,6 +440,12 @@ def log_oracle_smallball_chaos(eps: float, t: float, q, n_steps: int | None = No
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
+    # 2 lam_k of the first chunk (2k+1 <= 15) must not overflow; the 1e-12
+    # margin covers the rounding of lam_k.  log P, about -(pi/2)/eps, stays
+    # finite far below this bound.
+    eps_min = 15.0 * np.pi / (2.0 * np.sqrt(np.finfo(float).max)) * (1.0 + 1e-12)
+    if eps < eps_min:
+        raise ValueError(f"eps must be at least {eps_min:.4g}, got eps = {eps:g}: below it lam_k overflows")
     clock = ChaosClockSpec(q)
     lam0 = np.pi**2 / (8.0 * eps * eps)
     log0, total = _log_laplace(lam0, t, clock, n_steps)[0], 0.0

@@ -2,8 +2,16 @@
 
 Every simulator is a pure function of its arguments and an RNG stream:
 distinct (seed, stream_id) pairs give statistically independent streams, and
-the same pair reproduces output bit-for-bit on any platform or thread layout
-(numpy's PCG64 + SeedSequence guarantee).  Each process has one increment
+the same pair gives the same stream on any platform (numpy's PCG64 +
+SeedSequence guarantee) and the same output under any thread layout.  Kernels
+that draw normals (Brownian paths, power clocks, the time change's xi, the
+p = 2 spectral draw) repeat their bits on any platform.  Kernels that
+transform uniforms with numpy's vectorized ``log`` or ``tan`` (the chaos
+spectral draw's Exp(1) inversion, and the Box-Muller pairs behind chaos
+clocks and direct chaos sums) repeat their bits for a given numpy build and
+CPU: those functions may round differently elsewhere (``np.tan`` and the C
+library's ``tan`` differ by one ulp on about 0.5% of arguments on one x86-64
+build), but their law holds everywhere.  Each process has one increment
 kernel, and every batch sampler runs it through one block loop whose layout
 depends only on the arguments, so batching is not a source of
 nondeterminism; a single path (``simulate_path``) is a one-row call of the
@@ -20,6 +28,10 @@ Simulated objects:
   terms.
 * Single Levy areas and weighted chaos sums Z = sum_j q_j int X_j dY_j - Y_j dX_j
   via left-point Ito sums.
+* In both, each planar increment (dX_j, dY_j) is one Box-Muller pair
+  (``_fill_planar_normals``): a planar Gaussian is rotation invariant, so a
+  uniform radius-and-angle pair gives its law exactly, up to the 2^-53 grid
+  of the uniforms, at about half the cost of two ziggurat normals.
 * Time-changed Brownian motion B(C(t)): independent Gaussian increments with
   variances given by the per-step clock increments.
 * The terminal value C_N(t) of a chaos clock, or of a p = 2 power clock with
@@ -289,18 +301,54 @@ class _Workspace:
     ``steps`` (2 rows, N) and ``paths`` (2 rows, N+1) each stack two blocks:
     the chaos kernels take their first 2b rows as one view, X_j in rows
     [0, b) and Y_j in rows [b, 2b), so one call draws, scales or cumulates
-    both, in the stream order of two (b, N) draws.
+    both.  ``scratch`` lends the planar-pair draw a contiguous (b, N) view of
+    ``paths``, which the chaos kernels rewrite after each draw or never read.
     """
 
     def __init__(self, rows: int, n_steps: int):
         self.steps = np.empty((2 * rows, n_steps))
         self.paths = np.empty((2 * rows, n_steps + 1))
 
+    def scratch(self, b: int, n_steps: int) -> np.ndarray:
+        return self.paths.reshape(-1)[: b * n_steps].reshape(b, n_steps)
+
 
 def _cumulate(paths, d) -> None:
     """Paths (b, N+1) started at 0 from their per-step increments d (b, N)."""
     paths[:, 0] = 0.0
     np.cumsum(d, axis=1, out=paths[:, 1:])
+
+
+def _fill_planar_normals(gen, xy, scratch, variance: float) -> None:
+    """Fill xy (2b, N) with i.i.d. N(0, variance) values; xy[i, k] and xy[b + i, k] form one pair.
+
+    Rows [0, b) and [b, 2b) hold the two coordinates (X, Y) = R (cos theta,
+    sin theta) of a pair, drawn from one (2b, N) block of uniforms: the first
+    half gives the radius R = sqrt(-2 variance log(1 - U)), the second the
+    half-angle tangent t = tan(pi (U - 1/2)), and cos theta = (1 - t^2) / (1 + t^2),
+    sin theta = 2t / (1 + t^2) (Box & Muller, Ann. Math. Stat. 1958).  A
+    planar Gaussian is rotation invariant, so this is its law exactly, up to
+    the 2^-53 grid of U: 1 - U is exact and positive, R <= sqrt(106 ln 2)
+    times the standard deviation (a cut tail of probability 2^-53), and
+    |t| <= 1.7e16 stays finite.  ``scratch`` is a contiguous (b, N) buffer.
+    """
+    gen.random(out=xy)
+    b = len(xy) // 2
+    r, t = xy[:b], xy[b:]
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0 * variance
+    np.sqrt(r, out=r)
+    t -= 0.5
+    t *= np.pi
+    np.tan(t, out=t)
+    np.multiply(t, t, out=scratch)
+    scratch += 1.0  # 1 + t^2
+    r /= scratch
+    np.subtract(2.0, scratch, out=scratch)  # 1 - t^2
+    t *= r
+    t += t  # Y = 2 t R / (1 + t^2)
+    r *= scratch  # X = (1 - t^2) R / (1 + t^2)
 
 
 def _fill_bm(paths, buf, scale: float, rng) -> None:
@@ -353,15 +401,13 @@ def _fill_chaos_clock_steps(d_c, ws: _Workspace, spec: ChaosClockSpec, horizon: 
     """
     b, n_steps = d_c.shape
     h = horizon / n_steps
-    sqh = np.sqrt(h)
     xy = ws.steps[: 2 * b]
+    scratch = ws.scratch(b, n_steps)
     d_c[:] = 0.0
     for qj in _sampled_q(spec):
-        rng.standard_normal(out=xy)  # X_j, then Y_j
-        xy *= sqh
+        _fill_planar_normals(rng, xy, scratch, h * qj**2)  # q_j dX_j, then q_j dY_j
         np.cumsum(xy, axis=1, out=xy)
         np.multiply(xy, xy, out=xy)
-        np.multiply(xy, qj * qj, out=xy)
         d_c += xy[:b]
         d_c += xy[b:]
     trap = xy[:b]
@@ -383,21 +429,21 @@ def _fill_clock_steps(d_c, ws: _Workspace, spec: ClockSpec, times, rng) -> None:
 def _fill_chaos_direct_increments(d_z, ws: _Workspace, q, horizon: float, rng) -> None:
     """Increments of Z = sum_j q_j (X_j dY_j - Y_j dX_j) into d_z (b, N); left-point sums."""
     b, n_steps = d_z.shape
-    sqh = np.sqrt(horizon / n_steps)
+    h = horizon / n_steps
     d_z[:] = 0.0
     d_xy = ws.steps[: 2 * b]
     left = ws.paths[: 2 * b, :n_steps]
+    scratch = ws.scratch(b, n_steps)  # free until the cumsum rewrites left
     d_x, d_y, x_left, y_left = d_xy[:b], d_xy[b:], left[:b], left[b:]
     for qj in q:
-        rng.standard_normal(out=d_xy)  # dX_j, then dY_j
-        d_xy *= sqh
+        # sqrt(q_j) dX_j, then sqrt(q_j) dY_j: their area term carries the factor q_j
+        _fill_planar_normals(rng, d_xy, scratch, h * qj)
         left[:, 0] = 0.0
         np.cumsum(d_xy[:, :-1], axis=1, out=left[:, 1:])
-        # d_z += q_j * (X dY - Y dX), without temporaries
+        # d_z += X dY - Y dX, without temporaries
         np.multiply(x_left, d_y, out=x_left)
         np.multiply(y_left, d_x, out=y_left)
         x_left -= y_left
-        x_left *= qj
         d_z += x_left
 
 

@@ -327,6 +327,9 @@ _ESTIMATORS = {
     "estimate_smallball_conditional": lambda cfg: [sb.estimate_smallball_conditional(_CHAOS, 1.0, 0.3, cfg)],
     "probe_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg),
     "probe_smallball_raw": lambda cfg: sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg),
+    "probe_smallball_raw_direct": lambda cfg: sb.probe_smallball_raw(
+        sb.ChaosDirectProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg
+    ),
 }
 
 
@@ -710,6 +713,15 @@ class TestExactSmallballLaw:
                 sb.log_oracle_smallball_chaos(eps, 1.0, [1.0], n_steps)
         with pytest.raises(ValueError):
             sb.oracle_smallball_chaos(0.5, 0.0, [1.0])
+
+    @pytest.mark.parametrize("n_steps", [None, 8])
+    def test_eps_below_the_overflow_bound(self, n_steps):
+        # lam_0 = pi^2 / (8 eps^2) overflows below eps ~ 1.8e-153: a usage
+        # error about eps, not about lambda; just above, log P stays finite
+        q = sb.geometric_q(0.5, 50)
+        with pytest.raises(ValueError, match="eps"):
+            sb.log_oracle_smallball_chaos(1e-155, 1.0, q, n_steps)
+        assert np.isfinite(sb.log_oracle_smallball_chaos(1e-150, 1.0, q, n_steps))
 
     @pytest.mark.parametrize("n_steps", [2, 8, 64])
     def test_matched_law_is_theta_over_dense_spectrum(self, n_steps):

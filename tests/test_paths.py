@@ -18,6 +18,16 @@ BM = sb.BrownianProcess()
 LEVY_AREA = sb.ChaosDirectProcess(sb.ChaosClockSpec((1.0,)))
 
 
+def box_muller_pair(gen, rows, n_steps, variance):
+    """(X, Y), each (rows, N), from one (2 rows, N) uniform draw: radius rows, then angle rows."""
+    u = gen.random((2 * rows, n_steps))
+    r = np.sqrt(np.log(1.0 - u[:rows]) * (-2.0 * variance))
+    t = np.tan((u[rows:] - 0.5) * np.pi)  # tan(theta / 2)
+    d = 1.0 + t * t
+    c = r / d
+    return c * (2.0 - d), 2.0 * (t * c)  # R cos(theta), R sin(theta)
+
+
 def clock_step_increments(spec, t, n_steps, rng):
     """(N,) per-step increments of one clock path: the clock half of a time change's block."""
     d_c = np.empty((1, n_steps))
@@ -206,10 +216,10 @@ class TestLevyArea:
 
 class TestChaosDirect:
     def test_single_term_reduces_to_levy_area(self):
-        # q = (1,): the left-point sum of X dY - Y dX from one (2, N) draw
+        # q = (1,): the left-point sum of X dY - Y dX from one Box-Muller pair per step
         n_steps = 128
         g = sb.simulate_path(LEVY_AREA, n_steps, 1.0, sb.RngStream(12, 5))
-        d_x, d_y = sb.RngStream(12, 5).generator().standard_normal((2, n_steps)) * np.sqrt(1.0 / n_steps)
+        d_x, d_y = (d[0] for d in box_muller_pair(sb.RngStream(12, 5).generator(), 1, n_steps, 1.0 / n_steps))
         x_left, y_left = (np.concatenate(([0.0], np.cumsum(d[:-1]))) for d in (d_x, d_y))
         assert np.array_equal(g.values[1:], np.cumsum(x_left * d_y - y_left * d_x))
 
@@ -330,19 +340,33 @@ class TestSupSamples:
             sb.sup_samples(object(), (1.0,), 64, 10, sb.RngStream(0, 0))
 
 
+_CHAOS3 = sb.ChaosClockSpec((1.0, 0.5, 0.25))
+
+
+def _traced_peak(call):
+    """Peak bytes traced by tracemalloc while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockKernels:
     def test_chaos_draw_order(self):
-        # each chaos term draws X_j for every row of the block, then Y_j:
-        # two sequential (b, N) standard normal draws per sampled term
+        # each chaos term draws one (2b, N) block of uniforms: Box-Muller
+        # radii for every row of the block, then angles, giving X_j and Y_j;
+        # the scale folds into the radius: sqrt(h q_j) for a direct sum, whose
+        # area term then carries q_j, and q_j sqrt(h) for a clock
         spec = sb.ChaosClockSpec((1.0, 0.5, 0.25))
         n_steps, b, t = 32, 5, 2.0
         h = t / n_steps
 
-        def reference_pairs(seed, rows):
+        def reference_pairs(seed, rows, power):
             gen = sb.RngStream(seed, 0).generator()
             for qj in _sampled_q(spec):
-                d_x = gen.standard_normal((rows, n_steps)) * np.sqrt(h)
-                yield qj, d_x, gen.standard_normal((rows, n_steps)) * np.sqrt(h)
+                yield box_muller_pair(gen, rows, n_steps, h * qj**power)
 
         def left(dw):
             out = np.zeros_like(dw)
@@ -351,16 +375,16 @@ class TestBlockKernels:
 
         def clock_steps(seed, rows):
             v = np.zeros((rows, n_steps + 1))
-            for qj, d_x, d_y in reference_pairs(seed, rows):
+            for d_x, d_y in reference_pairs(seed, rows, 2):
                 for dw in (d_x, d_y):
                     w = np.zeros((rows, n_steps + 1))
                     np.cumsum(dw, axis=1, out=w[:, 1:])
-                    v += w * w * (qj * qj)
+                    v += w * w
             return (v[:, :-1] + v[:, 1:]) * (0.5 * h)
 
         d_z = np.zeros((b, n_steps))
-        for qj, d_x, d_y in reference_pairs(22, b):
-            d_z += (left(d_x) * d_y - left(d_y) * d_x) * qj
+        for d_x, d_y in reference_pairs(22, b, 1):
+            d_z += left(d_x) * d_y - left(d_y) * d_x
         assert np.array_equal(_increments(sb.ChaosDirectProcess(spec), (t,), n_steps, b, sb.RngStream(22, 0)), d_z)
         assert np.array_equal(clock_step_increments(spec, t, n_steps, sb.RngStream(23, 0)), clock_steps(23, 1)[0])
         c = sb.clock_terminal_samples(spec, t, n_steps, b, sb.RngStream(24, 0))
@@ -371,18 +395,68 @@ class TestBlockKernels:
         [
             lambda: sb.sup_samples(sb.BrownianProcess(), (1.0,), 512, 4096, sb.RngStream(24, 0)),
             lambda: sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0), 1.0, 2**14, 256, sb.RngStream(24, 1)),
+            lambda: sb.sup_samples(sb.ChaosDirectProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 2)),
+            lambda: sb.sup_samples(sb.TimeChangedProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 3)),
         ],
     )
     def test_block_buffers_stay_small(self, draw):
         # block buffers of 2^17 doubles (1 MB) bound the working set; 16 MB
         # blocks made each of these calls peak near 96 MB
-        tracemalloc.start()
-        try:
-            draw()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert _traced_peak(draw) < 8 * 2**20
+
+    def test_chaos_pairs_allocate_no_scratch(self):
+        # the planar-pair draw borrows its scratch from the block workspace:
+        # the chaos kernels peak within half a block buffer of the Brownian
+        # fill at the same shape (a 1 MB scratch per term would add 1 MB)
+        def peak(process):
+            return _traced_peak(lambda: sb.sup_samples(process, (1.0,), 512, 4096, sb.RngStream(24, 4)))
+
+        base = peak(sb.BrownianProcess())
+        for process in (sb.ChaosDirectProcess(_CHAOS3), sb.TimeChangedProcess(_CHAOS3)):
+            assert peak(process) < base + 2**19
+
+
+class TestPlanarNormals:
+    # one Box-Muller pair per (X, Y) entry: (R cos theta, R sin theta) with
+    # R = sqrt(-2 log(1 - U1)) and tan(theta / 2) = tan(pi (U2 - 1/2))
+    def test_law(self):
+        from scipy.stats import kstest
+
+        b, n_steps = 400, 512  # 204800 pairs
+        xy, scratch = np.empty((2 * b, n_steps)), np.empty((b, n_steps))
+        paths._fill_planar_normals(sb.RngStream(60, 0).generator(), xy, scratch, 1.0)
+        x, y = xy[:b].ravel(), xy[b:].ravel()
+        n = x.size
+        # N(0, 1): E v^2 = 1, E v^4 = 3, E v^8 = 105, so Var v^2 = 2 and Var v^4 = 96
+        for v in (x, y):
+            assert abs(v.mean()) < 4 / np.sqrt(n)
+            assert abs(np.mean(v**2) - 1.0) < 4 * np.sqrt(2.0 / n)
+            assert abs(np.mean(v**4) - 3.0) < 4 * np.sqrt(96.0 / n)
+            assert kstest(v, "norm").pvalue > 1e-3
+        # independence: Var XY = 1 and Var X^2 Y^2 = 9 - 1 = 8
+        assert abs(np.mean(x * y)) < 4 / np.sqrt(n)
+        assert abs(np.mean(x * x * y * y) - 1.0) < 4 * np.sqrt(8.0 / n)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53], ids=["zero", "largest"])
+    def test_extreme_uniforms_stay_finite(self, u):
+        # U = 0 gives R = 0; the largest U gives R = sqrt(106 ln 2) at an angle
+        # just short of pi, where t = tan(pi (U - 1/2)) ~ 2e15 is still finite
+        class ConstantUniform:
+            def random(self, out):
+                out[:] = u
+
+        xy, scratch = np.empty((4, 8)), np.empty((2, 8))
+        with np.errstate(all="raise"):
+            paths._fill_planar_normals(ConstantUniform(), xy, scratch, 1.0)
+        x, y = xy[:2], xy[2:]
+        r_max = np.sqrt(106 * np.log(2.0))
+        if u == 0.0:
+            assert np.all(xy == 0.0)
+        else:
+            assert np.all(np.isfinite(xy))
+            assert x == pytest.approx(np.full((2, 8), -r_max), rel=1e-15, abs=0.0)
+            assert np.all(np.abs(y) < 1e-14)
+        assert np.all(np.hypot(x, y) <= r_max * (1 + 1e-15))
 
 
 class TestTimeGridChecks:
