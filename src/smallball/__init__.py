@@ -31,22 +31,12 @@ from .mc import (
     ConstantExtraction,
     EstimateResult,
     McConfig,
-    estimate_laplace,
     estimate_laplace_multi,
-    estimate_smallball_conditional,
-    estimate_smallball_raw,
     extract_constant,
     ks_critical_value,
     ks_two_sample,
-    log_oracle_laplace_chaos,
-    log_oracle_laplace_intbm2,
-    log_oracle_laplace_matched,
-    log_oracle_smallball_chaos,
-    logcosh,
-    oracle_laplace_chaos,
-    oracle_laplace_intbm2,
-    oracle_laplace_matched,
-    oracle_smallball_chaos,
+    log_laplace,
+    log_smallball,
     probe_smallball_conditional,
     probe_smallball_raw,
     sup_bm_grid_cdf,

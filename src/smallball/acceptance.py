@@ -22,7 +22,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import mc, paths, schrodinger
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA", "lil_demo_trajectory"]
+__all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 # Stream-id offsets per criterion; keeps all acceptance randomness disjoint.
 # A Monte Carlo run draws one stream per batch from its base up (C5(b) and C7
@@ -32,7 +32,6 @@ _STREAM_C4 = 400
 _STREAM_C5B = 520
 _STREAM_C6 = 600
 _STREAM_C7 = 700
-_STREAM_LIL = 900
 _STREAM_C5A = 1000
 
 # Monte Carlo budgets; each criterion sets the master seed with ``replace``.
@@ -106,7 +105,7 @@ def criterion_3(seed: int) -> CriterionResult:
             abs(back.big_k - o.big_k) / o.big_k,
         )
     lam = 1e8
-    slope = -mc.log_oracle_laplace_intbm2(lam, 1.0) / np.sqrt(lam)
+    slope = -mc.log_laplace(paths.PowerClockSpec(2.0), 1.0, lam)[0] / np.sqrt(lam)
     slope_err = abs(slope - 2.0**-0.5)
     ok = worst <= 1e-12 and slope_err <= 1e-3
     detail = f"round-trip worst rel err {worst:.2e} (tol 1e-12); slope {slope:.8f} vs 1/sqrt2, |err|={slope_err:.2e} (tol 1e-3)"
@@ -167,10 +166,11 @@ def criterion_5(seed: int) -> CriterionResult:
     part1 = asy.Partition((1.0,))
     cfg = replace(_C5B_CONFIG, seed=seed)
     lams = (1.0, 5.0, 10.0)
-    for lam, est in zip(lams, mc.estimate_laplace_multi(clock, part1, lams, cfg)):
-        matched = mc.oracle_laplace_matched(lam, 1.0, cfg.n_steps, clock)
+    ests = mc.estimate_laplace_multi(clock, part1, lams, cfg)
+    matched_law = np.exp(mc.log_laplace(clock, 1.0, lams, cfg.n_steps))
+    exact_law = np.exp(mc.log_laplace(clock, 1.0, lams))
+    for lam, est, matched, exact in zip(lams, ests, matched_law, exact_law):
         z = (est.estimate - matched) / est.std_error
-        exact = mc.oracle_laplace_intbm2(lam, 1.0)
         rel = abs(est.estimate - exact) / exact
         ok &= abs(z) <= 3.0 and rel <= 0.01
         lines.append(
@@ -219,7 +219,7 @@ def criterion_7(seed: int) -> CriterionResult:
 
     Probes P(sup_{[0,1]}|Z| <= eps) on a decreasing eps grid for the geometric
     chaos clock (trace norm 2).  Each probe sits within 3 SE of the exact law
-    at its own grid (``oracle_smallball_chaos`` with n_steps).  The empirical
+    at its own grid (``log_smallball`` with n_steps).  The empirical
     constant at the smallest eps is within 30% of (pi/4) * 2, with the gap to
     the extrapolated limit contracting along the grid.  For this clock
     prod_j cosh(x 2^-j) = sinh(x)/x (Levy's area formula), so K_hat(eps) =
@@ -232,10 +232,8 @@ def criterion_7(seed: int) -> CriterionResult:
     cfg = replace(_C7_CONFIG, seed=seed)
     eps_grid = (0.4, 0.3, 0.2, 0.15, 0.1)
     probes = mc.probe_smallball_conditional(spec, 1.0, eps_grid, cfg)
-    zs = [
-        (r.estimate - mc.oracle_smallball_chaos(eps, 1.0, _GEOMETRIC_Q, cfg.n_steps)) / r.std_error
-        for eps, r in zip(eps_grid, probes)
-    ]
+    exact = np.exp(mc.log_smallball(spec, 1.0, eps_grid, cfg.n_steps))
+    zs = [(r.estimate - p) / r.std_error for r, p in zip(probes, exact)]
     ext = mc.extract_constant(eps_grid, probes, (1.0, 0.0))
     k_last = ext.k_hat[-1]
     rel = abs(k_last - target) / target
@@ -261,7 +259,7 @@ def criterion_8(seed: int) -> CriterionResult:
     combined = asy.weighted_sum_constant(base, asy.WeightSequenceSpec.geometric(0.25))
     image = asy.tauberian_forward(asy.AsymptoticOrder(1.0, 0.0, combined))
     lam = 1e8
-    slope = -mc.log_oracle_laplace_chaos(lam, 1.0, _GEOMETRIC_Q) / np.sqrt(lam)
+    slope = -mc.log_laplace(paths.ChaosClockSpec(_GEOMETRIC_Q), 1.0, lam)[0] / np.sqrt(lam)
     rel = abs(slope - image.big_l) / image.big_l
     detail = (
         f"combined K={combined:.10f} (exact 1/2), Laplace image L={image.big_l:.10f} (exact sqrt2); "
@@ -281,24 +279,18 @@ CRITERIA = [
     criterion_8,
 ]
 
-_LIL_NOTE = (
-    "C9: almost-sure limit laws (Chung-type and functional LIL) are not "
-    "acceptance targets; `smallball lil-demo` illustrates the liminf scaling "
-    "qualitatively with no pass/fail contract."
-)
-
 
 def run_all(seed: int = 42, only=None, printer=print) -> list[CriterionResult]:
     """Run the acceptance criteria in order, printing one line per criterion.
 
-    ``only`` selects criterion ids (C1-C9, C9 being the LIL note); an unknown
-    id raises ValueError before anything runs.
+    ``only`` selects criterion ids (C1-C8); an unknown id raises ValueError
+    before anything runs.
     """
     selected = set(only) if only else None
     cids = [fn.__name__.replace("criterion_", "C") for fn in CRITERIA]
-    if selected is not None and not selected <= {*cids, "C9"}:
-        unknown = ", ".join(map(repr, sorted(selected - {*cids, "C9"})))
-        raise ValueError(f"unknown criterion id(s) {unknown}; choose from {', '.join(cids)}, C9")
+    if selected is not None and not selected <= set(cids):
+        unknown = ", ".join(map(repr, sorted(selected - set(cids))))
+        raise ValueError(f"unknown criterion id(s) {unknown}; choose from {', '.join(cids)}")
     results = []
     for cid, fn in zip(cids, CRITERIA):
         if selected is not None and cid not in selected:
@@ -307,35 +299,7 @@ def run_all(seed: int = 42, only=None, printer=print) -> list[CriterionResult]:
         status = "PASS" if res.passed else "FAIL"
         printer(f"[{status}] {res.cid} {res.label}: {res.detail} [{res.seconds:.1f}s / budget {res.budget_seconds:.0f}s]")
         results.append(res)
-    if selected is None or "C9" in selected:
-        printer(f"[NOTE] {_LIL_NOTE}")
     n_pass = sum(r.passed for r in results)
     printer(f"{n_pass}/{len(results)} criteria passed (seed {seed})")
     return results
 
-
-def lil_demo_trajectory(seed: int = 42, horizon: float = 2000.0, n_steps: int = 2**18, q_terms: int = 50):
-    """Trajectory of (log log t / t) * sup_{[0,t]} |Z| for the LIL demonstration.
-
-    Simulates one long path of the geometric chaos integral via its time-change
-    representation and evaluates the Chung-type scaling at log-spaced
-    checkpoints from t = 10 to the horizon, each read at the grid node at or
-    before it.  Returns (checkpoint times, scaled sups, liminf target).  A
-    horizon of at most 10, or a grid on which t = 10 rounds down to node 0,
-    raises ValueError before anything is simulated.  Qualitative only: the
-    liminf is approached on doubly exponential time scales, far beyond any
-    finite horizon.
-    """
-    if not 10.0 < horizon < np.inf:
-        raise ValueError(f"horizon must be finite and exceed the first checkpoint t = 10, got {horizon!r}")
-    checkpoints = np.geomspace(10.0, horizon, 14)
-    idx = np.minimum((checkpoints / horizon * n_steps).astype(int), n_steps)
-    if idx[0] < 1:
-        raise ValueError(f"n_steps = {n_steps} is too coarse: the first checkpoint t = 10 rounds down to node 0")
-    spec = paths.ChaosClockSpec(paths.geometric_q(0.5, q_terms))
-    z = paths.simulate_path(paths.TimeChangedProcess(spec), n_steps, horizon, paths.RngStream(seed, _STREAM_LIL))
-    run = z.running_sup()
-    t = idx * horizon / n_steps
-    ratio = np.log(np.log(t)) / t * run[idx]
-    target = np.pi / 4.0 * spec.one_norm
-    return t, ratio, target

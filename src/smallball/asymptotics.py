@@ -159,12 +159,6 @@ class Partition:
     def horizon(self) -> float:
         return self.times[-1]
 
-    def scaled_weights(self, c: float) -> "Partition":
-        """Copy of the partition with all weights multiplied by c > 0."""
-        _require(c > 0, "scale must be positive")
-        _require(self.weights is not None, "partition has no weights")
-        return Partition(self.times, self.windows, tuple(c * d for d in self.weights))
-
 
 @dataclass(frozen=True)
 class IteratedSpec:

@@ -2,8 +2,7 @@
 
 Subcommands cover every package operation: closed-form constants, the
 ground-state solver, spectral data of antisymmetric matrices, path and clock
-simulation, small-ball and Laplace estimation, the acceptance suite, and a
-qualitative law-of-iterated-logarithm demonstration.
+simulation, small-ball and Laplace estimation, and the acceptance suite.
 
 Results print human-readably on stdout; ``--output FILE`` additionally writes
 a machine-readable record with schema
@@ -332,15 +331,19 @@ def _cmd_laplace(args) -> int:
     clock = _clock_from(args)
     times = tuple(args.t) if args.t else (1.0,)
     part = asy.Partition(times, weights=tuple(args.d) if args.d else None)
+    ests = mc.estimate_laplace_multi(clock, part, args.lam, cfg)
+    laws = [None] * len(ests)
     # one interval of a clock with a spectrum has an exact law at this grid; a weight d scales lambda
-    exact = part.m == 1 and paths.quadratic_clock_spectrum(clock, times[0], args.n_steps) is not None
+    if part.m == 1 and paths.quadratic_clock_spectrum(clock, times[0], args.n_steps) is not None:
+        d = (part.weights or (1.0,))[0]
+        laws = np.exp(mc.log_laplace(clock, times[0], [lam * d for lam in args.lam], args.n_steps)).tolist()
     results = []
-    for lam, est in zip(args.lam, mc.estimate_laplace_multi(clock, part, args.lam, cfg)):
+    for lam, est, law in zip(args.lam, ests, laws):
         line = f"lambda={lam:g}: E = {est.estimate:.6f} +/- {est.std_error:.2e} ({est.samples} samples)"
         rec = est.record("laplace", {"lambda": lam, "t": list(times), "n_steps": args.n_steps})
-        if exact:
-            rec["exact"] = mc.oracle_laplace_matched(lam * (part.weights or (1.0,))[0], times[0], args.n_steps, clock)
-            line += f" (exact {rec['exact']:.6f})"
+        if law is not None:
+            rec["exact"] = law
+            line += f" (exact {law:.6f})"
         print(line)
         results.append(rec)
     _write_record(args, "laplace", {"lambda": args.lam, "samples": args.samples, "n_steps": args.n_steps}, results)
@@ -358,27 +361,6 @@ def _cmd_verify(args) -> int:
         [{"cid": r.cid, "label": r.label, "passed": r.passed} for r in results],
     )
     return 0 if all(r.passed for r in results) else 1
-
-
-def _cmd_lil_demo(args) -> int:
-    t, ratio, target = acceptance.lil_demo_trajectory(args.seed, args.horizon, args.n_steps, args.q_terms)
-    print("=" * 72)
-    print("LIL demonstration: (log log t / t) * sup_{[0,t]} |Z| along one path.")
-    print("Demonstration only, no pass/fail: almost-sure liminf statements are")
-    print("not desk-verifiable; the liminf target is approached on doubly")
-    print("exponential time scales.")
-    print("=" * 72)
-    print(f"liminf target (pi/4)||w||_1 = {target:.6f}")
-    for ti, ri in zip(t, ratio):
-        bar = "#" * min(60, int(ri / target * 20))
-        print(f"  t={ti:10.1f}  ratio={ri:8.4f}  ratio/target={ri / target:6.2f}  {bar}")
-    _write_record(
-        args,
-        "lil-demo",
-        {"horizon": args.horizon, "n_steps": args.n_steps, "q_terms": args.q_terms},
-        [{"t": list(map(float, t)), "ratio": list(map(float, ratio)), "target": target}],
-    )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--only", help="comma-separated criterion ids, e.g. C1,C5")
     _add_common(sp)
     sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("lil-demo", help="qualitative Chung-LIL scaling demo (no pass/fail)")
-    sp.add_argument("--horizon", type=float, default=2000.0)
-    sp.add_argument("--n-steps", type=int, default=2**18)
-    sp.add_argument("--q-terms", type=int, default=DEFAULTS["truncation"])
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_lil_demo)
 
     return parser
 

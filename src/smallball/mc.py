@@ -25,12 +25,14 @@ multi-interval Laplace and raw estimators still simulate paths.  The
 conditional estimator is unbiased for the discretized clock and has strictly
 smaller variance than the raw indicator estimator (Rao-Blackwell).
 
-Exact oracles share one log-domain evaluator of a quadratic clock's Laplace
-transform over ``paths.quadratic_clock_spectrum``: continuous (the cosh
-products ``log_oracle_laplace_intbm2``, ``log_oracle_laplace_chaos``) or on the
-N-step grid the estimators sample (``log_oracle_laplace_matched``).
-``log_oracle_smallball_chaos`` sums the theta series over either; each has an
-exp form.  ``sup_bm_grid_cdf`` is the exact law of the discrete-grid Brownian
+The exact laws have one contract too: a clock spec, a time t, the probes in
+any order (duplicates allowed) and an optional grid in, one log value per
+probe out, in input order.  ``log_laplace`` gives log E exp(-lambda C(t)) and
+``log_smallball`` the theta series for log P(sup_{[0,t]} |B(C)| <= eps) over
+it, both over ``paths.quadratic_clock_spectrum``: continuous (``n_steps``
+None, the cosh products) or on the N-step grid the estimators sample.  Any
+clock with a spectrum, chaos or p = 2 power, has both laws.
+``sup_bm_grid_cdf`` is the exact law of the discrete-grid Brownian
 maximum, the matched counterpart of ``sup_bm_cdf``: the (N-1)-th power of the
 killed Gaussian kernel on a midpoint grid, applied by Lanczos quadrature that
 stops once two successive estimates agree to 1e-14 relative (8 to 33 FFT
@@ -68,25 +70,15 @@ __all__ = [
     "McConfig",
     "EstimateResult",
     "ConstantExtraction",
-    "estimate_smallball_raw",
-    "estimate_smallball_conditional",
-    "estimate_laplace",
     "estimate_laplace_multi",
     "probe_smallball_conditional",
     "probe_smallball_raw",
     "extract_constant",
-    "oracle_laplace_intbm2",
-    "log_oracle_laplace_intbm2",
-    "oracle_laplace_chaos",
-    "log_oracle_laplace_chaos",
-    "oracle_laplace_matched",
-    "log_oracle_laplace_matched",
-    "oracle_smallball_chaos",
-    "log_oracle_smallball_chaos",
+    "log_laplace",
+    "log_smallball",
     "sup_bm_grid_cdf",
     "ks_two_sample",
     "ks_critical_value",
-    "logcosh",
 ]
 
 # One-sided confidence level for the zero-hit Clopper-Pearson upper bound.
@@ -238,27 +230,18 @@ def _eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
     return eps
 
 
-def estimate_smallball_raw(process: ProcessSpec, part: Partition, eps: float, cfg: McConfig) -> EstimateResult:
-    """Indicator-mean estimate of P( for all i: a_i eps <= M(t_i) <= b_i eps ).
-
-    M is the running sup of |Z| over the simulation grid, so the estimate is
-    unbiased for the discretized process; compare against matched-resolution
-    oracles only.  Zero hits fall back to a flagged Clopper-Pearson bound.
-    This is the one-probe case of :func:`probe_smallball_raw`.
-    """
-    return probe_smallball_raw(process, part, (eps,), cfg)[0]
-
-
 def probe_smallball_raw(
     process: ProcessSpec, part: Partition, eps_grid: Sequence[float], cfg: McConfig
 ) -> list[EstimateResult]:
-    """Raw window probabilities at several eps from one set of sup samples.
+    """Indicator-mean estimates of P( for all i: a_i eps <= M(t_i) <= b_i eps ) per eps.
 
-    The running sups are simulated once per batch and every eps reads its
-    indicator column off them, so each estimate equals the one-eps
-    :func:`estimate_smallball_raw` bit for bit.  The windows [a_i eps, b_i eps]
-    are not nested across eps, so the grid may come in any order.  Zero hits
-    are flagged per eps.
+    M is the running sup of |Z| over the simulation grid, so each estimate is
+    unbiased for the discretized process; compare against matched-resolution
+    oracles only.  The running sups are simulated once per batch and every
+    eps reads its indicator column off them, so each estimate equals its
+    one-eps call bit for bit.  The windows [a_i eps, b_i eps] are not nested
+    across eps, so the grid may come in any order.  Zero hits fall back to a
+    flagged Clopper-Pearson bound, per eps.
     """
     eps_grid = _eps_grid(eps_grid)
     if part.windows is None:
@@ -274,30 +257,20 @@ def probe_smallball_raw(
     return [_indicator_result(m, se, n, cfg) for m, se, n in _batched_moments(sampler, cfg)]
 
 
-def estimate_smallball_conditional(clock: ClockSpec, t: float, eps: float, cfg: McConfig) -> EstimateResult:
-    """Rao-Blackwellized estimate of P(sup_{[0,t]} |B(C)| <= eps), one interval.
+def probe_smallball_conditional(
+    clock: ClockSpec, t: float, eps_grid: Sequence[float], cfg: McConfig
+) -> list[EstimateResult]:
+    """Rao-Blackwellized estimates of P(sup_{[0,t]} |B(C)| <= eps) per eps, one interval.
 
     Conditionally on the clock, the sup law is exactly that of sqrt(C(t))
     times the Brownian sup over [0, 1], so the indicator is replaced by the
     exact theta series F(eps / sqrt(C(t))).  The terminal values C_N(t) are
-    drawn by ``paths.clock_terminal_law_samples``; a clock frozen at 0 (a
-    zero weight) gives 1 with zero variance.  This is the one-probe case of
-    :func:`probe_smallball_conditional`.
-    """
-    return probe_smallball_conditional(clock, t, (eps,), cfg)[0]
-
-
-def probe_smallball_conditional(
-    clock: ClockSpec, t: float, eps_grid: Sequence[float], cfg: McConfig
-) -> list[EstimateResult]:
-    """Conditional small-ball probes at several eps from one set of clock samples.
-
-    The clock terminal values are drawn once per batch and the exact
-    conditional series is averaged for every eps, coupling the probes; this
-    preserves unbiasedness per eps and makes the K-hat trend smooth in eps.
-    Each eps is its own column, so the grid may come in any order and each
-    estimate equals the one-eps :func:`estimate_smallball_conditional` bit
-    for bit.
+    drawn once per batch by ``paths.clock_terminal_law_samples`` and the
+    series is averaged for every eps, coupling the probes; this preserves
+    unbiasedness per eps and makes the K-hat trend smooth in eps.  A clock
+    frozen at 0 (a zero weight) gives 1 with zero variance.  Each eps is its
+    own column, so the grid may come in any order and each estimate equals
+    its one-eps call bit for bit.
     """
     eps_grid = _eps_grid(eps_grid)
 
@@ -317,18 +290,11 @@ def _conditional_values(c_samples: np.ndarray, eps: float) -> np.ndarray:
     return vals
 
 
-def estimate_laplace(spec: ClockSpec, part: Partition, lam: float, cfg: McConfig) -> EstimateResult:
-    """Sample mean of exp(-lambda sum_i d_i Delta_i C); always in (0, 1].
-
-    Without partition weights the functional is unweighted (d_i = 1).
-    """
-    return estimate_laplace_multi(spec, part, (lam,), cfg)[0]
-
-
 def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[float], cfg: McConfig) -> list[EstimateResult]:
-    """Laplace functional estimates at several lambda from one clock sample set.
+    """Sample means of exp(-lambda sum_i d_i Delta_i C) per lambda; each in (0, 1].
 
-    The clock increments are sampled once per batch and the exponential
+    Without partition weights the functional is unweighted (d_i = 1).  The
+    clock increments are sampled once per batch and the exponential
     functional is averaged for every lambda; each estimate is individually
     unbiased, and the coupling makes the lambda profile monotone pathwise.
     One interval needs only C_N(t), drawn by ``clock_terminal_law_samples``;
@@ -350,33 +316,37 @@ def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[floa
 
 
 # ---------------------------------------------------------------------------
-# Exact Laplace oracles
+# Exact laws of quadratic clocks
 # ---------------------------------------------------------------------------
 
-def logcosh(x):
+def _logcosh(x):
     """log cosh x, overflow-safe for large |x|."""
     x = np.abs(np.asarray(x, dtype=float))
     return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
 
 
-def _log_laplace(lams, t: float, clock: ClockSpec, n_steps: int | None) -> np.ndarray:
-    """log E exp(-lambda C(t)), a 1-D array over ``lams``, for a clock with an exact law.
+def log_laplace(clock: ClockSpec, t: float, lams, n_steps: int | None = None) -> np.ndarray:
+    """log E exp(-lambda C(t)) for each lambda in ``lams``, in input order.
 
     (w, mu, nu) come from ``paths.quadratic_clock_spectrum``, the one judge of
-    which clocks have one.  The continuous clock (``n_steps`` None) gives
-    -(nu/2) sum_j logcosh(t sqrt(2 lambda w_j)); the N-step trapezoid clock
-    gives -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k).
+    which clocks have an exact law.  The continuous clock (``n_steps`` None)
+    gives -(nu/2) sum_j logcosh(t sqrt(2 lambda w_j)), e.g. -1/2 log cosh(t
+    sqrt(2 lambda)) for ``PowerClockSpec(2)``; the N-step trapezoid clock the
+    estimators sample gives -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k), which
+    tends to the continuous law as N grows.  Each lambda is its own row, so
+    the lambdas may come in any order and each value equals its one-lambda
+    call bit for bit.  Clocks without a spectrum raise ValueError.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if not (np.all((lams >= 0) & (lams < np.inf)) and t > 0):
-        raise ValueError("need a finite lambda >= 0 and t > 0")
+    if not (lams.size and np.all((lams >= 0) & (lams < np.inf)) and t > 0):
+        raise ValueError("need at least one lambda, each finite and >= 0, and t > 0")
     # the continuous law reads only (w, nu); the one-step mu goes unused
     form = quadratic_clock_spectrum(clock, t, 1 if n_steps is None else n_steps)
     if form is None:
-        raise ValueError("the matched oracle needs a chaos clock or a p = 2 power clock with scalar rho")
+        raise ValueError("no exact law for this clock: need a chaos clock or a p = 2 power clock with scalar rho")
     w, mu, nu = form
     if n_steps is None:
-        scale, coef, f = np.sqrt(2.0 * lams), t * np.sqrt(w), logcosh
+        scale, coef, f = np.sqrt(2.0 * lams), t * np.sqrt(w), _logcosh
     else:
         scale, coef, f = 2.0 * lams, np.outer(w, mu).ravel(), np.log1p
     rows = max(1, 2**18 // coef.size)  # bounds each (rows, terms) buffer
@@ -384,74 +354,36 @@ def _log_laplace(lams, t: float, clock: ClockSpec, n_steps: int | None) -> np.nd
     return -0.5 * nu * np.concatenate(sums)
 
 
-def log_oracle_laplace_intbm2(lam: float, t: float) -> float:
-    """log E exp(-lambda int_0^t B^2 ds) = -1/2 log cosh(t sqrt(2 lambda))."""
-    return float(_log_laplace(lam, t, PowerClockSpec(2.0), None)[0])
+def log_smallball(clock: ClockSpec, t: float, eps_grid: Sequence[float], n_steps: int | None = None) -> np.ndarray:
+    """log P(sup_{[0,t]} |B(C)| <= eps) for each eps in ``eps_grid``, in input order.
 
-
-def oracle_laplace_intbm2(lam: float, t: float) -> float:
-    """E exp(-lambda int_0^t B^2 ds) = cosh(t sqrt(2 lambda))^(-1/2).
-
-    Underflows to 0.0 for t sqrt(2 lambda) beyond ~1420; use the log variant
-    for slope extraction at large lambda.
-    """
-    return float(np.exp(log_oracle_laplace_intbm2(lam, t)))
-
-
-def log_oracle_laplace_chaos(lam: float, t: float, q) -> float:
-    """log E exp(-lambda C(t)) for the chaos clock with singular values q.
-
-    Each q_j contributes two independent squared Brownian factors, i.e. one
-    factor cosh(t q_j sqrt(2 lambda))^(-1) in the product.
-    """
-    return float(_log_laplace(lam, t, ChaosClockSpec(q), None)[0])
-
-
-def oracle_laplace_chaos(lam: float, t: float, q) -> float:
-    """E exp(-lambda C(t)) = prod_j cosh(t q_j sqrt(2 lambda))^(-1)."""
-    return float(np.exp(log_oracle_laplace_chaos(lam, t, q)))
-
-
-def log_oracle_laplace_matched(lam: float, t: float, n_steps: int, clock: ClockSpec) -> float:
-    """log E exp(-lambda C_N(t)) for the trapezoid clock on n_steps steps, exactly.
-
-    C_N(t) = sum_j w_j sum_k mu_k chi2_nu (``paths.quadratic_clock_spectrum``),
-    so this is -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k); it tends to the
-    cosh forms as N grows.  Clocks without such a spectrum raise ValueError.
-    """
-    return float(_log_laplace(lam, t, clock, n_steps)[0])
-
-
-def oracle_laplace_matched(lam: float, t: float, n_steps: int, clock: ClockSpec) -> float:
-    """E exp(-lambda C_N(t)) for the trapezoid clock on n_steps steps, exactly."""
-    return float(np.exp(log_oracle_laplace_matched(lam, t, n_steps, clock)))
-
-
-def log_oracle_smallball_chaos(eps: float, t: float, q, n_steps: int | None = None) -> float:
-    """log P(sup_{[0,t]} |B(C)| <= eps) for a chaos clock with values q, exactly.
-
-    The theta series over the clock's Laplace transform L (continuous, or the
-    trapezoid clock on ``n_steps`` steps), lam_k = (2k+1)^2 pi^2/(8 eps^2):
+    The theta series over the clock's Laplace transform L = :func:`log_laplace`
+    (continuous, or the trapezoid clock on ``n_steps`` steps), with
+    lam_k = (2k+1)^2 pi^2/(8 eps^2):
 
         log P = log(4/pi) + L(lam_0) + log sum_k (-1)^k/(2k+1) exp(L(lam_k) - L(lam_0)).
 
     Relative to its leading term the sum never underflows.  Its terms fall in
     k, and it stops at the first one below 1e-17, which bounds the error.
+    Each eps is summed on its own, so the grid may come in any order.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError("eps must be positive and finite")
+    eps_grid = _eps_grid(eps_grid)
     # 2 lam_k of the first chunk (2k+1 <= 15) must not overflow; the 1e-12
     # margin covers the rounding of lam_k.  log P, about -(pi/2)/eps, stays
     # finite far below this bound.
     eps_min = 15.0 * np.pi / (2.0 * np.sqrt(np.finfo(float).max)) * (1.0 + 1e-12)
-    if eps < eps_min:
-        raise ValueError(f"eps must be at least {eps_min:.4g}, got eps = {eps:g}: below it lam_k overflows")
-    clock = ChaosClockSpec(q)
+    if min(eps_grid) < eps_min:
+        raise ValueError(f"eps must be at least {eps_min:.4g}, got eps = {min(eps_grid):g}: below it lam_k overflows")
+    return np.array([_log_theta_sum(clock, t, eps, n_steps) for eps in eps_grid])
+
+
+def _log_theta_sum(clock: ClockSpec, t: float, eps: float, n_steps: int | None) -> float:
+    """One eps of :func:`log_smallball`, summed in chunks of 8, 16, 32, ... terms."""
     lam0 = np.pi**2 / (8.0 * eps * eps)
-    log0, total = _log_laplace(lam0, t, clock, n_steps)[0], 0.0
-    for k0 in 8 * (2 ** np.arange(15) - 1):  # chunks of 8, 16, 32, ... terms
+    log0, total = log_laplace(clock, t, lam0, n_steps)[0], 0.0
+    for k0 in 8 * (2 ** np.arange(15) - 1):
         odd = 2.0 * np.arange(k0, 2 * k0 + 8) + 1.0
-        terms = np.exp(_log_laplace(odd * odd * lam0, t, clock, n_steps) - log0) / odd
+        terms = np.exp(log_laplace(clock, t, odd * odd * lam0, n_steps) - log0) / odd
         keep = terms >= 1e-17  # a prefix, as the terms fall
         total += float(np.sum(np.where(odd % 4 == 1, terms, -terms)[keep]))
         if not keep[-1]:
@@ -459,9 +391,39 @@ def log_oracle_smallball_chaos(eps: float, t: float, q, n_steps: int | None = No
     raise NumericError(f"theta series for eps={eps} did not converge in {2 * k0 + 8} terms")
 
 
-def oracle_smallball_chaos(eps: float, t: float, q, n_steps: int | None = None) -> float:
-    """Exact P(sup_{[0,t]} |B(C)| <= eps) for a chaos clock with values q; see the log form."""
-    return float(np.exp(log_oracle_smallball_chaos(eps, t, q, n_steps)))
+# The benchmark's tracer and workloads look these names up in this module, so
+# they stay, unexported, until the next change to the benchmark.
+
+def estimate_smallball_raw(process, part, eps, cfg):
+    return probe_smallball_raw(process, part, (eps,), cfg)[0]
+
+
+def estimate_smallball_conditional(clock, t, eps, cfg):
+    return probe_smallball_conditional(clock, t, (eps,), cfg)[0]
+
+
+def estimate_laplace(spec, part, lam, cfg):
+    return estimate_laplace_multi(spec, part, (lam,), cfg)[0]
+
+
+def log_oracle_laplace_intbm2(lam, t):
+    return float(log_laplace(PowerClockSpec(2.0), t, lam)[0])
+
+
+def oracle_laplace_intbm2(lam, t):
+    return float(np.exp(log_laplace(PowerClockSpec(2.0), t, lam)[0]))
+
+
+def log_oracle_laplace_chaos(lam, t, q):
+    return float(log_laplace(ChaosClockSpec(q), t, lam)[0])
+
+
+def oracle_laplace_chaos(lam, t, q):
+    return float(np.exp(log_laplace(ChaosClockSpec(q), t, lam)[0]))
+
+
+def oracle_smallball_chaos(eps, t, q, n_steps=None):
+    return float(np.exp(log_smallball(ChaosClockSpec(q), t, (eps,), n_steps)[0]))
 
 
 # ---------------------------------------------------------------------------

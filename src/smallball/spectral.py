@@ -65,11 +65,6 @@ class SpectralData:
             raise ValueError("singular values must be non-increasing")
         object.__setattr__(self, "q", q)
 
-    @classmethod
-    def from_weights(cls, q) -> "SpectralData":
-        """Build directly from a weight sequence (sorted non-increasing)."""
-        return cls(tuple(sorted((float(v) for v in q), reverse=True)))
-
     @property
     def one_norm(self) -> float:
         """Trace norm 2 sum_j q_j (each pair member counted)."""

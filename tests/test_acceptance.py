@@ -7,7 +7,6 @@ suite's runtime; everything is deterministic given the seed.
 
 import itertools
 
-import numpy as np
 import pytest
 
 from smallball import acceptance, mc
@@ -37,23 +36,6 @@ def test_all_criteria_ran(results):
     assert set(results) == {f"C{i}" for i in range(1, 9)}
 
 
-def test_lil_demo_is_informational_only():
-    # C9: the almost-sure limit laws carry no pass/fail contract; the demo
-    # trajectory just has to exist and scale sensibly
-    t, ratio, target = acceptance.lil_demo_trajectory(seed=SEED, horizon=100.0, n_steps=2**13, q_terms=10)
-    assert np.all(np.isfinite(ratio))
-    assert np.all(ratio > 0)
-    assert target == pytest.approx(np.pi / 4 * 2 * np.sum(0.5 ** np.arange(1, 11)))
-
-
-@pytest.mark.parametrize("horizon, n_steps", [(5.0, 2**13), (10.0, 2**13), (np.nan, 2**13), (2000.0, 100)])
-def test_lil_demo_rejects_bad_grids(horizon, n_steps, monkeypatch):
-    # a horizon of at most 10 or a first checkpoint on node 0 fails before anything is simulated
-    monkeypatch.setattr(acceptance.paths, "simulate_path", None)
-    with pytest.raises(ValueError, match="t = 10"):
-        acceptance.lil_demo_trajectory(seed=SEED, horizon=horizon, n_steps=n_steps, q_terms=10)
-
-
 def test_stream_ids_are_disjoint():
     # every criterion's streams, counted from its batch layout, against every other's
     def batches(cfg):
@@ -66,7 +48,6 @@ def test_stream_ids_are_disjoint():
         "C5b": batches(acceptance._C5B_CONFIG),
         "C6": range(acceptance._STREAM_C6, acceptance._STREAM_C6 + 2 * acceptance._C6_REPS),
         "C7": batches(acceptance._C7_CONFIG),
-        "lil-demo": [acceptance._STREAM_LIL],
     }
     assert len(streams["C5a"]) == 245 and len(streams["C6"]) == 6
     for a, b in itertools.combinations(streams, 2):

@@ -257,7 +257,7 @@ class TestWeightedLpClockOrder:
             part = Partition(times, weights=d)
             alpha = 2.0 / p
             base = sb.weighted_lp_clock_order(p, 0.3, part).combined
-            scaled = sb.weighted_lp_clock_order(p, 0.3, part.scaled_weights(c)).combined
+            scaled = sb.weighted_lp_clock_order(p, 0.3, Partition(times, weights=tuple(c * x for x in d))).combined
             assert scaled == pytest.approx(c**alpha * base, rel=1e-11)
 
     def test_requires_weights(self):
@@ -420,7 +420,8 @@ class TestChaosConstants:
     def test_clock_weight_homogeneity(self):
         part = Partition((0.5, 2.0), weights=(3.0, 1.0))
         base = sb.chaos_clock_constant(1.5, part)
-        assert sb.chaos_clock_constant(1.5, part.scaled_weights(2.5)) == pytest.approx(2.5 * base, rel=1e-13)
+        scaled = Partition((0.5, 2.0), weights=(2.5 * 3.0, 2.5 * 1.0))
+        assert sb.chaos_clock_constant(1.5, scaled) == pytest.approx(2.5 * base, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):

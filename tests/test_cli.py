@@ -246,19 +246,29 @@ class TestEstimationCommands:
         )
         assert code == 0
         rec = json.loads(path.read_text())["results"][0]
-        want = sb.oracle_laplace_matched(10.0, 1.0, 8, sb.PowerClockSpec(2.0))
+        want = float(np.exp(sb.log_laplace(sb.PowerClockSpec(2.0), 1.0, 10.0, 8)[0]))
         assert rec["exact"] == want
         assert f"exact {want:.6f}" in out
         assert abs(rec["estimate"] - want) < 4 * rec["stdError"]
+
+    def test_laplace_exact_values_follow_the_lambda_order(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        code, _, _ = run(
+            capsys, "laplace", "--clock", "power", "--n-steps", "16", "--samples", "300",
+            "--lam", "5", "0", "5", "1", "--output", str(path),
+        )
+        assert code == 0
+        want = np.exp(sb.log_laplace(sb.PowerClockSpec(2.0), 1.0, (5.0, 0.0, 5.0, 1.0), 16)).tolist()
+        assert [r["exact"] for r in json.loads(path.read_text())["results"]] == want
 
     def test_laplace_exact_value_needs_one_interval_of_a_spectral_clock(self, capsys):
         base = ["laplace", "--clock", "power", "--n-steps", "16", "--samples", "500", "--lam", "2"]
         code, out, _ = run(capsys, *base, "--rho", "1.5")
         assert code == 0
-        assert f"exact {sb.oracle_laplace_matched(2.0, 1.0, 16, sb.PowerClockSpec(2.0, rho=1.5)):.6f}" in out
+        assert f"exact {np.exp(sb.log_laplace(sb.PowerClockSpec(2.0, rho=1.5), 1.0, 2.0, 16)[0]):.6f}" in out
         code, out, _ = run(capsys, *base, "--clock", "chaos", "--q", "1", "0.5", "--d", "3")
         assert code == 0
-        assert f"exact {sb.oracle_laplace_matched(6.0, 1.0, 16, sb.ChaosClockSpec((1.0, 0.5))):.6f}" in out
+        assert f"exact {np.exp(sb.log_laplace(sb.ChaosClockSpec((1.0, 0.5)), 1.0, 6.0, 16)[0]):.6f}" in out
         for extra in (["--clock-p", "3"], ["--t", "0.5", "1.0"]):
             code, out, _ = run(capsys, *base, *extra)
             assert code == 0
@@ -452,7 +462,7 @@ class TestExitCodes:
     def test_verify_unknown_id_is_usage_error(self, capsys, only):
         code, out, err = run(capsys, "verify", "--seed", "42", "--only", only)
         assert code == 2
-        assert "C1, C2, C3, C4, C5, C6, C7, C8, C9" in err
+        assert "choose from C1, C2, C3, C4, C5, C6, C7, C8\n" in err
         assert out == ""
 
     def test_verify_subset_exits_zero(self, capsys):
@@ -476,27 +486,6 @@ class TestExitCodes:
             assert code == 0
             assert "budget" in stdout  # timings stay on stdout
         assert outs[0].read_bytes() == outs[1].read_bytes()
-
-
-class TestLilDemo:
-    def test_banner_and_trajectory(self, capsys):
-        code, out, _ = run(
-            capsys, "lil-demo", "--horizon", "60", "--n-steps", "4096", "--q-terms", "8", "--seed", "1",
-        )
-        assert code == 0
-        assert "Demonstration only, no pass/fail" in out
-        assert "liminf target" in out
-        assert out.count("ratio=") >= 10
-        target = np.pi / 4 * 2 * sum(0.5 ** np.arange(1, 9))
-        assert f"{target:.6f}" in out
-
-    @pytest.mark.parametrize("flags", [["--horizon", "5"], ["--horizon", "10"], ["--n-steps", "100"]])
-    def test_bad_grid_is_usage_error(self, capsys, flags):
-        # the first checkpoint t = 10 must lie below the horizon and on a grid node after 0
-        code, out, err = run(capsys, "lil-demo", *flags)
-        assert code == 2
-        assert "t = 10" in err
-        assert out == ""
 
 
 class TestConfigValues:

@@ -12,9 +12,10 @@ import pytest
 
 import smallball as sb
 from smallball import mc
-from smallball.mc import McConfig, logcosh
+from smallball.mc import McConfig
 
 COSH_ORACLE_AT_1 = 0.6775678055260783  # (cosh sqrt 2)^(-1/2)
+_BM2 = sb.PowerClockSpec(2.0)  # C(t) = int_0^t B^2 ds
 
 
 class TestGridSupOracle:
@@ -124,7 +125,7 @@ class TestRawSmallball:
     def test_full_event_is_certain(self):
         part = sb.Partition((1.0,), windows=((0.0, 1.0),))
         cfg = McConfig(samples=2000, n_steps=64, seed=1)
-        est = sb.estimate_smallball_raw(sb.BrownianProcess(), part, 50.0, cfg)
+        est = sb.probe_smallball_raw(sb.BrownianProcess(), part, (50.0,), cfg)[0]
         assert est.estimate == 1.0
         assert est.std_error == 0.0
 
@@ -132,7 +133,7 @@ class TestRawSmallball:
         part = sb.Partition((1.0,), windows=((0.0, 1.0),))
         cfg = McConfig(samples=100_000, n_steps=256, seed=2)
         for eps in (0.5, 1.0):
-            est = sb.estimate_smallball_raw(sb.BrownianProcess(), part, eps, cfg)
+            est = sb.probe_smallball_raw(sb.BrownianProcess(), part, (eps,), cfg)[0]
             exact = sb.sup_bm_grid_cdf(eps, 256)
             assert abs(est.estimate - exact) < 4 * est.std_error
 
@@ -141,20 +142,20 @@ class TestRawSmallball:
         vals = []
         for b in (0.4, 0.6, 0.9):
             part = sb.Partition((1.0,), windows=((0.0, b),))
-            vals.append(sb.estimate_smallball_raw(sb.BrownianProcess(), part, 1.0, cfg).estimate)
+            vals.append(sb.probe_smallball_raw(sb.BrownianProcess(), part, (1.0,), cfg)[0].estimate)
         # same seed couples the paths, so monotonicity is exact
         assert vals[0] < vals[1] < vals[2]
 
     def test_joint_window_event(self):
         part = sb.Partition((0.5, 1.0), windows=((0.0, 0.8), (0.8, 1.6)))
         cfg = McConfig(samples=20_000, n_steps=128, seed=4)
-        est = sb.estimate_smallball_raw(sb.BrownianProcess(), part, 1.0, cfg)
+        est = sb.probe_smallball_raw(sb.BrownianProcess(), part, (1.0,), cfg)[0]
         assert 0.0 < est.estimate < 1.0
 
     def test_zero_hits_clopper_pearson(self):
         part = sb.Partition((1.0,), windows=((0.0, 1.0),))
         cfg = McConfig(samples=500, n_steps=64, seed=5)
-        est = sb.estimate_smallball_raw(sb.BrownianProcess(), part, 0.01, cfg)
+        est = sb.probe_smallball_raw(sb.BrownianProcess(), part, (0.01,), cfg)[0]
         assert est.zero_hits
         assert est.estimate == 0.0
         assert est.std_error == pytest.approx(1.0 - 0.05 ** (1.0 / 500), rel=1e-12)
@@ -162,11 +163,9 @@ class TestRawSmallball:
     def test_requires_windows(self):
         cfg = McConfig(samples=100, n_steps=64, seed=0)
         with pytest.raises(ValueError):
-            sb.estimate_smallball_raw(sb.BrownianProcess(), sb.Partition((1.0,)), 1.0, cfg)
+            sb.probe_smallball_raw(sb.BrownianProcess(), sb.Partition((1.0,)), (1.0,), cfg)
         with pytest.raises(ValueError):
-            sb.estimate_smallball_raw(
-                sb.BrownianProcess(), sb.Partition((1.0,), windows=((0.0, 1.0),)), -1.0, cfg
-            )
+            sb.probe_smallball_raw(sb.BrownianProcess(), sb.Partition((1.0,), windows=((0.0, 1.0),)), (-1.0,), cfg)
         with pytest.raises(ValueError):
             sb.probe_smallball_raw(sb.BrownianProcess(), sb.Partition((1.0,)), (1.0, 0.5), cfg)
         for eps_grid in ((1.0, 0.0), (0.5, -1.0, 2.0), (), (np.nan,), (1.0, np.inf)):
@@ -182,7 +181,7 @@ class TestRawSmallball:
         cfg = McConfig(samples=2500, n_steps=2048, seed=19)  # batches of 1024, 1024 and 452
         eps_grid = (1.0, 0.01, 2.0)
         probes = sb.probe_smallball_raw(sb.BrownianProcess(), part, eps_grid, cfg)
-        singles = [sb.estimate_smallball_raw(sb.BrownianProcess(), part, eps, cfg) for eps in eps_grid]
+        singles = [sb.probe_smallball_raw(sb.BrownianProcess(), part, (eps,), cfg)[0] for eps in eps_grid]
         assert probes == singles
         assert [r.zero_hits for r in probes] == [False, True, False]
 
@@ -221,19 +220,19 @@ class TestConditionalSmallball:
         # check reports it instead of a probability read off inf
         cfg = McConfig(samples=10, n_steps=64, seed=7)
         with pytest.raises(sb.NumericError, match="not finite"):
-            sb.estimate_smallball_conditional(sb.PowerClockSpec(2000.0), 100.0, 0.5, cfg)
+            sb.probe_smallball_conditional(sb.PowerClockSpec(2000.0), 100.0, (0.5,), cfg)
 
     def test_large_eps_saturates(self):
         spec = sb.ChaosClockSpec((1.0,))
         cfg = McConfig(samples=500, n_steps=128, seed=8)
-        assert sb.estimate_smallball_conditional(spec, 1.0, 40.0, cfg).estimate > 0.999999
+        assert sb.probe_smallball_conditional(spec, 1.0, (40.0,), cfg)[0].estimate > 0.999999
 
     def test_matches_exact_chaos_oracle(self):
         spec = sb.ChaosClockSpec((1.0,))
         cfg = McConfig(samples=20_000, n_steps=1024, seed=9)
         for eps in (0.3, 0.5):
-            est = sb.estimate_smallball_conditional(spec, 1.0, eps, cfg)
-            exact = sb.oracle_smallball_chaos(eps, 1.0, spec.q)
+            est = sb.probe_smallball_conditional(spec, 1.0, (eps,), cfg)[0]
+            exact = np.exp(sb.log_smallball(spec, 1.0, (eps,))[0])
             assert abs(est.estimate - exact) < 4 * est.std_error
 
     def test_raw_estimator_converges_from_above(self):
@@ -242,12 +241,12 @@ class TestConditionalSmallball:
         # one by an O(sqrt h) deficit; comparisons must stay matched-resolution
         spec = sb.ChaosClockSpec((1.0,))
         eps = 0.3
-        exact = sb.oracle_smallball_chaos(eps, 1.0, spec.q)
+        exact = np.exp(sb.log_smallball(spec, 1.0, (eps,))[0])
         part = sb.Partition((1.0,), windows=((0.0, 1.0),))
         deficits = []
         for i, n_steps in enumerate((1024, 4096)):
             cfg = McConfig(samples=50_000, n_steps=n_steps, seed=10, stream_base=10 * i, workers=2)
-            est = sb.estimate_smallball_raw(sb.TimeChangedProcess(spec), part, eps, cfg)
+            est = sb.probe_smallball_raw(sb.TimeChangedProcess(spec), part, (eps,), cfg)[0]
             deficits.append((est.estimate - exact, est.std_error))
         # positive bias, clearly resolved (true deficit ~ +24% at N=1024,
         # ~ +12% at N=4096), shrinking like sqrt(h)
@@ -261,8 +260,8 @@ class TestConditionalSmallball:
         n = 4000
         for eps in (0.3, 0.4, 0.5):
             cfg = McConfig(samples=n, n_steps=512, seed=11)
-            est_c = sb.estimate_smallball_conditional(spec, 1.0, eps, cfg)
-            est_r = sb.estimate_smallball_raw(sb.TimeChangedProcess(spec), part, eps, cfg)
+            est_c = sb.probe_smallball_conditional(spec, 1.0, (eps,), cfg)[0]
+            est_r = sb.probe_smallball_raw(sb.TimeChangedProcess(spec), part, (eps,), cfg)[0]
             assert est_c.std_error < est_r.std_error
 
     def test_variance_ratio_at_benchmark_point(self):
@@ -271,8 +270,8 @@ class TestConditionalSmallball:
         spec = sb.ChaosClockSpec((1.0,))
         part = sb.Partition((1.0,), windows=((0.0, 1.0),))
         cfg = McConfig(samples=20_000, n_steps=512, seed=12)
-        est_c = sb.estimate_smallball_conditional(spec, 1.0, 0.3, cfg)
-        est_r = sb.estimate_smallball_raw(sb.TimeChangedProcess(spec), part, 0.3, cfg)
+        est_c = sb.probe_smallball_conditional(spec, 1.0, (0.3,), cfg)[0]
+        est_r = sb.probe_smallball_raw(sb.TimeChangedProcess(spec), part, (0.3,), cfg)[0]
         ratio = est_r.std_error**2 / est_c.std_error**2
         assert ratio > 6.0
 
@@ -280,7 +279,7 @@ class TestConditionalSmallball:
 class TestLaplaceEstimation:
     def test_lambda_zero_is_one(self):
         cfg = McConfig(samples=200, n_steps=64, seed=13)
-        est = sb.estimate_laplace(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), 0.0, cfg)
+        est = sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), (0.0,), cfg)[0]
         assert est.estimate == 1.0
         assert est.std_error == 0.0
 
@@ -296,20 +295,20 @@ class TestLaplaceEstimation:
     def test_matches_cosh_oracle(self):
         cfg = McConfig(samples=20_000, n_steps=4096, seed=15)
         for lam in (1.0, 5.0):
-            est = sb.estimate_laplace(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), lam, cfg)
-            exact = sb.oracle_laplace_intbm2(lam, 1.0)
+            est = sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), (lam,), cfg)[0]
+            exact = np.exp(sb.log_laplace(_BM2, 1.0, lam)[0])
             assert abs(est.estimate - exact) < 4 * est.std_error
 
     def test_weighted_functional(self):
         part = sb.Partition((1.0, 2.0), weights=(2.0, 1.0))
         cfg = McConfig(samples=2000, n_steps=256, seed=16)
-        est = sb.estimate_laplace(sb.ChaosClockSpec((0.5,)), part, 1.0, cfg)
+        est = sb.estimate_laplace_multi(sb.ChaosClockSpec((0.5,)), part, (1.0,), cfg)[0]
         assert 0.0 < est.estimate < 1.0
 
     def test_negative_lambda_rejected(self):
         cfg = McConfig(samples=10, n_steps=64, seed=0)
         with pytest.raises(ValueError):
-            sb.estimate_laplace(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), -1.0, cfg)
+            sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), (-1.0,), cfg)
         # NaN, inf and an empty list fail the same check
         for lams in ((1.0, np.nan), (1.0, np.inf), ()):
             with pytest.raises(ValueError, match="nonnegative"):
@@ -319,12 +318,12 @@ class TestLaplaceEstimation:
 _CHAOS = sb.ChaosClockSpec((0.5, 0.25))
 _WINDOW = sb.Partition((1.0,), windows=((0.0, 1.0),))
 _ESTIMATORS = {
-    "estimate_laplace": lambda cfg: [sb.estimate_laplace(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), 2.0, cfg)],
+    "estimate_laplace": lambda cfg: sb.estimate_laplace_multi(_BM2, sb.Partition((1.0,)), (2.0,), cfg),
     "estimate_laplace_multi": lambda cfg: sb.estimate_laplace_multi(
         sb.PowerClockSpec(2.0), sb.Partition((0.5, 1.0), weights=(2.0, 1.0)), (0.5, 2.0, 8.0), cfg
     ),
-    "estimate_smallball_raw": lambda cfg: [sb.estimate_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, 0.6, cfg)],
-    "estimate_smallball_conditional": lambda cfg: [sb.estimate_smallball_conditional(_CHAOS, 1.0, 0.3, cfg)],
+    "estimate_smallball_raw": lambda cfg: sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6,), cfg),
+    "estimate_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_CHAOS, 1.0, (0.3,), cfg),
     "probe_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg),
     "probe_smallball_raw": lambda cfg: sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg),
     "probe_smallball_raw_direct": lambda cfg: sb.probe_smallball_raw(
@@ -389,42 +388,42 @@ class TestDefaultBatchLayout:
         cfg = McConfig(samples=20_000, n_steps=64, seed=47, workers=2)
         assert cfg.effective_batch == 10_000
         eps_grid = (0.8, 0.5)
-        for eps, est in zip(eps_grid, sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, eps_grid, cfg)):
-            assert abs(est.estimate - sb.oracle_smallball_chaos(eps, 1.0, q, n_steps=64)) < 4 * est.std_error
+        exact = np.exp(sb.log_smallball(sb.ChaosClockSpec(q), 1.0, eps_grid, 64))
+        for p, est in zip(exact, sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, eps_grid, cfg)):
+            assert abs(est.estimate - p) < 4 * est.std_error
 
 
 class TestOracles:
     def test_intbm2_frozen_value(self):
-        assert sb.oracle_laplace_intbm2(0.0, 1.0) == 1.0
-        assert sb.oracle_laplace_intbm2(1.0, 1.0) == pytest.approx(COSH_ORACLE_AT_1, rel=1e-14)
+        at_0, at_1 = np.exp(sb.log_laplace(_BM2, 1.0, (0.0, 1.0)))
+        assert at_0 == 1.0
+        assert at_1 == pytest.approx(COSH_ORACLE_AT_1, rel=1e-14)
 
     def test_intbm2_slope_asymptote(self):
         # -lambda^(-1/2) log E -> t/sqrt(2); ties the p = 2 clock constant 1/8
         # to the Laplace-side constant via the Tauberian conversion
         lam = 1e8
-        slope = -sb.log_oracle_laplace_intbm2(lam, 1.0) / np.sqrt(lam)
+        slope = -sb.log_laplace(_BM2, 1.0, lam)[0] / np.sqrt(lam)
         assert slope == pytest.approx(2.0 ** -0.5, abs=1e-3)
         want = sb.tauberian_forward(sb.AsymptoticOrder(1.0, 0.0, 0.125)).big_l
         assert slope == pytest.approx(want, abs=1e-3)
 
     def test_overflow_safe(self):
-        v = sb.log_oracle_laplace_intbm2(1e12, 1.0)
+        v = sb.log_laplace(_BM2, 1.0, 1e12)[0]
         assert np.isfinite(v)
-        assert sb.oracle_laplace_intbm2(1e12, 1.0) == 0.0  # clean underflow
+        assert np.exp(v) == 0.0  # clean underflow
 
     def test_chaos_product_structure(self):
         # one pair equals two independent squared-Brownian factors
-        assert sb.oracle_laplace_chaos(3.0, 1.0, [1.0]) == pytest.approx(
-            sb.oracle_laplace_intbm2(3.0, 1.0) ** 2, rel=1e-14
-        )
+        pair = sb.log_laplace(sb.ChaosClockSpec((1.0,)), 1.0, 3.0)[0]
+        assert np.exp(pair) == pytest.approx(np.exp(sb.log_laplace(_BM2, 1.0, 3.0)[0]) ** 2, rel=1e-14)
         q = [0.5, 0.25, 0.125]
-        manual = -sum(float(logcosh(qq * np.sqrt(6.0))) for qq in q)
-        assert sb.log_oracle_laplace_chaos(3.0, 1.0, q) == pytest.approx(manual, rel=1e-14)
+        manual = -sum(float(mc._logcosh(qq * np.sqrt(6.0))) for qq in q)
+        assert sb.log_laplace(sb.ChaosClockSpec(q), 1.0, 3.0)[0] == pytest.approx(manual, rel=1e-14)
 
     def test_smallball_chaos_limits(self):
-        q = [0.5]
-        assert sb.oracle_smallball_chaos(50.0, 1.0, q) == pytest.approx(1.0, abs=1e-13)
-        small = sb.oracle_smallball_chaos(0.1, 1.0, q)
+        large, small = np.exp(sb.log_smallball(sb.ChaosClockSpec([0.5]), 1.0, (50.0, 0.1)))
+        assert large == pytest.approx(1.0, abs=1e-13)
         assert 0.0 < small < 1e-3
 
     def test_remark_sandwich_for_dominated_weights(self):
@@ -438,7 +437,7 @@ class TestOracles:
         lam = 1e8
 
         def slope(weights):
-            return float(np.sum(0.5 * logcosh(np.sqrt(2.0 * lam * weights)))) / np.sqrt(lam)
+            return float(np.sum(0.5 * mc._logcosh(np.sqrt(2.0 * lam * weights)))) / np.sqrt(lam)
 
         lower_asymptote = 2.0 * np.sqrt(0.125) * np.sum(np.sqrt(a))
         assert slope(a) <= slope(a_dom)
@@ -520,7 +519,7 @@ class TestConstantExtraction:
         spec = sb.ChaosClockSpec((0.5,))
         cfg = McConfig(samples=3000, n_steps=256, seed=18)
         probes = sb.probe_smallball_conditional(spec, 1.0, (0.5, 0.3), cfg)
-        assert probes[1] == sb.estimate_smallball_conditional(spec, 1.0, 0.3, cfg)
+        assert probes[1] == sb.probe_smallball_conditional(spec, 1.0, (0.3,), cfg)[0]
 
 
 class TestKsAndRecords:
@@ -592,8 +591,8 @@ def _dense_log_laplace(lam, t, n_steps, spec):
 
 def _continuous_log_laplace(lam, t, spec):
     if isinstance(spec, sb.ChaosClockSpec):
-        return sb.log_oracle_laplace_chaos(lam, t, spec.effective_q)
-    return sb.log_oracle_laplace_intbm2(lam * spec.rho**2, t)
+        return sb.log_laplace(sb.ChaosClockSpec(spec.effective_q), t, lam)[0]
+    return sb.log_laplace(_BM2, t, lam * spec.rho**2)[0]
 
 
 _QUADRATIC_CLOCKS = [
@@ -608,10 +607,11 @@ class TestMatchedLaplaceOracle:
     @pytest.mark.parametrize("n_steps", [2, 3, 8, 64])
     @pytest.mark.parametrize("spec", _QUADRATIC_CLOCKS, ids=_QUADRATIC_IDS)
     def test_equals_dense_eigenvalue_product(self, spec, n_steps):
-        for lam in (0.5, 3.0, 40.0):
+        lams = (0.5, 3.0, 40.0)
+        for lam, got in zip(lams, sb.log_laplace(spec, 1.5, lams, n_steps)):
             want = _dense_log_laplace(lam, 1.5, n_steps, spec)
-            assert sb.log_oracle_laplace_matched(lam, 1.5, n_steps, spec) == pytest.approx(want, rel=1e-12)
-            assert sb.oracle_laplace_matched(lam, 1.5, n_steps, spec) == pytest.approx(np.exp(want), rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert np.exp(got) == pytest.approx(np.exp(want), rel=1e-12)
 
     @pytest.mark.parametrize(
         "spec", [sb.PowerClockSpec(2.0), sb.ChaosClockSpec(sb.geometric_q(0.5, 50))], ids=["power", "chaos"]
@@ -619,23 +619,28 @@ class TestMatchedLaplaceOracle:
     def test_approaches_continuous_oracle(self, spec):
         for lam in (1.0, 5.0, 10.0):
             cont = np.exp(_continuous_log_laplace(lam, 1.0, spec))
-            gaps = [abs(sb.oracle_laplace_matched(lam, 1.0, n, spec) - cont) for n in (8, 64, 512)]
+            gaps = [abs(np.exp(sb.log_laplace(spec, 1.0, lam, n)[0]) - cont) for n in (8, 64, 512)]
             assert gaps[0] > gaps[1] > gaps[2]
             assert gaps[2] <= 1e-5
 
     def test_validation(self):
-        assert sb.oracle_laplace_matched(0.0, 1.0, 8, sb.PowerClockSpec(2.0)) == 1.0
+        assert np.exp(sb.log_laplace(_BM2, 1.0, 0.0, 8)[0]) == 1.0
         with pytest.raises(ValueError):
-            sb.oracle_laplace_matched(-1.0, 1.0, 8, sb.PowerClockSpec(2.0))
+            sb.log_laplace(_BM2, 1.0, -1.0, 8)
         with pytest.raises(ValueError):
-            sb.oracle_laplace_matched(1.0, 0.0, 8, sb.PowerClockSpec(2.0))
+            sb.log_laplace(_BM2, 0.0, 1.0, 8)
         with pytest.raises(ValueError):
-            sb.log_oracle_laplace_matched(np.nan, 1.0, 8, sb.PowerClockSpec(2.0))
+            sb.log_laplace(_BM2, 1.0, np.nan, 8)
         with pytest.raises(ValueError):
-            sb.log_oracle_laplace_intbm2(np.nan, 1.0)
+            sb.log_laplace(_BM2, 1.0, np.nan)
+        with pytest.raises(ValueError, match="at least one lambda"):
+            sb.log_laplace(_BM2, 1.0, ())
         for spec in (sb.PowerClockSpec(1.0), sb.PowerClockSpec(2.0, rho=(1.0,))):
-            with pytest.raises(ValueError, match="matched oracle"):
-                sb.oracle_laplace_matched(1.0, 1.0, 8, spec)
+            for n_steps in (8, None):
+                with pytest.raises(ValueError, match="no exact law for this clock"):
+                    sb.log_laplace(spec, 1.0, 1.0, n_steps)
+                with pytest.raises(ValueError, match="no exact law for this clock"):
+                    sb.log_smallball(spec, 1.0, (0.5,), n_steps)
 
 
 class TestSpectralClockEstimators:
@@ -659,15 +664,14 @@ class TestSpectralClockEstimators:
         cfg = McConfig(samples=100_000, n_steps=64, seed=54, workers=2)
         lams = (0.5, 2.0, 8.0)
         ests = sb.estimate_laplace_multi(sb.ChaosClockSpec(q), sb.Partition((1.0,)), lams, cfg)
-        for lam, est in zip(lams, ests):
-            exact = sb.oracle_laplace_matched(lam, 1.0, 64, sb.ChaosClockSpec(q))
+        for exact, est in zip(np.exp(sb.log_laplace(sb.ChaosClockSpec(q), 1.0, lams, 64)), ests):
             assert abs(est.estimate - exact) < 4 * est.std_error
 
     def test_weighted_one_interval_scales_the_clock(self):
         spec = sb.ChaosClockSpec((1.0, 0.5))
         cfg = McConfig(samples=2000, n_steps=16, seed=45)
-        weighted = sb.estimate_laplace(spec, sb.Partition((1.0,), weights=(3.0,)), 1.0, cfg)
-        plain = sb.estimate_laplace(spec, sb.Partition((1.0,)), 3.0, cfg)
+        weighted = sb.estimate_laplace_multi(spec, sb.Partition((1.0,), weights=(3.0,)), (1.0,), cfg)[0]
+        plain = sb.estimate_laplace_multi(spec, sb.Partition((1.0,)), (3.0,), cfg)[0]
         assert weighted.estimate == plain.estimate
 
     def test_conditional_probes_match_matched_smallball_law(self):
@@ -688,48 +692,116 @@ class TestSpectralClockEstimators:
         q = sb.geometric_q(0.5, 50)
         cfg = McConfig(samples=20_000, n_steps=64, seed=50, workers=2)
         eps_grid = (0.4, 0.2)
-        for eps, est in zip(eps_grid, sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, eps_grid, cfg)):
-            assert abs(est.estimate - sb.oracle_smallball_chaos(eps, 1.0, q, n_steps=64)) < 4 * est.std_error
+        exact = np.exp(sb.log_smallball(sb.ChaosClockSpec(q), 1.0, eps_grid, 64))
+        for p, est in zip(exact, sb.probe_smallball_conditional(sb.ChaosClockSpec(q), 1.0, eps_grid, cfg)):
+            assert abs(est.estimate - p) < 4 * est.std_error
 
 
 class TestExactSmallballLaw:
     def test_geometric_clock_constant_to_second_order(self):
         # prod_{j>=1} cosh(x 2^-j) = sinh(x)/x (Levy's stochastic-area formula),
         # so K_hat(eps) = pi/2 - eps log(4/eps) + O(eps exp(-2 pi/eps))
-        q = sb.geometric_q(0.5, 50)
-        for eps in np.geomspace(0.2, 1e-4, 12):
-            k_hat = -eps * sb.log_oracle_smallball_chaos(eps, 1.0, q)
-            assert k_hat == pytest.approx(np.pi / 2 - eps * np.log(4.0 / eps), abs=1e-12)
+        eps = np.geomspace(0.2, 1e-4, 12)
+        k_hat = -eps * sb.log_smallball(sb.ChaosClockSpec(sb.geometric_q(0.5, 50)), 1.0, eps)
+        assert k_hat == pytest.approx(np.pi / 2 - eps * np.log(4.0 / eps), abs=1e-12)
 
     def test_log_form_does_not_underflow(self):
-        q = sb.geometric_q(0.5, 50)
-        assert sb.oracle_smallball_chaos(0.002, 1.0, q) == 0.0
-        for eps in (0.002, 1e-4):
-            assert np.isfinite(sb.log_oracle_smallball_chaos(eps, 1.0, q))
+        log_p = sb.log_smallball(sb.ChaosClockSpec(sb.geometric_q(0.5, 50)), 1.0, (0.002, 1e-4))
+        assert np.exp(log_p[0]) == 0.0
+        assert np.all(np.isfinite(log_p))
 
     def test_validation(self):
+        spec = sb.ChaosClockSpec([1.0])
         for eps, n_steps in ((0.0, None), (-0.5, 8), (0.5, 0), (0.5, -4), (np.nan, None), (np.inf, 8)):
             with pytest.raises(ValueError):
-                sb.log_oracle_smallball_chaos(eps, 1.0, [1.0], n_steps)
+                sb.log_smallball(spec, 1.0, (eps,), n_steps)
         with pytest.raises(ValueError):
-            sb.oracle_smallball_chaos(0.5, 0.0, [1.0])
+            sb.log_smallball(spec, 0.0, (0.5,))
+        with pytest.raises(ValueError, match="at least one eps"):
+            sb.log_smallball(spec, 1.0, ())
 
     @pytest.mark.parametrize("n_steps", [None, 8])
     def test_eps_below_the_overflow_bound(self, n_steps):
         # lam_0 = pi^2 / (8 eps^2) overflows below eps ~ 1.8e-153: a usage
         # error about eps, not about lambda; just above, log P stays finite
-        q = sb.geometric_q(0.5, 50)
+        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
         with pytest.raises(ValueError, match="eps"):
-            sb.log_oracle_smallball_chaos(1e-155, 1.0, q, n_steps)
-        assert np.isfinite(sb.log_oracle_smallball_chaos(1e-150, 1.0, q, n_steps))
+            sb.log_smallball(spec, 1.0, (1e-155,), n_steps)
+        assert np.isfinite(sb.log_smallball(spec, 1.0, (1e-150,), n_steps)[0])
 
     @pytest.mark.parametrize("n_steps", [2, 8, 64])
     def test_matched_law_is_theta_over_dense_spectrum(self, n_steps):
         spec = sb.ChaosClockSpec((1.0, 0.5))
         m = np.arange(60)
-        for eps in (1.5, 0.8, 0.3):
+        eps_grid = (1.5, 0.8, 0.3)
+        for eps, got in zip(eps_grid, sb.log_smallball(spec, 1.0, eps_grid, n_steps)):
             lams = (2 * m + 1) ** 2 * np.pi**2 / (8.0 * eps * eps)
             terms = np.exp([_dense_log_laplace(lam, 1.0, n_steps, spec) for lam in lams])
             want = 4.0 / np.pi * np.sum(np.where(m % 2 == 0, 1.0, -1.0) / (2 * m + 1) * terms)
-            assert sb.oracle_smallball_chaos(eps, 1.0, spec.q, n_steps) == pytest.approx(want, rel=1e-12)
-            assert sb.log_oracle_smallball_chaos(eps, 1.0, spec.q, n_steps) == pytest.approx(np.log(want), rel=1e-12)
+            assert np.exp(got) == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(np.log(want), rel=1e-12)
+
+
+_LAW_CLOCKS = [
+    _BM2,
+    sb.PowerClockSpec(2.0, rho=1.5),
+    sb.ChaosClockSpec((1.0, 0.5)),
+    sb.ChaosClockSpec(sb.geometric_q(0.5, 50)),
+]
+_LAW_IDS = ["power", "power-rho", "chaos", "geometric-chaos"]
+
+
+class TestExactLawContract:
+    @pytest.mark.parametrize("n_steps", [None, 8, 512, 2**14])
+    @pytest.mark.parametrize("spec", _LAW_CLOCKS, ids=_LAW_IDS)
+    def test_laplace_probes_in_any_order(self, spec, n_steps):
+        # unsorted, with duplicates: one value per lambda, in input order,
+        # each equal to its one-lambda call
+        lams = (1e3, 0.0, 5.0, 1e8, 5.0, 1.0, 10.0, 0.0)
+        got = sb.log_laplace(spec, 1.0, lams, n_steps)
+        assert got.shape == (len(lams),)
+        assert list(got) == [sb.log_laplace(spec, 1.0, lam, n_steps)[0] for lam in lams]
+
+    @pytest.mark.parametrize("n_steps", [None, 64])
+    @pytest.mark.parametrize("spec", _LAW_CLOCKS, ids=_LAW_IDS)
+    def test_smallball_probes_in_any_order(self, spec, n_steps):
+        eps_grid = (0.3, 0.8, 0.15, 0.3, 2.0)
+        got = sb.log_smallball(spec, 1.0, eps_grid, n_steps)
+        assert got.shape == (len(eps_grid),)
+        assert list(got) == [sb.log_smallball(spec, 1.0, (eps,), n_steps)[0] for eps in eps_grid]
+
+    def test_bench_aliases_are_contract_calls(self):
+        # the benchmark looks these names up in mc; each is its contract
+        # expression bit for bit, and none is exported
+        q = sb.geometric_q(0.5, 50)
+        chaos = sb.ChaosClockSpec(q)
+        assert mc.log_oracle_laplace_intbm2(5.0, 1.5) == sb.log_laplace(_BM2, 1.5, 5.0)[0]
+        assert mc.oracle_laplace_intbm2(5.0, 1.5) == np.exp(sb.log_laplace(_BM2, 1.5, 5.0)[0])
+        assert mc.log_oracle_laplace_chaos(5.0, 1.5, q) == sb.log_laplace(chaos, 1.5, 5.0)[0]
+        assert mc.oracle_laplace_chaos(5.0, 1.5, q) == np.exp(sb.log_laplace(chaos, 1.5, 5.0)[0])
+        for n_steps in (None, 512):
+            want = np.exp(sb.log_smallball(chaos, 1.0, (0.3,), n_steps)[0])
+            assert mc.oracle_smallball_chaos(0.3, 1.0, q, n_steps) == want
+        cfg = McConfig(samples=600, n_steps=64, seed=21)
+        bm = sb.BrownianProcess()
+        assert mc.estimate_smallball_raw(bm, _WINDOW, 0.8, cfg) == sb.probe_smallball_raw(bm, _WINDOW, (0.8,), cfg)[0]
+        want = sb.probe_smallball_conditional(_CHAOS, 1.0, (0.3,), cfg)[0]
+        assert mc.estimate_smallball_conditional(_CHAOS, 1.0, 0.3, cfg) == want
+        part = sb.Partition((1.0,))
+        assert mc.estimate_laplace(_CHAOS, part, 2.0, cfg) == sb.estimate_laplace_multi(_CHAOS, part, (2.0,), cfg)[0]
+        aliases = {
+            "estimate_smallball_raw", "estimate_smallball_conditional", "estimate_laplace",
+            "log_oracle_laplace_intbm2", "oracle_laplace_intbm2", "log_oracle_laplace_chaos",
+            "oracle_laplace_chaos", "oracle_smallball_chaos",
+        }
+        assert not aliases & set(mc.__all__)
+        assert not aliases & set(dir(sb))
+
+    def test_power_clock_smallball_matches_conditional_probes(self):
+        # the p = 2 power clock's exact small-ball law at the sampled grid
+        eps_grid = (0.5, 0.3, 0.2)
+        cfg = McConfig(samples=20_000, n_steps=64, seed=56, workers=2)
+        exact = np.exp(sb.log_smallball(_BM2, 1.0, eps_grid, cfg.n_steps))
+        probes = sb.probe_smallball_conditional(_BM2, 1.0, eps_grid, cfg)
+        zs = [(r.estimate - p) / r.std_error for r, p in zip(probes, exact)]
+        assert max(map(abs, zs)) <= 3.0, zs

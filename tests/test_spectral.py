@@ -124,10 +124,6 @@ class TestInterlacing:
 
 
 class TestSpectralData:
-    def test_from_weights_sorts(self):
-        data = SpectralData.from_weights([0.25, 1.0, 0.5])
-        assert data.q == (1.0, 0.5, 0.25)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SpectralData((1.0, 2.0))  # increasing
