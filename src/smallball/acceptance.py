@@ -145,6 +145,14 @@ def criterion_5(seed: int) -> CriterionResult:
         the exact law of the N = 512 trapezoid clock they sample (z-gate) and
         the closed-form cosh oracle (1% gate; the two oracles differ by 7e-6
         relative at lambda = 10).
+
+    Designed false-fail rate per seed: five |z| <= 3 gates, 0.27% each, so at
+    most 5 x 0.27% ~ 1.35% (the coupled probes of (a), and those of (b), are
+    correlated, so the union bound is conservative).  The 1% gates add to
+    it: with 1e5 samples the relative SE of (b) is 0.11%, 0.28% and 0.40% at
+    lambda = 1, 5, 10, so they sit 9.0, 3.6 and 2.5 SE from the law, and at
+    lambda = 10 the 1% gate, not the z gate, binds (1.3% alone).  The whole
+    criterion fails at most about 2.4% of seeds by chance.
     """
     t0 = time.perf_counter()
     lines = []
@@ -187,6 +195,11 @@ def criterion_6(seed: int) -> CriterionResult:
     Two-sample KS between sup |Z| from direct simulation and from the
     time-changed representation over the matching chaos clock, at matched
     grid resolution; passes at the 1% critical value in >= 2 of 3 streams.
+
+    Designed false-fail rate per seed: with each rep failing 1% of the time
+    and reps independent, at least two of three fail with probability
+    3 (0.01)^2 (0.99) + (0.01)^3 ~ 3.0e-4.  That holds while the two grid laws
+    agree; an O(1/N) mismatch between the samplers would raise it.
     """
     t0 = time.perf_counter()
     n = 20_000
@@ -225,6 +238,13 @@ def criterion_7(seed: int) -> CriterionResult:
     prod_j cosh(x 2^-j) = sinh(x)/x (Levy's area formula), so K_hat(eps) =
     pi/2 - eps log(4/eps) up to O(eps exp(-2 pi/eps)): K_hat(0.1) + 0.1 log 40
     sits within 3 delta-method SEs, eps SE(p)/p, of pi/2.
+
+    Designed false-fail rate per seed: six |z| <= 3 gates (five probes and
+    the second-order gate), 0.27% each, so at most 6 x 0.27% ~ 1.6% (the
+    coupled probes are correlated, so the union bound is conservative).  The
+    30% gate and the contracting gaps are deterministic in effect: K_hat(0.1)
+    has mean pi/2 - 0.1 log 40 (23.5% low) and SE about 0.007, more than 10
+    SE from the 30% bound, and adjacent gaps differ by more than 10 SE.
     """
     t0 = time.perf_counter()
     spec = paths.ChaosClockSpec(_GEOMETRIC_Q)

@@ -35,8 +35,8 @@ clock with a spectrum, chaos or p = 2 power, has both laws.
 ``sup_bm_grid_cdf`` is the exact law of the discrete-grid Brownian
 maximum, the matched counterpart of ``sup_bm_cdf``: the (N-1)-th power of the
 killed Gaussian kernel on a midpoint grid, applied by Lanczos quadrature that
-stops once two successive estimates agree to 1e-14 relative (8 to 33 FFT
-matvecs at eps = 0.5, N = 64 to 4096).
+stops once two successive estimates agree to max(1e-14, 4 (N - 1) eps)
+relative (8 to 31 FFT matvecs at eps = 0.5, N = 64 to 4096).
 
 Importing this module loads numpy only.  Each scipy module is imported by the
 one function that needs it, on its first call: ``sup_bm_grid_cdf`` loads
@@ -85,8 +85,12 @@ __all__ = [
 _ZERO_HIT_CONFIDENCE = 0.95
 
 # Stop rule of the Lanczos evaluation in ``sup_bm_grid_cdf``: successive log
-# estimates within _LANCZOS_RTOL, or an error after _LANCZOS_MAX_STEPS steps.
+# estimates within max(_LANCZOS_RTOL, _LANCZOS_ULPS (N - 1) eps), or an error
+# after _LANCZOS_MAX_STEPS steps.  One ulp of the largest Ritz value moves the
+# (N - 1) log(theta_max) term by up to (N - 1) eps, so a finer rule would hold
+# only while the eigensolver repeats theta_max bit for bit.
 _LANCZOS_RTOL = 1e-14
+_LANCZOS_ULPS = 4
 _LANCZOS_MAX_STEPS = 1000
 
 
@@ -442,15 +446,18 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
     (Golub & Meurant, "Matrices, Moments and Quadrature"): k steps from f,
     with full reorthogonalization, give A V = V T + residual, T = S Theta S^T,
     and the estimate delta |f| (V^T 1)^T S Theta^(N-1) S^T e_1.  It stops when
-    two successive estimates agree to 1e-14 relative (compared in logs, so an
-    estimate that underflows never passes), and when it is exact: k = N (the
-    polynomial degree is reached), k = m, or a zero residual (the Krylov space
-    is invariant).  Not converging in 1000 steps raises ``NumericError``.
+    two successive estimates agree to max(1e-14, 4 (N - 1) eps) relative
+    (compared in logs, so an estimate that underflows never passes; one ulp of
+    the largest Ritz value moves the estimate by up to (N - 1) eps, so the
+    rule does not need the eigensolver to repeat it bit for bit), and when it
+    is exact: k = N (the polynomial degree is reached), k = m, or a zero
+    residual (the Krylov space is invariant).  Not converging in 1000 steps
+    raises ``NumericError``.
 
     Each step costs one FFT matvec with A, O(k m) of reorthogonalization and
     the Ritz pairs of the k x k tridiagonal T (``eigh_tridiagonal``, LAPACK's
     divide and conquer), not a dense eigensolve.  At eps = 0.5 it takes 8 to
-    33 steps for N = 64 to 4096, and the step count grows like
+    31 steps for N = 64 to 4096, and the step count grows like
     eps sqrt(N / T) (about 150 at eps = 3, N = 4096).  The O(delta^2)
     midpoint-quadrature error remains: at (0.5, 512) points_per_sigma 8, 16 and 32 differ from 64 by 9.8e-4, 2.3e-4
     and 4.7e-5 relative.  This is the matched-discretization counterpart of
@@ -482,6 +489,7 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
     basis[0] = f / f_norm
     alpha, beta, ones = [], [], []
     log_prev = -np.inf
+    tol = max(_LANCZOS_RTOL, _LANCZOS_ULPS * (n_steps - 1) * np.finfo(float).eps)
     for k in range(basis.shape[0]):
         v = basis[: k + 1]
         w = fft.irfft(fft.rfft(v[k], size) * kernel_hat, size)[m - 1 : 2 * m - 1]
@@ -494,7 +502,7 @@ def sup_bm_grid_cdf(eps: float, n_steps: int, horizon: float = 1.0, points_per_s
         weight = (np.asarray(ones) @ s) * s[0] @ (theta / theta[-1]) ** (n_steps - 1)
         log_p = np.log(delta * f_norm) + (n_steps - 1) * np.log(theta[-1]) + np.log(weight) if weight > 0 else -np.inf
         b = float(np.linalg.norm(w))
-        if abs(log_p - log_prev) <= _LANCZOS_RTOL or k + 1 in (n_steps, m) or b <= np.finfo(float).eps * theta[-1]:
+        if abs(log_p - log_prev) <= tol or k + 1 in (n_steps, m) or b <= np.finfo(float).eps * theta[-1]:
             return float(min(1.0, np.exp(log_p)))
         log_prev = log_p
         beta.append(b)

@@ -4,12 +4,12 @@ Every simulator is a pure function of its arguments and an RNG stream:
 distinct (seed, stream_id) pairs give statistically independent streams, and
 the same pair gives the same stream on any platform (numpy's PCG64 +
 SeedSequence guarantee) and the same output under any thread layout.  Kernels
-that draw normals (Brownian paths, power clocks, the time change's xi, the
-p = 2 spectral draw) repeat their bits on any platform.  Kernels that
-transform uniforms with numpy's vectorized ``log`` or ``tan`` (the chaos
-spectral draw's Exp(1) inversion, and the Box-Muller pairs behind chaos
-clocks and direct chaos sums) repeat their bits for a given numpy build and
-CPU: those functions may round differently elsewhere (``np.tan`` and the C
+that draw normals (Brownian paths, power clocks, the time change's xi) repeat
+their bits on any platform.  Kernels that transform uniforms with numpy's
+vectorized ``log`` or ``tan`` (the spectral draw's Exp(1) inversion and the
+p = 2 power clock's radius-and-angle pairs, and the Box-Muller pairs behind
+chaos clocks and direct chaos sums) repeat their bits for a given numpy build
+and CPU: those functions may round differently elsewhere (``np.tan`` and the C
 library's ``tan`` differ by one ulp on about 0.5% of arguments on one x86-64
 build), but their law holds everywhere.  Each process has one increment
 kernel, and every batch sampler runs it through one block loop whose layout
@@ -38,9 +38,11 @@ Simulated objects:
   scalar rho, without a path: the N-step trapezoid clock is a Gaussian
   quadratic form with the closed-form spectrum of
   ``quadratic_clock_spectrum``, so it is drawn as a weighted sum of
-  independent chi-squared variables (squared normals for one degree of
-  freedom, 2E with E = -log(1 - U) by inversion for two), equal in law to the
-  path quadrature up to the 2^-53 grid of U but not pathwise coupled to it.
+  independent chi-squared variables, from E = -log(1 - U) by inversion: 2E
+  for two degrees of freedom, and for one, two modes at a time as the
+  squared radius 2E and uniform angle of one planar Gaussian.  It is equal in
+  law to the path quadrature up to the 2^-53 grid of U but not pathwise
+  coupled to it.
 
 Every chaos sampler (clock paths, direct chaos sums and the spectral draw)
 draws nothing for the smallest q_j whose q_j^2 sum to at most
@@ -287,12 +289,13 @@ def _time_indices(times, n_steps: int) -> np.ndarray:
 # churn of fresh multi-MB temporaries would otherwise dominate.
 #
 # Bits and block layout: kernels that fill a block with one draw (Brownian
-# paths, power clocks, the p = 2 spectral draw) consume the stream row-major,
-# so their output does not depend on the block size.  Kernels that fill a
-# block with several draws (chaos clocks, direct chaos sums, the chaos
-# spectral draw, and every time change: clock, then xi) consume it block by
-# block: a batch that spans several blocks splits the same i.i.d. stream
-# differently from one that fits one block, equal in law but not in bits.
+# paths, power clocks, the p = 2 spectral draw's 2 ceil(N/2) uniforms per row)
+# consume the stream row-major, so their output does not depend on the block
+# size.  Kernels that fill a block with several draws (chaos clocks, direct
+# chaos sums, the chaos spectral draw, and every time change: clock, then xi)
+# consume it block by block: a batch that spans several blocks splits the
+# same i.i.d. stream differently from one that fits one block, equal in law
+# but not in bits.
 # ---------------------------------------------------------------------------
 
 class _Workspace:
@@ -302,7 +305,8 @@ class _Workspace:
     the chaos kernels take their first 2b rows as one view, X_j in rows
     [0, b) and Y_j in rows [b, 2b), so one call draws, scales or cumulates
     both.  ``scratch`` lends the planar-pair draw a contiguous (b, N) view of
-    ``paths``, which the chaos kernels rewrite after each draw or never read.
+    ``paths``, which the chaos kernels rewrite after each draw or never read,
+    and the p = 2 spectral draw its (b, 2 ceil(N/2)) block of uniforms.
     """
 
     def __init__(self, rows: int, n_steps: int):
@@ -586,31 +590,55 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
 
     E_jk is drawn by inversion, -log(1 - U) with U from ``Generator.random``
     (one uniform and one vectorized log per value, cheaper than numpy's
-    ziggurat ``standard_exponential``).  U lies on the 2^-53 grid of [0, 1),
-    so 1 - U is exact and positive and E_jk is finite and at most
-    53 ln 2 ~ 36.7; the cut tail has probability 2^-53.  Chaos-clock samples
-    therefore differ in bits, not in law, from those of the ziggurat draw; the
-    p = 2 power clock's squared normals are unchanged.
+    ziggurat ``standard_exponential``).  The p = 2 power clock pairs mode k
+    with mode k + M, M = ceil(N/2) (odd N pads mu with one zero): (xi_k,
+    xi_{k+M}) is a planar Gaussian, whose squared radius 2E and angle phi are
+    independent, so mu_k xi_k^2 + mu_{k+M} xi_{k+M}^2 = 2E (mu_k s +
+    mu_{k+M} (1 - s)) with s = cos^2 phi = 1 / (1 + tan^2(pi U')).  Each row
+    takes 2M uniforms, the M radii first and then the M angles: two uniforms,
+    one log and one tan per pair, against two ziggurat normals.  U and U' lie
+    on the 2^-53 grid of [0, 1), so 1 - U is exact and positive, E is finite
+    and at most 53 ln 2 ~ 36.7 (the cut tail has probability 2^-53), and
+    |tan(pi U')| <= |tan(pi fl(1/2))| ~ 1.6e16 stays finite.  Both draws
+    therefore differ in bits, not in law, from ziggurat draws of E and xi.
     """
     form = quadratic_clock_spectrum(spec, t, n_steps)
     if form is None:
         return clock_terminal_samples(spec, t, n_steps, n, rng)
     w, mu, nu = form
-    if isinstance(spec, ChaosClockSpec):
-        w = _sampled_q(spec) ** 2  # the exact law keeps every term; the draw skips the negligible ones
     gen = as_generator(rng)
-    coef = [(-2.0 if nu == 2 else 1.0) * wj * mu for wj in w]  # nu = 2 scales log(1 - U) = -E
+    if nu == 1:
+        half = -(-n_steps // 2)
+        mu = np.append(mu, np.zeros(2 * half - n_steps))
+        # 2E (mu_a s + mu_b (1 - s)) = log(1 - U) (base + slope s)
+        base, slope = -2.0 * w[0] * mu[half:], -2.0 * w[0] * (mu[:half] - mu[half:])
+
+        def block(x, ws):
+            u = ws.scratch(len(x), 2 * half)
+            gen.random(out=u)
+            r, a = u[:, :half], u[:, half:]
+            np.subtract(1.0, r, out=r)
+            np.log(r, out=r)
+            a *= np.pi
+            np.tan(a, out=a)
+            np.multiply(a, a, out=a)
+            a += 1.0
+            np.divide(slope, a, out=a)  # slope s
+            a += base
+            r *= a
+            return r.sum(axis=1)[:, None]
+
+        return _block_loop(n, n_steps, 1, block)[:, 0]
+
+    # a chaos clock: the exact law keeps every term; the draw skips the negligible ones
+    coef = [-2.0 * wj * mu for wj in _sampled_q(spec) ** 2]  # scales log(1 - U) = -E
 
     def block(x, ws):
         c = np.zeros(len(x))
         for cj in coef:  # one (b, N) buffer per term
-            if nu == 2:
-                gen.random(out=x)
-                np.subtract(1.0, x, out=x)
-                np.log(x, out=x)
-            else:
-                gen.standard_normal(out=x)
-                np.multiply(x, x, out=x)
+            gen.random(out=x)
+            np.subtract(1.0, x, out=x)
+            np.log(x, out=x)
             x *= cj
             c += x.sum(axis=1)  # not a BLAS gemv: its threads would contend with the batch workers
         return c[:, None]

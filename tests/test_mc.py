@@ -98,6 +98,33 @@ class TestGridSupOracle:
             shifted = sb.sup_bm_cdf(eps + 0.5826 * np.sqrt(1.0 / 16384))
             assert abs(grid - shifted) < 1e-4 * shifted
 
+    def test_stop_rule_survives_ritz_value_jitter(self, monkeypatch):
+        # one ulp of theta_max moves the estimate by up to (N - 1) eps relative;
+        # moving every Ritz value by +1, -2, +2 or -1 ulp, a different one at
+        # each step, must not keep the evaluation from converging
+        import scipy.linalg
+        from smallball import mc
+
+        eigh = scipy.linalg.eigh_tridiagonal
+        eps, n_steps = 0.5, 4096
+
+        def run(ulps):
+            steps = []
+
+            def jittered(a, b):
+                steps.append(len(a))
+                theta, s = eigh(a, b)
+                return theta + ulps[len(a) % len(ulps)] * np.spacing(theta), s
+
+            monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", jittered)
+            return sb.sup_bm_grid_cdf(eps, n_steps), len(steps)
+
+        plain, plain_steps = run((0,))
+        value, steps = run((1, -2, 2, -1))
+        assert plain_steps <= 33 and steps <= plain_steps + 2
+        tol = mc._LANCZOS_ULPS * (n_steps - 1) * np.finfo(float).eps
+        assert value == pytest.approx(plain, rel=tol)
+
     def test_unconverged_raises(self, monkeypatch):
         from smallball import mc
 
@@ -325,6 +352,9 @@ _ESTIMATORS = {
     "estimate_smallball_raw": lambda cfg: sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6,), cfg),
     "estimate_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_CHAOS, 1.0, (0.3,), cfg),
     "probe_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_CHAOS, 1.0, (0.5, 0.3, 0.2), cfg),
+    "probe_smallball_conditional_power": lambda cfg: sb.probe_smallball_conditional(
+        sb.PowerClockSpec(2.0, rho=1.5), 1.0, (0.5, 0.3), cfg
+    ),
     "probe_smallball_raw": lambda cfg: sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg),
     "probe_smallball_raw_direct": lambda cfg: sb.probe_smallball_raw(
         sb.ChaosDirectProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg

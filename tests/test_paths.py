@@ -306,13 +306,15 @@ class TestSupSamples:
                     sb.PowerClockSpec(2.0, rho=(1.0, 2.0)), (0.5, 1.0), 128, 700, sb.RngStream(20, 1)
                 ),
                 sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0), 1.0, 128, 700, sb.RngStream(20, 3)),
+                sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0), 1.0, 127, 700, sb.RngStream(20, 4)),
             )
 
         default = draw()
         assert all(np.array_equal(a, b) for a, b in zip(default, draw()))
         # Brownian paths, power clocks and the p = 2 spectral draw fill each
         # block with one row-major draw, so 48-row blocks (fifteen of them,
-        # the last of 28 rows) give the same bits
+        # the last of 28 rows) give the same bits; at odd N = 127 the spectral
+        # draw takes 128 uniforms per row
         monkeypatch.setattr(paths, "_BLOCK_DOUBLES", 48 * 128)
         assert all(np.array_equal(a, b) for a, b in zip(default, draw()))
 
@@ -604,6 +606,37 @@ class TestSpectralClockLaw:
         assert abs(x.mean() - c.sum()) < 4 * np.sqrt(k2 / n)
         assert abs(x.var(ddof=1) - k2) < 4 * np.sqrt((k4 + 2 * k2**2) / n)
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 64])
+    def test_power_draw_moments_match_the_spectrum(self, n_steps):
+        # C_N = sum_k c_k xi_k^2, c_k = rho^2 mu_k: mean sum c, variance 2 sum c^2 and
+        # kappa_4 = 48 sum c^4; N = 1 pairs the lone mode with the zero pad
+        spec = sb.PowerClockSpec(2.0, rho=1.5)
+        (w,), mu, _ = sb.quadratic_clock_spectrum(spec, 1.0, n_steps)
+        c = w * mu
+        k2, k4 = 2.0 * np.sum(c**2), 48.0 * np.sum(c**4)
+        n = 50_000
+        x = sb.clock_terminal_law_samples(spec, 1.0, n_steps, n, sb.RngStream(54, n_steps))
+        assert abs(x.mean() - c.sum()) < 4 * np.sqrt(k2 / n)
+        assert abs(x.var(ddof=1) - k2) < 4 * np.sqrt((k4 + 2 * k2**2) / n)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0**-53], ids=["zero", "half", "largest"])
+    def test_power_pair_draw_stays_finite(self, u):
+        # every pair sees radius U and angle U: 2E (mu_k s + mu_{k+M} (1 - s)) with
+        # E = -log(1 - U) <= 53 ln 2 and s = 1 / (1 + tan^2(pi U)), where
+        # tan(pi fl(1/2)) ~ 1.6e16 is finite; N = 5 pads mu with one zero
+        class ConstantUniform:
+            def random(self, out):
+                out[:] = u
+
+        spec = sb.PowerClockSpec(2.0, rho=1.5)
+        (w,), mu, _ = sb.quadratic_clock_spectrum(spec, 1.0, 5)
+        mu_a, mu_b = mu[:3], np.append(mu[3:], 0.0)
+        s = 1.0 / (1.0 + np.tan(np.pi * u) ** 2)
+        want = -2.0 * np.log1p(-u) * w * np.sum(mu_a * s + mu_b * (1.0 - s))
+        x = sb.clock_terminal_law_samples(spec, 1.0, 5, 4, ConstantUniform())
+        assert np.all(np.isfinite(x))
+        assert x == pytest.approx(np.full(4, want), rel=1e-14, abs=0.0)
+
     def test_one_mode_chaos_draw_is_exponential(self):
         # one term at N = 1: mu_1 = h^2 / 2, so C_1(1) = E ~ Exp(1)
         from scipy.stats import kstest
@@ -628,8 +661,10 @@ class TestSpectralClockLaw:
         "spec", [sb.PowerClockSpec(2.0, rho=1.5), sb.ChaosClockSpec((1.0, 0.5))], ids=["power", "chaos"]
     )
     def test_draw_equals_inline_reference(self, spec):
-        # rows in blocks of _BLOCK_DOUBLES // N; per block and term j, one (b, N)
-        # draw: chi2_1 as a squared normal, chi2_2 as 2 E with E = -log(1 - U)
+        # rows in blocks of _BLOCK_DOUBLES // N.  chi2_2: per block and term j,
+        # one (b, N) draw, 2 E with E = -log(1 - U).  chi2_1: per block, one
+        # (b, N) draw, N/2 radius uniforms then N/2 angle uniforms per row, and
+        # mode k paired with mode k + N/2 as 2 E (mu_k s + mu_{k+N/2} (1 - s))
         n_steps = 64
         block = paths._BLOCK_DOUBLES // n_steps
         n = block + 5
@@ -638,12 +673,16 @@ class TestSpectralClockLaw:
         want = np.zeros(n)
         for lo in range(0, n, block):
             rows = want[lo : lo + block]
-            for wj in w:
-                if nu == 1:
-                    x = gen.standard_normal((len(rows), n_steps)) ** 2 * (wj * mu)
-                else:
-                    x = -np.log(1.0 - gen.random((len(rows), n_steps))) * (2.0 * wj * mu)
+            if nu == 1:
+                half = n_steps // 2
+                u = gen.random((len(rows), n_steps))
+                base, slope = -2.0 * w[0] * mu[half:], -2.0 * w[0] * (mu[:half] - mu[half:])
+                x = np.log(1.0 - u[:, :half]) * (base + slope / (1.0 + np.tan(u[:, half:] * np.pi) ** 2))
                 rows += x.sum(axis=1)
+            else:
+                for wj in w:
+                    x = -np.log(1.0 - gen.random((len(rows), n_steps))) * (2.0 * wj * mu)
+                    rows += x.sum(axis=1)
         got = sb.clock_terminal_law_samples(spec, 1.0, n_steps, n, sb.RngStream(53, 0))
         assert np.array_equal(got, want)
 
