@@ -298,7 +298,7 @@ def sup_bm_log_cdf(x):
 
 def _theta_block(x: np.ndarray, out: np.ndarray) -> None:
     """``sup_bm_log_cdf`` of the 1-D block x into out."""
-    if np.any(x <= 0):
+    if not np.all(x > 0):  # also rejects nan, which x <= 0 lets through
         raise ValueError("x must be positive")
     small = x < 2.0
     if small.any():

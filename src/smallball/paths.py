@@ -45,12 +45,18 @@ Simulated objects:
   coupled to it.
 
 Every chaos sampler (clock paths, direct chaos sums and the spectral draw)
-draws nothing for the smallest q_j whose q_j^2 sum to at most
-2^-53 sum_j q_j^2, one unit roundoff (``_sampled_q``; 23 of q_j = 2^-j at
-J = 50).  Those terms carry at most that share of E C(t) and of Var Z(t), and
-the skipped part of Z is independent of the rest with mean zero, so every
-sampled law moves by O(2^-53) relative.  The exact spectrum, ``effective_q``
-and ``one_norm`` keep every term.
+draws no path for the smallest q_j whose q_j^4 sum to at most
+2^-53 (sum_j q_j^2)^2, one unit roundoff (``_sampled_q``; 36 of q_j = 2^-j at
+J = 50, which keeps 14).  It carries their part S = sum_skip q_j^2 by its
+first two moments instead, the Gaussian treatment of a truncated Levy-area
+tail (Kloeden, Platen & Wright, Stoch. Anal. Appl. 10, 1992; Wiktorsson,
+Ann. Appl. Probab. 11, 2001), applied to the chaos index j: a clock gets the
+skipped terms' mean, and a direct chaos sum an independent Gaussian increment
+of the skipped terms' variance.  The skipped part of Z is independent of the
+rest, with mean zero and no third cumulant, and the skipped part of a clock
+has variance of order sum_skip q_j^4, so every sampled law moves by
+O(sum_skip q_j^4 / (sum_j q_j^2)^2) = O(2^-53) relative.  The exact spectrum,
+``effective_q`` and ``one_norm`` keep every term.
 
 Sup functionals are taken over the simulation grid; grid sups underestimate
 continuous sups, so comparisons elsewhere in the package are always made at
@@ -91,7 +97,7 @@ __all__ = [
 # 256-row batches at N = 512 still fit one block.
 _BLOCK_DOUBLES = 2**17
 
-# Unit roundoff of a double: the largest share of sum q_j^2 a chaos sampler skips.
+# Unit roundoff of a double: a chaos sampler skips q_j whose q_j^4 sum to at most this share of (sum q_j^2)^2.
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -178,9 +184,10 @@ class ChaosClockSpec:
 
     ``q`` holds the collapsed singular values (one per conjugate pair); the
     trace norm of the underlying form is 2 * sum q_j.  ``truncation`` further
-    caps the number of terms.  The samplers then also skip the smallest q_j
-    whose q_j^2 sum to at most 2^-53 sum_j q_j^2 (one unit roundoff of the
-    clock's mean and of Var Z), which moves no sampled law beyond O(2^-53);
+    caps the number of terms.  The samplers then draw no path for the smallest
+    q_j whose q_j^4 sum to at most 2^-53 (sum_j q_j^2)^2 and carry those terms
+    by their mean (clocks) or by a Gaussian of their variance (direct chaos
+    sums), which moves no sampled law beyond O(2^-53) relative;
     ``effective_q``, ``one_norm`` and the exact spectrum keep every term.
     Every q_j must be finite, and so must sum_j q_j^2.
     """
@@ -208,20 +215,26 @@ class ChaosClockSpec:
         return 2.0 * float(np.sum(self.effective_q))
 
 
-def _sampled_q(spec: ChaosClockSpec) -> np.ndarray:
-    """The terms of ``spec.effective_q`` that the chaos samplers draw, in order.
+def _sampled_q(spec: ChaosClockSpec) -> tuple[np.ndarray, float]:
+    """(kept, S): the terms of ``spec.effective_q`` the chaos samplers draw, in order, and S = sum_skip q_j^2.
 
-    The smallest q_j whose q_j^2 sum to at most 2^-53 sum_j q_j^2 are skipped;
-    for a decreasing q the kept terms are a prefix (27 of q_j = 2^-j, J = 50).
-    The skipped terms carry that share of E C(t) and of Var Z(t), so the law
-    of every sampled clock, path and sup moves by O(2^-53) relative.
+    The smallest q_j whose q_j^4 sum to at most 2^-53 (sum_j q_j^2)^2 are
+    skipped; for a decreasing q the kept terms are a prefix (14 of
+    q_j = 2^-j, J = 50; 8 of q_j = 0.3^j, J = 80).  The samplers carry the
+    skipped terms by their first two moments, which are linear in S: the mean
+    2 t S of their part of v(t) = sum_j q_j^2 (X_j^2 + Y_j^2), and the variance
+    2 t S dt of their part of dZ.  What they leave out is of fourth order: the
+    variance 4 t^2 sum_skip q_j^4 of the skipped part of v(t), against
+    (E v(t))^2 = 4 t^2 (sum_j q_j^2)^2, and the fourth cumulant of the skipped
+    part of Z (its third is 0), so the law of every sampled clock, path and
+    sup moves by O(2^-53) relative.  S is 0.0 exactly when nothing is skipped.
     """
     q = spec.effective_q
     w = q * q
     order = np.argsort(w, kind="stable")
-    keep = np.ones(q.size, dtype=bool)
-    keep[order[np.cumsum(w[order]) <= _UNIT_ROUNDOFF * w.sum()]] = False
-    return q[keep]
+    share = w[order] / w.sum()  # scale-free: (q_j^2)^2 would overflow or underflow before the ratio does
+    skip = order[np.cumsum(share * share) <= _UNIT_ROUNDOFF]
+    return np.delete(q, skip), float(np.sum(w[skip]))
 
 
 ClockSpec = Union[PowerClockSpec, ChaosClockSpec]
@@ -401,14 +414,16 @@ def _fill_chaos_clock_steps(d_c, ws: _Workspace, spec: ChaosClockSpec, horizon: 
     """Per-step increments of a chaos clock into d_c (b, N), streaming over j.
 
     d_c first accumulates v = sum_j q_j^2 (X_j^2 + Y_j^2) at nodes 1..N (v is
-    0 at node 0); the trapezoid rule then turns v into per-step increments.
+    0 at node 0), starting from the skipped terms' mean 2 k h S at node k;
+    the trapezoid rule then turns v into per-step increments.
     """
     b, n_steps = d_c.shape
     h = horizon / n_steps
     xy = ws.steps[: 2 * b]
     scratch = ws.scratch(b, n_steps)
-    d_c[:] = 0.0
-    for qj in _sampled_q(spec):
+    q, skipped = _sampled_q(spec)
+    d_c[:] = (2.0 * h * skipped) * np.arange(1, n_steps + 1)
+    for qj in q:
         _fill_planar_normals(rng, xy, scratch, h * qj**2)  # q_j dX_j, then q_j dY_j
         np.cumsum(xy, axis=1, out=xy)
         np.multiply(xy, xy, out=xy)
@@ -430,8 +445,13 @@ def _fill_clock_steps(d_c, ws: _Workspace, spec: ClockSpec, times, rng) -> None:
         raise TypeError(f"not a clock spec: {spec!r}")
 
 
-def _fill_chaos_direct_increments(d_z, ws: _Workspace, q, horizon: float, rng) -> None:
-    """Increments of Z = sum_j q_j (X_j dY_j - Y_j dX_j) into d_z (b, N); left-point sums."""
+def _fill_chaos_direct_increments(d_z, ws: _Workspace, spec: ChaosClockSpec, horizon: float, rng) -> None:
+    """Increments of Z = sum_j q_j (X_j dY_j - Y_j dX_j) into d_z (b, N); left-point sums.
+
+    The skipped terms' increment at step i (left node i) has variance
+    2 i h^2 S and is uncorrelated with every other step's and with the kept
+    terms, so it is drawn as one independent N(0, 2 i h^2 S), only when S > 0.
+    """
     b, n_steps = d_z.shape
     h = horizon / n_steps
     d_z[:] = 0.0
@@ -439,6 +459,7 @@ def _fill_chaos_direct_increments(d_z, ws: _Workspace, q, horizon: float, rng) -
     left = ws.paths[: 2 * b, :n_steps]
     scratch = ws.scratch(b, n_steps)  # free until the cumsum rewrites left
     d_x, d_y, x_left, y_left = d_xy[:b], d_xy[b:], left[:b], left[b:]
+    q, skipped = _sampled_q(spec)
     for qj in q:
         # sqrt(q_j) dX_j, then sqrt(q_j) dY_j: their area term carries the factor q_j
         _fill_planar_normals(rng, d_xy, scratch, h * qj)
@@ -449,6 +470,10 @@ def _fill_chaos_direct_increments(d_z, ws: _Workspace, q, horizon: float, rng) -
         np.multiply(y_left, d_x, out=y_left)
         x_left -= y_left
         d_z += x_left
+    if skipped:
+        rng.standard_normal(out=scratch)  # left is free again
+        scratch *= h * np.sqrt(2.0 * skipped * np.arange(n_steps))
+        d_z += scratch
 
 
 def _fill_increments(d, ws: _Workspace, process: ProcessSpec, times, rng) -> None:
@@ -458,7 +483,7 @@ def _fill_increments(d, ws: _Workspace, process: ProcessSpec, times, rng) -> Non
         rng.standard_normal(out=d)
         d *= np.sqrt(horizon / d.shape[1])
     elif isinstance(process, ChaosDirectProcess):
-        _fill_chaos_direct_increments(d, ws, _sampled_q(process.clock), horizon, rng)
+        _fill_chaos_direct_increments(d, ws, process.clock, horizon, rng)
     elif isinstance(process, TimeChangedProcess):
         _fill_clock_steps(d, ws, process.clock, times, rng)
         xi = ws.steps[: len(d)]
@@ -583,10 +608,11 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
     For the clocks of :func:`quadratic_clock_spectrum` no path is simulated:
     a chaos clock is sum_{j,k} 2 q_j^2 mu_k E_jk with E_jk ~ Exp(1) (chi2_2 is
     2 Exp(1)), a p = 2 power clock rho^2 sum_k mu_k xi_k^2.  Every mode k <= N
-    is kept, and every term j the path samplers draw, so the law equals that
-    of :func:`clock_terminal_samples` up to rounding, but the draws are not
-    pathwise coupled to it.  Any other clock falls through to
-    :func:`clock_terminal_samples`, bit for bit.
+    is kept, and every term j the path samplers draw; the terms they skip
+    start each row at their mean 2 S sum_k mu_k, as the path clock's ramp
+    does.  So the law equals that of :func:`clock_terminal_samples` up to
+    rounding, but the draws are not pathwise coupled to it.  Any other clock
+    falls through to :func:`clock_terminal_samples`, bit for bit.
 
     E_jk is drawn by inversion, -log(1 - U) with U from ``Generator.random``
     (one uniform and one vectorized log per value, cheaper than numpy's
@@ -630,11 +656,13 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
 
         return _block_loop(n, n_steps, 1, block)[:, 0]
 
-    # a chaos clock: the exact law keeps every term; the draw skips the negligible ones
-    coef = [-2.0 * wj * mu for wj in _sampled_q(spec) ** 2]  # scales log(1 - U) = -E
+    # a chaos clock: the exact law keeps every term; the draw carries the skipped ones by their mean
+    q, skipped = _sampled_q(spec)
+    coef = [-2.0 * wj * mu for wj in q**2]  # scales log(1 - U) = -E
+    start = 2.0 * skipped * mu.sum()
 
     def block(x, ws):
-        c = np.zeros(len(x))
+        c = np.full(len(x), start)
         for cj in coef:  # one (b, N) buffer per term
             gen.random(out=x)
             np.subtract(1.0, x, out=x)

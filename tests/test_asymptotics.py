@@ -139,6 +139,15 @@ class TestSupBmCdf:
         with pytest.raises(ValueError):
             sb.sup_bm_log_cdf(-1.0)
 
+    def test_nan_is_rejected(self):
+        # nan fails x > 0 like a nonpositive x, in a scalar, in the theta
+        # range and in the reflection range; inf is P = 1
+        for x in (np.nan, [0.5, np.nan], [3.0, np.nan]):
+            for f in (sb.sup_bm_log_cdf, sb.sup_bm_cdf):
+                with pytest.raises(ValueError, match="x must be positive"):
+                    f(x)
+        assert sb.sup_bm_log_cdf(np.inf) == 0.0
+
 
 class TestSupBmLogCdfBlocks:
     """The theta series runs over the flattened argument in blocks of _THETA_BLOCK values."""

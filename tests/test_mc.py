@@ -362,14 +362,38 @@ _ESTIMATORS = {
 }
 
 
+# q_j = 2^-j, J = 50: the samplers draw 14 terms and carry 36 by their
+# moments (the clock's ramp, the direct sum's Gaussian, the spectral constant),
+# which _CHAOS, skipping nothing, never runs
+_GEOMETRIC = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
+_GEOMETRIC_ESTIMATORS = {
+    "probe_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_GEOMETRIC, 1.0, (0.5, 0.3, 0.2), cfg),
+    "probe_smallball_raw": lambda cfg: sb.probe_smallball_raw(
+        sb.TimeChangedProcess(_GEOMETRIC), _WINDOW, (0.6, 0.4, 0.8), cfg
+    ),
+    "probe_smallball_raw_direct": lambda cfg: sb.probe_smallball_raw(
+        sb.ChaosDirectProcess(_GEOMETRIC), _WINDOW, (0.6, 0.4, 0.8), cfg
+    ),
+}
+
+
 class TestWorkerInvariance:
+    @staticmethod
+    def assert_invariant(estimator, samples, n_steps):
+        serial = estimator(McConfig(samples=samples, n_steps=n_steps, seed=17))
+        threaded = estimator(McConfig(samples=samples, n_steps=n_steps, seed=17, workers=2))
+        assert [(r.estimate, r.std_error) for r in serial] == [(r.estimate, r.std_error) for r in threaded]
+        assert all(r.samples == samples and r.std_error > 0 for r in serial)
+
     @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
     def test_workers_do_not_change_results(self, name):
         # batches of 1024, 1024 and 952, spread over two threads
-        serial = _ESTIMATORS[name](McConfig(samples=3000, n_steps=2048, seed=17))
-        threaded = _ESTIMATORS[name](McConfig(samples=3000, n_steps=2048, seed=17, workers=2))
-        assert [(r.estimate, r.std_error) for r in serial] == [(r.estimate, r.std_error) for r in threaded]
-        assert all(r.samples == 3000 and r.std_error > 0 for r in serial)
+        self.assert_invariant(_ESTIMATORS[name], 3000, 2048)
+
+    @pytest.mark.parametrize("name", sorted(_GEOMETRIC_ESTIMATORS))
+    def test_workers_do_not_change_compensated_draws(self, name):
+        # two batches of 1200 over two threads, each in row blocks of 1024 and 176
+        self.assert_invariant(_GEOMETRIC_ESTIMATORS[name], 2400, 128)
 
 
 class TestBatchMerge:
@@ -689,7 +713,8 @@ class TestSpectralClockEstimators:
         assert max(separations) > 8
 
     def test_trimmed_chaos_laplace_matches_matched_oracle(self):
-        # the Exp(1) draws by inversion, on the trimmed 27-term geometric clock
+        # the Exp(1) draws by inversion on the geometric clock's 14 drawn terms,
+        # the other 36 carried by their mean
         q = sb.geometric_q(0.5, 50)
         cfg = McConfig(samples=100_000, n_steps=64, seed=54, workers=2)
         lams = (0.5, 2.0, 8.0)
@@ -718,7 +743,8 @@ class TestSpectralClockEstimators:
             assert abs(est.estimate - want) < 4 * est.std_error
 
     def test_trimmed_geometric_probe_matches_full_matched_law(self):
-        # the sampler draws 27 of the 50 terms; the oracle keeps all 50
+        # the sampler draws 14 of the 50 terms and carries the rest by their
+        # mean; the oracle keeps all 50
         q = sb.geometric_q(0.5, 50)
         cfg = McConfig(samples=20_000, n_steps=64, seed=50, workers=2)
         eps_grid = (0.4, 0.2)

@@ -367,7 +367,7 @@ class TestBlockKernels:
 
         def reference_pairs(seed, rows, power):
             gen = sb.RngStream(seed, 0).generator()
-            for qj in _sampled_q(spec):
+            for qj in spec.q:  # all three are drawn: no term is skipped
                 yield box_muller_pair(gen, rows, n_steps, h * qj**power)
 
         def left(dw):
@@ -595,11 +595,13 @@ class TestSpectralClockLaw:
         assert stat < sb.ks_critical_value(n, n, 0.01)
 
     def test_chaos_draw_moments_match_the_spectrum(self):
-        # C_N = sum_{j,k} c_jk E_jk, c_jk = 2 w_j mu_k over the sampled terms:
-        # cumulants kappa_r = (r - 1)! sum c^r, and Var s^2 = (kappa_4 + 2 kappa_2^2) / n
+        # C_N = sum_{j,k} c_jk E_jk, c_jk = 2 w_j mu_k over all 50 terms:
+        # cumulants kappa_r = (r - 1)! sum c^r, and Var s^2 = (kappa_4 + 2 kappa_2^2) / n.
+        # The draw carries the 36 skipped terms by their mean, so its variance
+        # lacks their share of kappa_2, about 1e-18 relative
         spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
-        _, mu, _ = sb.quadratic_clock_spectrum(spec, 1.0, 64)
-        c = np.outer(2.0 * _sampled_q(spec) ** 2, mu)
+        w, mu, _ = sb.quadratic_clock_spectrum(spec, 1.0, 64)
+        c = np.outer(2.0 * w, mu)
         k2, k4 = np.sum(c**2), 6.0 * np.sum(c**4)
         n = 50_000
         x = sb.clock_terminal_law_samples(spec, 1.0, 64, n, sb.RngStream(51, 0))
@@ -697,56 +699,101 @@ class TestSpectralClockLaw:
         assert np.array_equal(a, b)
 
 
+def _first_order_rule(spec):
+    """The earlier truncation rule: skip the smallest q_j whose q_j^2 sum to at most 2^-53 sum q_j^2, carry nothing."""
+    q = spec.effective_q
+    w = q * q
+    order = np.argsort(w, kind="stable")
+    keep = np.ones(q.size, dtype=bool)
+    keep[order[np.cumsum(w[order]) <= 2.0**-53 * w.sum()]] = False
+    return q[keep], 0.0
+
+
+_GEOMETRIC = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
+# sum_{j=15}^{50} 4^-j: the part of sum q_j^2 the samplers carry by its moments
+_GEOMETRIC_SKIPPED = (4.0**-14 - 4.0**-50) / 3.0
+
+
 class TestSampledChaosTerms:
-    # the chaos samplers skip the smallest q_j whose q_j^2 sum to at most one
-    # unit roundoff of sum q_j^2; the exact spectrum keeps every term
+    # the chaos samplers draw no path for the smallest q_j whose q_j^4 sum to
+    # at most one unit roundoff of (sum q_j^2)^2, and carry S = sum_skip q_j^2
+    # by its moments; the exact spectrum keeps every term
     def test_kept_terms(self):
-        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
-        assert np.array_equal(_sampled_q(spec), spec.effective_q[:27])
-        for q in (sb.geometric_q(0.5, 20), (1.0, 0.5)):
-            assert np.array_equal(_sampled_q(sb.ChaosClockSpec(q)), q)
+        q, skipped = _sampled_q(_GEOMETRIC)
+        assert np.array_equal(q, _GEOMETRIC.effective_q[:14])
+        assert skipped == pytest.approx(_GEOMETRIC_SKIPPED, rel=1e-14)
+        q, skipped = _sampled_q(sb.ChaosClockSpec(sb.geometric_q(0.3, 80)))
+        assert np.array_equal(q, sb.geometric_q(0.3, 8))
+        assert skipped == pytest.approx(np.sum(np.asarray(sb.geometric_q(0.3, 80))[8:] ** 2), rel=1e-14)
+        for q in (sb.geometric_q(0.5, 14), (1.0, 0.5)):
+            assert np.array_equal(_sampled_q(sb.ChaosClockSpec(q))[0], q)
+            assert _sampled_q(sb.ChaosClockSpec(q))[1] == 0.0
         # unsorted: only the three smallest go, the rest keep their order
-        q = (2e-8, 1e-9, 1.0, 3e-9, 0.5, 2e-9)
-        assert np.array_equal(_sampled_q(sb.ChaosClockSpec(q)), [2e-8, 1.0, 0.5])
+        q = (2e-4, 1e-5, 1.0, 3e-5, 0.5, 2e-5)
+        kept, skipped = _sampled_q(sb.ChaosClockSpec(q))
+        assert np.array_equal(kept, [2e-4, 1.0, 0.5])
+        assert skipped == pytest.approx(1e-10 + 9e-10 + 4e-10, rel=1e-14)
         # truncation applies first
         short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50), truncation=5)
-        assert np.array_equal(_sampled_q(short), sb.geometric_q(0.5, 5))
+        assert np.array_equal(_sampled_q(short)[0], sb.geometric_q(0.5, 5))
+        assert _sampled_q(short)[1] == 0.0
 
     @pytest.mark.parametrize(
         "q",
         [sb.geometric_q(0.5, 50), sb.geometric_q(0.3, 80), sb.geometric_q(0.9, 400),
-         tuple(np.random.default_rng(3).lognormal(0.0, 12.0, 60))],
-        ids=["half", "0.3", "0.9", "lognormal"],
+         tuple(np.random.default_rng(3).lognormal(0.0, 12.0, 60)), (1e150, 1e140, 1e130), (1e-150, 1e-155)],
+        ids=["half", "0.3", "0.9", "lognormal", "huge", "tiny"],
     )
     def test_dropped_share_below_unit_roundoff(self, q):
         q = np.asarray(q)
-        kept = _sampled_q(sb.ChaosClockSpec(tuple(q)))
+        kept, skipped = _sampled_q(sb.ChaosClockSpec(tuple(q)))
         dropped = np.setdiff1d(q, kept)
         assert kept.size + dropped.size == q.size and kept.size < q.size
-        assert np.sum(dropped**2) <= 2.0**-53 * np.sum(q**2)
+        # shares of sum q_j^2, so that q_j^4 neither overflows nor underflows
+        share = q**2 / np.sum(q**2)
+        dropped_share = dropped**2 / np.sum(q**2)
+        assert np.sum(dropped_share**2) <= 2.0**-53
         # the smallest kept term would push the share over: no more could go
         assert dropped.max() < kept.min()
-        assert np.sum(dropped**2) + kept.min() ** 2 > 2.0**-53 * np.sum(q**2)
+        assert np.sum(dropped_share**2) + np.min(share[np.isin(q, kept)]) ** 2 > 2.0**-53
+        assert skipped == pytest.approx(np.sum(dropped**2), rel=1e-14)
 
     def test_exact_law_keeps_every_term(self):
-        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
-        w, _, _ = sb.quadratic_clock_spectrum(spec, 1.0, 8)
-        assert w.size == 50 and spec.effective_q.size == 50
-        assert spec.one_norm == 2.0 * np.sum(sb.geometric_q(0.5, 50))
+        w, _, _ = sb.quadratic_clock_spectrum(_GEOMETRIC, 1.0, 8)
+        assert w.size == 50 and _GEOMETRIC.effective_q.size == 50
+        assert _GEOMETRIC.one_norm == 2.0 * np.sum(sb.geometric_q(0.5, 50))
 
     def test_samplers_equal_the_explicit_truncation(self):
-        q = sb.geometric_q(0.5, 50)
-        full, short = sb.ChaosClockSpec(q), sb.ChaosClockSpec(q, truncation=27)
-        for kind in (sb.ChaosDirectProcess, sb.TimeChangedProcess):
-            a = sb.sup_samples(kind(full), (0.5, 1.0), 64, 300, sb.RngStream(48, 0))
-            b = sb.sup_samples(kind(short), (0.5, 1.0), 64, 300, sb.RngStream(48, 0))
-            assert np.array_equal(a, b)
-        a = sb.clock_terminal_law_samples(full, 1.0, 64, 300, sb.RngStream(48, 1))
-        b = sb.clock_terminal_law_samples(short, 1.0, 64, 300, sb.RngStream(48, 1))
-        assert np.array_equal(a, b)
+        # every sampler draws the 14 kept terms as truncation=14 does, bit for
+        # bit, and adds the stated compensation for S = sum_{j>14} q_j^2: the
+        # clock's trapezoid steps h^2 S (2k - 1), a direct chaos sum's
+        # N(0, 2 i h^2 S) at step i (drawn after the kept terms), and the
+        # spectral draw's 2 S sum_k mu_k.  Without it they differ by ~1e-9.
+        short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50), truncation=14)
+        n_steps, b, t = 64, 300, 2.0
+        h = t / n_steps
+        s = _GEOMETRIC_SKIPPED
+
+        c_full = clock_step_increments(_GEOMETRIC, t, n_steps, sb.RngStream(48, 0))
+        c_short = clock_step_increments(short, t, n_steps, sb.RngStream(48, 0))
+        assert c_full - c_short == pytest.approx(h * h * s * (2 * np.arange(1, n_steps + 1) - 1), rel=1e-6)
+
+        gen = sb.RngStream(48, 1).generator()
+        z_short = _increments(sb.ChaosDirectProcess(short), (t,), n_steps, b, gen)
+        tail = gen.standard_normal((b, n_steps)) * (h * np.sqrt(2.0 * s * np.arange(n_steps)))
+        z_full = _increments(sb.ChaosDirectProcess(_GEOMETRIC), (t,), n_steps, b, sb.RngStream(48, 1))
+        assert z_full - z_short == pytest.approx(tail, rel=1e-6, abs=1e-20)
+        assert np.all(z_full[:, 0] == 0.0)
+
+        _, mu, _ = sb.quadratic_clock_spectrum(_GEOMETRIC, t, n_steps)
+        a = sb.clock_terminal_law_samples(_GEOMETRIC, t, n_steps, b, sb.RngStream(48, 2))
+        c = sb.clock_terminal_law_samples(short, t, n_steps, b, sb.RngStream(48, 2))
+        assert a - c == pytest.approx(np.full(b, 2.0 * s * np.sum(mu)), rel=1e-6)
 
     def test_nothing_dropped_keeps_every_bit(self, monkeypatch):
-        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 20))
+        # J = 14 skips nothing: no ramp, no Gaussian draw and no constant
+        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 14))
+        assert _sampled_q(sb.ChaosClockSpec(sb.geometric_q(0.5, 15)))[0].size == 14
 
         def draw():
             return (
@@ -756,5 +803,37 @@ class TestSampledChaosTerms:
             )
 
         trimmed = draw()
-        monkeypatch.setattr(paths, "_sampled_q", lambda s: s.effective_q)
+        monkeypatch.setattr(paths, "_sampled_q", lambda s: (s.effective_q, 0.0))
         assert all(np.array_equal(a, b) for a, b in zip(trimmed, draw()))
+
+
+class TestCompensatedLaw:
+    # the compensated samplers against closed-form moments of all 50 terms,
+    # and in distribution against the first-order rule's 27 drawn terms
+    def test_clock_mean_at_every_node(self):
+        # E C_N(t_k) = t_k^2 sum_j q_j^2 for the trapezoid clock
+        n_steps, n = 64, 20_000
+        nodes = np.arange(1, n_steps + 1) / n_steps
+        c = np.cumsum(sb.clock_interval_increment_samples(_GEOMETRIC, nodes, n_steps, n, sb.RngStream(55, 0)), axis=1)
+        want = nodes**2 * np.sum(_GEOMETRIC.effective_q**2)
+        assert np.all(np.abs(c.mean(axis=0) - want) < 4 * c.std(axis=0, ddof=1) / np.sqrt(n))
+
+    def test_direct_step_variance(self):
+        # Var dZ_i = 2 i h^2 sum_j q_j^2 at left node i; step 0 is exactly 0
+        n_steps, n = 32, 20_000
+        h = 1.0 / n_steps
+        d = _increments(sb.ChaosDirectProcess(_GEOMETRIC), (1.0,), n_steps, n, sb.RngStream(55, 1))
+        want = 2.0 * np.arange(n_steps) * h * h * np.sum(_GEOMETRIC.effective_q**2)
+        d2 = d * d
+        assert np.all(d[:, 0] == 0.0)
+        assert np.all(np.abs(d2[:, 1:].mean(axis=0) - want[1:]) < 4 * d2[:, 1:].std(axis=0, ddof=1) / np.sqrt(n))
+
+    @pytest.mark.parametrize("kind", [sb.ChaosDirectProcess, sb.TimeChangedProcess], ids=["direct", "time-changed"])
+    def test_sups_match_the_first_order_rule(self, kind, monkeypatch):
+        n, n_steps = 10_000, 64
+        new = sb.sup_samples(kind(_GEOMETRIC), (0.5, 1.0), n_steps, n, sb.RngStream(56, 0))
+        monkeypatch.setattr(paths, "_sampled_q", _first_order_rule)
+        old = sb.sup_samples(kind(_GEOMETRIC), (0.5, 1.0), n_steps, n, sb.RngStream(56, 1))
+        for col in range(2):
+            d, _ = sb.ks_two_sample(new[:, col], old[:, col])
+            assert d < sb.ks_critical_value(n, n, 0.01)
