@@ -19,8 +19,13 @@ event of a time-changed Brownian motion, the conditional probability given the
 clock is the exact theta series, so only the law of the clock terminal value
 C_N(t) matters.  For chaos clocks and p = 2 power clocks with a scalar weight,
 C_N(t) is drawn from the exact spectrum of the N-step trapezoid clock
-(``paths.clock_terminal_law_samples``): equal in law to path simulation, not
-pathwise coupled to it.  One-interval Laplace estimates use the same draw;
+(``paths.clock_terminal_law_samples``): the few hundred chi-squared atoms
+above one unit roundoff of its third cumulant, plus one gamma variate with
+the mean and variance of the rest.  That is equal in law to path simulation
+up to a 2^-53 share of kappa_3 (a relative error of about
+(lambda E C)^3 2^-53 / 6 in a Laplace value, about 1e-12 in the chaos
+small-ball law at eps = 0.1), and not pathwise coupled to it.  One-interval
+Laplace estimates use the same draw;
 multi-interval Laplace and raw estimators still simulate paths.  The
 conditional estimator is unbiased for the discretized clock and has strictly
 smaller variance than the raw indicator estimator (Rao-Blackwell).
@@ -60,8 +65,8 @@ from .paths import (
     PowerClockSpec,
     ProcessSpec,
     RngStream,
+    _terminal_law_sampler,
     clock_interval_increment_samples,
-    clock_terminal_law_samples,
     quadratic_clock_spectrum,
     sup_samples,
 )
@@ -105,7 +110,8 @@ class McConfig:
     in ``paths`` simulate each batch in 1 MB row blocks.  The layout depends
     only on (samples, n_steps) and is part of the reproducibility contract (a
     config determines output exactly).  ``workers`` only parallelizes batch
-    execution and never affects results.
+    execution and never affects results.  ``samples`` must be at least 2, the
+    fewest that give a standard error.
     """
 
     samples: int = 100_000
@@ -115,8 +121,8 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        if self.samples < 2:
+            raise ValueError("samples must be at least 2: a standard error needs two")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
         if self.workers < 1:
@@ -269,17 +275,19 @@ def probe_smallball_conditional(
     Conditionally on the clock, the sup law is exactly that of sqrt(C(t))
     times the Brownian sup over [0, 1], so the indicator is replaced by the
     exact theta series F(eps / sqrt(C(t))).  The terminal values C_N(t) are
-    drawn once per batch by ``paths.clock_terminal_law_samples`` and the
-    series is averaged for every eps, coupling the probes; this preserves
+    drawn once per batch as ``paths.clock_terminal_law_samples`` draws them
+    (its spectrum and atom split made once per call) and the series is
+    averaged for every eps, coupling the probes; this preserves
     unbiasedness per eps and makes the K-hat trend smooth in eps.  A clock
     frozen at 0 (a zero weight) gives 1 with zero variance.  Each eps is its
     own column, so the grid may come in any order and each estimate equals
     its one-eps call bit for bit.
     """
     eps_grid = _eps_grid(eps_grid)
+    draw = _terminal_law_sampler(clock, t, cfg.n_steps)
 
     def sampler(b, gen):
-        c = clock_terminal_law_samples(clock, t, cfg.n_steps, b, gen)
+        c = draw(b, gen)
         return np.column_stack([_conditional_values(c, eps) for eps in eps_grid])
 
     return [EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in _batched_moments(sampler, cfg)]
@@ -301,17 +309,19 @@ def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[floa
     clock increments are sampled once per batch and the exponential
     functional is averaged for every lambda; each estimate is individually
     unbiased, and the coupling makes the lambda profile monotone pathwise.
-    One interval needs only C_N(t), drawn by ``clock_terminal_law_samples``;
-    several intervals need the increments of simulated clock paths.
+    One interval needs only C_N(t), drawn as ``clock_terminal_law_samples``
+    draws it; several intervals need the increments of simulated clock paths.
     """
     lams = np.asarray([float(l) for l in lams])
     if lams.size == 0 or not np.all((lams >= 0) & (lams < np.inf)):
         raise ValueError("need at least one lambda, each nonnegative and finite")
     d = np.asarray(part.weights) if part.weights is not None else np.ones(part.m)
+    if part.m == 1:
+        draw = _terminal_law_sampler(spec, part.times[0], cfg.n_steps)
 
     def sampler(b, gen):
         if part.m == 1:
-            weighted = clock_terminal_law_samples(spec, part.times[0], cfg.n_steps, b, gen) * d[0]
+            weighted = draw(b, gen) * d[0]
         else:
             weighted = clock_interval_increment_samples(spec, part, cfg.n_steps, b, gen) @ d
         return np.exp(-np.outer(weighted, lams))

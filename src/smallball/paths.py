@@ -38,23 +38,27 @@ Simulated objects:
   scalar rho, without a path: the N-step trapezoid clock is a Gaussian
   quadratic form with the closed-form spectrum of
   ``quadratic_clock_spectrum``, so it is drawn as a weighted sum of
-  independent chi-squared variables, from E = -log(1 - U) by inversion: 2E
-  for two degrees of freedom, and for one, two modes at a time as the
-  squared radius 2E and uniform angle of one planar Gaussian.  It is equal in
-  law to the path quadrature up to the 2^-53 grid of U but not pathwise
-  coupled to it.
+  independent chi-squared atoms q_j^2 mu_k chi2_nu, from E = -log(1 - U) by
+  inversion: 2E for two degrees of freedom, and for one, two modes at a time
+  as the squared radius 2E and uniform angle of one planar Gaussian.  The
+  spectrum mu_k decays like k^-2, so the draw samples only the atoms above
+  one unit roundoff of the third cumulant, a few hundred (656 of 16384 modes
+  of the p = 2 clock at N = 2^14), and carries the rest by one gamma variate
+  of their mean and variance per sample (``_spectral_split``).  It is equal
+  in law to the path quadrature up to that 2^-53 share of kappa_3 and the
+  2^-53 grid of U, but not pathwise coupled to it.
 
-Every chaos sampler (clock paths, direct chaos sums and the spectral draw)
-draws no path for the smallest q_j whose q_j^4 sum to at most
-2^-53 (sum_j q_j^2)^2, one unit roundoff (``_sampled_q``; 36 of q_j = 2^-j at
-J = 50, which keeps 14).  It carries their part S = sum_skip q_j^2 by its
-first two moments instead, the Gaussian treatment of a truncated Levy-area
-tail (Kloeden, Platen & Wright, Stoch. Anal. Appl. 10, 1992; Wiktorsson,
-Ann. Appl. Probab. 11, 2001), applied to the chaos index j: a clock gets the
-skipped terms' mean, and a direct chaos sum an independent Gaussian increment
-of the skipped terms' variance.  The skipped part of Z is independent of the
-rest, with mean zero and no third cumulant, and the skipped part of a clock
-has variance of order sum_skip q_j^4, so every sampled law moves by
+The chaos path samplers (clock paths and direct chaos sums) draw no path for
+the smallest q_j whose q_j^4 sum to at most 2^-53 (sum_j q_j^2)^2, one unit
+roundoff (``_sampled_q``; 36 of q_j = 2^-j at J = 50, which keeps 14).  They
+carry their part S = sum_skip q_j^2 by its first two moments instead, the
+Gaussian treatment of a truncated Levy-area tail (Kloeden, Platen & Wright,
+Stoch. Anal. Appl. 10, 1992; Wiktorsson, Ann. Appl. Probab. 11, 2001),
+applied to the chaos index j: a clock gets the skipped terms' mean, and a
+direct chaos sum an independent Gaussian increment of the skipped terms'
+variance.  The skipped part of Z is independent of the rest, with mean zero
+and no third cumulant, and the skipped part of a clock has variance of order
+sum_skip q_j^4, so every sampled law moves by
 O(sum_skip q_j^4 / (sum_j q_j^2)^2) = O(2^-53) relative.  The exact spectrum,
 ``effective_q`` and ``one_norm`` keep every term.
 
@@ -97,7 +101,8 @@ __all__ = [
 # 256-row batches at N = 512 still fit one block.
 _BLOCK_DOUBLES = 2**17
 
-# Unit roundoff of a double: a chaos sampler skips q_j whose q_j^4 sum to at most this share of (sum q_j^2)^2.
+# Unit roundoff of a double: the share of the leading moment that the skipped
+# chaos terms (fourth order) or spectral atoms (third order) may hold.
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -184,11 +189,14 @@ class ChaosClockSpec:
 
     ``q`` holds the collapsed singular values (one per conjugate pair); the
     trace norm of the underlying form is 2 * sum q_j.  ``truncation`` further
-    caps the number of terms.  The samplers then draw no path for the smallest
-    q_j whose q_j^4 sum to at most 2^-53 (sum_j q_j^2)^2 and carry those terms
-    by their mean (clocks) or by a Gaussian of their variance (direct chaos
-    sums), which moves no sampled law beyond O(2^-53) relative;
-    ``effective_q``, ``one_norm`` and the exact spectrum keep every term.
+    caps the number of terms.  The path samplers then draw no path for the
+    smallest q_j whose q_j^4 sum to at most 2^-53 (sum_j q_j^2)^2 and carry
+    those terms by their mean (clocks) or by a Gaussian of their variance
+    (direct chaos sums), which moves no sampled law beyond O(2^-53) relative.
+    The spectral draw of C_N(t) prunes its atoms q_j^2 mu_k jointly in (j, k)
+    instead and carries the skipped ones by a gamma variate
+    (:func:`clock_terminal_law_samples`).  ``effective_q``, ``one_norm`` and
+    the exact spectrum keep every term.
     Every q_j must be finite, and so must sum_j q_j^2.
     """
 
@@ -216,7 +224,7 @@ class ChaosClockSpec:
 
 
 def _sampled_q(spec: ChaosClockSpec) -> tuple[np.ndarray, float]:
-    """(kept, S): the terms of ``spec.effective_q`` the chaos samplers draw, in order, and S = sum_skip q_j^2.
+    """(kept, S): the terms of ``spec.effective_q`` the chaos path samplers draw, in order, and S = sum_skip q_j^2.
 
     The smallest q_j whose q_j^4 sum to at most 2^-53 (sum_j q_j^2)^2 are
     skipped; for a decreasing q the kept terms are a prefix (14 of
@@ -228,6 +236,8 @@ def _sampled_q(spec: ChaosClockSpec) -> tuple[np.ndarray, float]:
     (E v(t))^2 = 4 t^2 (sum_j q_j^2)^2, and the fourth cumulant of the skipped
     part of Z (its third is 0), so the law of every sampled clock, path and
     sup moves by O(2^-53) relative.  S is 0.0 exactly when nothing is skipped.
+    The spectral draw of C_N(t) does not use this rule; it prunes its atoms
+    jointly in (j, k) (``_spectral_split``).
     """
     q = spec.effective_q
     w = q * q
@@ -302,13 +312,14 @@ def _time_indices(times, n_steps: int) -> np.ndarray:
 # churn of fresh multi-MB temporaries would otherwise dominate.
 #
 # Bits and block layout: kernels that fill a block with one draw (Brownian
-# paths, power clocks, the p = 2 spectral draw's 2 ceil(N/2) uniforms per row)
-# consume the stream row-major, so their output does not depend on the block
-# size.  Kernels that fill a block with several draws (chaos clocks, direct
-# chaos sums, the chaos spectral draw, and every time change: clock, then xi)
-# consume it block by block: a batch that spans several blocks splits the
-# same i.i.d. stream differently from one that fits one block, equal in law
-# but not in bits.
+# paths, power clocks, the p = 2 spectral draw's 2 ceil(K/2) uniforms per row
+# for K kept modes) consume the stream row-major, so their output does not
+# depend on the block size.  Kernels that fill a block with several draws
+# (chaos clocks, direct chaos sums, the chaos spectral draw, and every time
+# change: clock, then xi) consume it block by block: a batch that spans
+# several blocks splits the same i.i.d. stream differently from one that fits
+# one block, equal in law but not in bits.  The spectral draws' gamma carry
+# follows every row's atoms.
 # ---------------------------------------------------------------------------
 
 class _Workspace:
@@ -318,8 +329,7 @@ class _Workspace:
     the chaos kernels take their first 2b rows as one view, X_j in rows
     [0, b) and Y_j in rows [b, 2b), so one call draws, scales or cumulates
     both.  ``scratch`` lends the planar-pair draw a contiguous (b, N) view of
-    ``paths``, which the chaos kernels rewrite after each draw or never read,
-    and the p = 2 spectral draw its (b, 2 ceil(N/2)) block of uniforms.
+    ``paths``, which the chaos kernels rewrite after each draw or never read.
     """
 
     def __init__(self, rows: int, n_steps: int):
@@ -508,16 +518,17 @@ def _require_finite(values: np.ndarray) -> None:
         raise NumericError("a simulated sample is not finite (a clock overflowed double precision)")
 
 
-def _block_loop(n: int, n_steps: int, m: int, body) -> np.ndarray:
+def _block_loop(n: int, width: int, m: int, body) -> np.ndarray:
     """(n, m) array filled by ``body(d, ws)`` one row block at a time.
 
-    ``d`` is the block's (b, N) increment buffer and ``ws`` the workspace
-    shared by all blocks; ``body`` returns the block's (b, m) output rows,
-    which must be finite.  The block layout depends only on (n, n_steps).
+    ``d`` is the block's (b, width) buffer, the per-step increments of the
+    path samplers (width N), and ``ws`` the workspace shared by all blocks;
+    ``body`` returns the block's (b, m) output rows, which must be finite.
+    The block layout depends only on (n, width).
     """
-    block = max(1, min(n, _BLOCK_DOUBLES // max(n_steps, 1)))
-    ws = _Workspace(block, n_steps)
-    d = np.empty((block, n_steps))
+    block = max(1, min(n, _BLOCK_DOUBLES // max(width, 1)))
+    ws = _Workspace(block, width)
+    d = np.empty((block, width))
     out = np.empty((n, m))
     for lo in range(0, n, block):
         rows = out[lo : lo + block]
@@ -602,45 +613,107 @@ def quadratic_clock_spectrum(spec: ClockSpec, t: float, n_steps: int) -> tuple[n
     return w, h * h / (4.0 * s * s), nu
 
 
+def _spectral_split(w: np.ndarray, mu: np.ndarray, nu: int) -> tuple[np.ndarray, float, float]:
+    """(kept, shape, scale): the atoms of C = sum_{j,k} w_j mu_k chi2_nu the spectral draw samples, and its carry.
+
+    Atom (j, k) is c_jk chi2_nu with c_jk = w_j mu_k (the form of
+    :func:`quadratic_clock_spectrum`).  The smallest atoms whose third
+    cumulants 8 nu c_jk^3 sum to at most 2^-53 (sum nu c_jk)^3, one unit
+    roundoff of the cubed mean, are skipped.  mu decreases in k, so term j
+    keeps its first ``kept[j]`` modes: 656 of the 16384 of the p = 2 clock at
+    N = 2^14, and 978 of the 25600 atoms of q_j = 2^-j, J = 50, at N = 512.
+    The rule reads shares s_jk = c_jk / sum c, products of the shares of w
+    and of mu, so it does not see the scale of w or t, and nothing overflows
+    or underflows.  Atoms with s < tau hold at most tau^2 sum s = tau^2 of
+    the cubed shares, so every atom below tau = sqrt(budget) goes and only
+    those above it, a prefix of each term's monotone modes, are sorted.
+
+    The skipped part has mean nu sum c and variance 2 nu sum c^2, from suffix
+    sums over each term's skipped modes.  The draw carries it by the gamma
+    variate scale * Gamma(shape) with the same two moments (Satterthwaite,
+    Biometrics Bull. 2, 1946), which keeps C >= 0: shape = nu (sum s)^2 /
+    (2 sum s^2) and scale = 2 (sum s^2 / sum s) sum_jk c_jk.  The gamma's
+    third cumulant 8 nu (sum c^2)^2 / sum c lies in [0, 8 nu sum c^3] by
+    Cauchy-Schwarz, so what the draw leaves out is at most the skipped
+    kappa_3.  Nothing skipped gives shape = scale = 0, and a zero weight
+    (rho = 0) gives scale 0: then no gamma is drawn.
+    """
+    total = w.sum()
+    a = w / total if 0 < total < np.inf else np.full(w.size, 1.0 / w.size)
+    b = mu / mu.sum()
+    budget = _UNIT_ROUNDOFF * nu * nu / 8.0  # 8 nu sum s^3 <= 2^-53 (nu sum s)^3, sum s = 1
+    # last[r - 1, i]: sum of b^r over the last i modes, summed from the smallest
+    r = b[::-1]
+    last = np.zeros((3, b.size + 1))
+    np.cumsum([r, r * r, r * r * r], axis=1, out=last[:, 1:])
+    # atoms with s < tau hold at most tau^2 sum s = tau^2 of the cubed shares, so all below tau = sqrt(budget) go
+    with np.errstate(divide="ignore"):  # a term whose share underflows has no candidate
+        cand = np.searchsorted(-b, -np.sqrt(budget) / a, side="right")
+    rows = np.repeat(np.arange(w.size), cand)
+    s = a[rows] * b[np.arange(rows.size) - np.repeat(np.cumsum(cand) - cand, cand)]
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    skipped = np.count_nonzero(np.dot(a**3, last[2, b.size - cand]) + np.cumsum(s * s * s) <= budget)
+    kept = np.bincount(rows[order[skipped:]], minlength=w.size)
+    s1, s2 = np.dot(a, last[0, b.size - kept]), np.dot(a * a, last[1, b.size - kept])
+    if not s2 > 0:
+        return kept, 0.0, 0.0
+    return kept, nu * s1 * s1 / (2.0 * s2), 2.0 * s2 / s1 * (total * mu.sum())
+
+
 def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, rng: RngLike) -> np.ndarray:
     """Samples of C(t) drawn from the exact law of the N-step trapezoid clock.  Shape (n,).
 
     For the clocks of :func:`quadratic_clock_spectrum` no path is simulated:
     a chaos clock is sum_{j,k} 2 q_j^2 mu_k E_jk with E_jk ~ Exp(1) (chi2_2 is
-    2 Exp(1)), a p = 2 power clock rho^2 sum_k mu_k xi_k^2.  Every mode k <= N
-    is kept, and every term j the path samplers draw; the terms they skip
-    start each row at their mean 2 S sum_k mu_k, as the path clock's ramp
-    does.  So the law equals that of :func:`clock_terminal_samples` up to
-    rounding, but the draws are not pathwise coupled to it.  Any other clock
-    falls through to :func:`clock_terminal_samples`, bit for bit.
+    2 Exp(1)), a p = 2 power clock rho^2 sum_k mu_k xi_k^2.  The atoms that
+    hold at most one unit roundoff of the third cumulant are not drawn
+    (``_spectral_split``: 656 of 16384 modes are drawn for p = 2 at N = 2^14);
+    one gamma variate per row, drawn after every row's atoms, carries their
+    mean and variance.  The law of C moves by at most that kappa_3 share:
+    log E exp(-lambda C) by about (lambda E C)^3 2^-53 / 6 relative (2e-15
+    at lambda E C = 5), the chaos small-ball law at eps = 0.1 by about 1e-12.
+    Where nothing is skipped (the p = 2 clock up to N = 256) the draw is the
+    full one, bit for bit.  The draws are not pathwise coupled to
+    :func:`clock_terminal_samples`.
+    Any other clock falls through to :func:`clock_terminal_samples`, bit for
+    bit.
 
     E_jk is drawn by inversion, -log(1 - U) with U from ``Generator.random``
     (one uniform and one vectorized log per value, cheaper than numpy's
-    ziggurat ``standard_exponential``).  The p = 2 power clock pairs mode k
-    with mode k + M, M = ceil(N/2) (odd N pads mu with one zero): (xi_k,
-    xi_{k+M}) is a planar Gaussian, whose squared radius 2E and angle phi are
-    independent, so mu_k xi_k^2 + mu_{k+M} xi_{k+M}^2 = 2E (mu_k s +
-    mu_{k+M} (1 - s)) with s = cos^2 phi = 1 / (1 + tan^2(pi U')).  Each row
-    takes 2M uniforms, the M radii first and then the M angles: two uniforms,
-    one log and one tan per pair, against two ziggurat normals.  U and U' lie
-    on the 2^-53 grid of [0, 1), so 1 - U is exact and positive, E is finite
-    and at most 53 ln 2 ~ 36.7 (the cut tail has probability 2^-53), and
-    |tan(pi U')| <= |tan(pi fl(1/2))| ~ 1.6e16 stays finite.  Both draws
-    therefore differ in bits, not in law, from ziggurat draws of E and xi.
+    ziggurat ``standard_exponential``): per row block and kept term j, one
+    (b, kept[j]) draw, rows sized by the widest term.  The p = 2 power clock
+    pairs kept mode k with kept mode k + M, M = ceil(K/2) for K kept modes
+    (odd K pads mu with one zero): (xi_k, xi_{k+M}) is a planar Gaussian,
+    whose squared radius 2E and angle phi are independent, so mu_k xi_k^2 +
+    mu_{k+M} xi_{k+M}^2 = 2E (mu_k s + mu_{k+M} (1 - s)) with s = cos^2 phi =
+    1 / (1 + tan^2(pi U')).  Each row takes 2M uniforms, the M radii first
+    and then the M angles: two uniforms, one log and one tan per pair, against
+    two ziggurat normals.  U and U' lie on the 2^-53 grid of [0, 1), so
+    1 - U is exact and positive, E is finite and at most 53 ln 2 ~ 36.7 (the
+    cut tail has probability 2^-53), and |tan(pi U')| <= |tan(pi fl(1/2))|
+    ~ 1.6e16 stays finite.  Both draws therefore differ in bits, not in law,
+    from ziggurat draws of E and xi.
     """
+    return _terminal_law_sampler(spec, t, n_steps)(n, rng)
+
+
+def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
+    """draw(n, rng): :func:`clock_terminal_law_samples` with the spectrum and its split made once, for every batch."""
     form = quadratic_clock_spectrum(spec, t, n_steps)
     if form is None:
-        return clock_terminal_samples(spec, t, n_steps, n, rng)
+        return lambda n, rng: clock_terminal_samples(spec, t, n_steps, n, rng)
     w, mu, nu = form
-    gen = as_generator(rng)
+    kept, shape, scale = _spectral_split(w, mu, nu)
     if nu == 1:
-        half = -(-n_steps // 2)
-        mu = np.append(mu, np.zeros(2 * half - n_steps))
+        k = int(kept[0])
+        half = -(-k // 2)
+        mu = np.append(mu[:k], np.zeros(2 * half - k))
         # 2E (mu_a s + mu_b (1 - s)) = log(1 - U) (base + slope s)
         base, slope = -2.0 * w[0] * mu[half:], -2.0 * w[0] * (mu[:half] - mu[half:])
+        width = 2 * half
 
-        def block(x, ws):
-            u = ws.scratch(len(x), 2 * half)
+        def fill(u, gen):
             gen.random(out=u)
             r, a = u[:, :half], u[:, half:]
             np.subtract(1.0, r, out=r)
@@ -654,24 +727,29 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
             r *= a
             return r.sum(axis=1)[:, None]
 
-        return _block_loop(n, n_steps, 1, block)[:, 0]
+    else:
+        coef = [-2.0 * w[j] * mu[: kept[j]] for j in np.flatnonzero(kept)]  # scales log(1 - U) = -E
+        width = int(kept.max())
 
-    # a chaos clock: the exact law keeps every term; the draw carries the skipped ones by their mean
-    q, skipped = _sampled_q(spec)
-    coef = [-2.0 * wj * mu for wj in q**2]  # scales log(1 - U) = -E
-    start = 2.0 * skipped * mu.sum()
+        def fill(x, gen):
+            c = np.zeros(len(x))
+            for cj in coef:
+                u = x.reshape(-1)[: len(x) * cj.size].reshape(len(x), cj.size)
+                gen.random(out=u)
+                np.subtract(1.0, u, out=u)
+                np.log(u, out=u)
+                u *= cj
+                c += u.sum(axis=1)  # not a BLAS gemv: its threads would contend with the batch workers
+            return c[:, None]
 
-    def block(x, ws):
-        c = np.full(len(x), start)
-        for cj in coef:  # one (b, N) buffer per term
-            gen.random(out=x)
-            np.subtract(1.0, x, out=x)
-            np.log(x, out=x)
-            x *= cj
-            c += x.sum(axis=1)  # not a BLAS gemv: its threads would contend with the batch workers
-        return c[:, None]
+    def draw(n, rng):
+        gen = as_generator(rng)
+        c = _block_loop(n, width, 1, lambda x, ws: fill(x, gen))[:, 0]
+        if scale > 0:
+            c += gen.gamma(shape, scale, n)
+        return c
 
-    return _block_loop(n, n_steps, 1, block)[:, 0]
+    return draw
 
 
 # ---------------------------------------------------------------------------

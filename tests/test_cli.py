@@ -218,6 +218,14 @@ class TestEstimationCommands:
         assert "--conditional" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", [("smallball", "--conditional", "--eps", "0.4"), ("laplace", "--lam", "1")])
+    def test_one_sample_is_a_usage_error(self, capsys, command):
+        # one sample has no standard error; it used to print "+/- 0.00e+00"
+        code, out, err = run(capsys, *command, "--clock", "chaos", "--samples", "1", "--n-steps", "64")
+        assert code == 2
+        assert "at least 2" in err
+        assert out == ""
+
     @pytest.mark.parametrize("extra", [("--t", "0.5", "1.0"), ("--a", "0.1"), ("--b", "0.5")])
     def test_conditional_rejects_window_flags(self, capsys, extra):
         # the conditional estimator covers one interval [0, t]; windows would be ignored

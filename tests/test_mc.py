@@ -362,9 +362,9 @@ _ESTIMATORS = {
 }
 
 
-# q_j = 2^-j, J = 50: the samplers draw 14 terms and carry 36 by their
-# moments (the clock's ramp, the direct sum's Gaussian, the spectral constant),
-# which _CHAOS, skipping nothing, never runs
+# q_j = 2^-j, J = 50: the path samplers draw 14 terms and carry 36 by their
+# moments (the clock's ramp, the direct sum's Gaussian), and the spectral draw
+# carries its skipped atoms by a gamma; _CHAOS skips no term of the path samplers
 _GEOMETRIC = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
 _GEOMETRIC_ESTIMATORS = {
     "probe_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_GEOMETRIC, 1.0, (0.5, 0.3, 0.2), cfg),
@@ -374,6 +374,17 @@ _GEOMETRIC_ESTIMATORS = {
     "probe_smallball_raw_direct": lambda cfg: sb.probe_smallball_raw(
         sb.ChaosDirectProcess(_GEOMETRIC), _WINDOW, (0.6, 0.4, 0.8), cfg
     ),
+}
+
+
+# one-interval spectral draws that skip atoms and draw their gamma carry at
+# N = 512 and 2^14 (p = 2: 511 of 512 and 656 of 16384 modes; q_j = 2^-j:
+# 978 of 25600 and 959 of 819200 atoms)
+_TRUNCATED_SPECTRAL = {
+    "estimate_laplace_multi_power": lambda cfg: sb.estimate_laplace_multi(
+        sb.PowerClockSpec(2.0), sb.Partition((1.0,)), (0.5, 2.0, 8.0), cfg
+    ),
+    "probe_smallball_conditional": lambda cfg: sb.probe_smallball_conditional(_GEOMETRIC, 1.0, (0.5, 0.3, 0.2), cfg),
 }
 
 
@@ -394,6 +405,12 @@ class TestWorkerInvariance:
     def test_workers_do_not_change_compensated_draws(self, name):
         # two batches of 1200 over two threads, each in row blocks of 1024 and 176
         self.assert_invariant(_GEOMETRIC_ESTIMATORS[name], 2400, 128)
+
+    @pytest.mark.parametrize("name", sorted(_TRUNCATED_SPECTRAL))
+    @pytest.mark.parametrize("n_steps", [512, 2**14])
+    def test_workers_do_not_change_truncated_spectral_draws(self, name, n_steps):
+        # 600 samples: batches of 300 (N = 512) or 256, 256 and 88 (N = 2^14) over two threads
+        self.assert_invariant(_TRUNCATED_SPECTRAL[name], 600, n_steps)
 
 
 class TestBatchMerge:
@@ -426,7 +443,7 @@ class TestDefaultBatchLayout:
         assert McConfig(samples=10**5, n_steps=512).effective_batch == 4096
         assert McConfig(samples=10**6, n_steps=512).effective_batch == 4096
         assert McConfig(samples=10**5, n_steps=2**14).effective_batch == 256
-        assert McConfig(samples=1, n_steps=512).effective_batch == 1
+        assert McConfig(samples=2, n_steps=512).effective_batch == 1
         assert McConfig(samples=5001, n_steps=512).effective_batch == 2501
 
     @pytest.mark.parametrize("name", sorted(_DEFAULT_LAYOUT))
@@ -619,6 +636,8 @@ class TestKsAndRecords:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(samples=0)
+        with pytest.raises(ValueError, match="at least 2"):
+            McConfig(samples=1)  # one sample would report a standard error of 0
         with pytest.raises(ValueError):
             McConfig(n_steps=1)
         with pytest.raises(ValueError):

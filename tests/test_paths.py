@@ -399,11 +399,16 @@ class TestBlockKernels:
             lambda: sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0), 1.0, 2**14, 256, sb.RngStream(24, 1)),
             lambda: sb.sup_samples(sb.ChaosDirectProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 2)),
             lambda: sb.sup_samples(sb.TimeChangedProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 3)),
+            lambda: sb.clock_terminal_law_samples(
+                sb.ChaosClockSpec(sb.geometric_q(0.9, 400)), 1.0, 256, 4096, sb.RngStream(24, 5)
+            ),
         ],
     )
     def test_block_buffers_stay_small(self, draw):
         # block buffers of 2^17 doubles (1 MB) bound the working set; 16 MB
-        # blocks made each of these calls peak near 96 MB
+        # blocks made each of these calls peak near 96 MB.  The spectral draws
+        # size their blocks by the drawn width: 3066 atoms of q_j = 0.9^j in
+        # 60 terms at N = 256, each term at most 256 wide
         assert _traced_peak(draw) < 8 * 2**20
 
     def test_chaos_pairs_allocate_no_scratch(self):
@@ -597,8 +602,7 @@ class TestSpectralClockLaw:
     def test_chaos_draw_moments_match_the_spectrum(self):
         # C_N = sum_{j,k} c_jk E_jk, c_jk = 2 w_j mu_k over all 50 terms:
         # cumulants kappa_r = (r - 1)! sum c^r, and Var s^2 = (kappa_4 + 2 kappa_2^2) / n.
-        # The draw carries the 36 skipped terms by their mean, so its variance
-        # lacks their share of kappa_2, about 1e-18 relative
+        # The draw carries its skipped atoms by a gamma of their mean and variance
         spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
         w, mu, _ = sb.quadratic_clock_spectrum(spec, 1.0, 64)
         c = np.outer(2.0 * w, mu)
@@ -699,6 +703,163 @@ class TestSpectralClockLaw:
         assert np.array_equal(a, b)
 
 
+def _sorted_prefix_split(w, mu, nu):
+    """Kept modes per term by the definition: sort every atom w_j mu_k, skip the longest prefix within budget."""
+    c = np.outer(w, mu)
+    share = (c / c.sum()).ravel()
+    order = np.argsort(share, kind="stable")
+    keep = np.ones(share.size, dtype=bool)
+    keep[order[np.cumsum(share[order] ** 3) <= 2.0**-53 * nu * nu / 8.0]] = False
+    keep = keep.reshape(c.shape)
+    return keep, keep.sum(axis=1)
+
+
+def _reference_spectral_draw(spec, t, n_steps, n, rng):
+    """The documented truncated spectral draw, written out.
+
+    chi2_1: one (n, 2M) draw for every row, M = ceil(K/2) radius uniforms then
+    M angle uniforms, kept mode k paired with kept mode k + M (odd K pads a
+    zero).  chi2_2: rows in blocks of _BLOCK_DOUBLES // max_j K_j, and per
+    block and kept term j one (b, K_j) draw of -log(1 - U).  Then one gamma
+    variate per row carries the skipped atoms.
+    """
+    w, mu, nu = sb.quadratic_clock_spectrum(spec, t, n_steps)
+    _, kept = _sorted_prefix_split(w, mu, nu)
+    _, shape, scale = paths._spectral_split(w, mu, nu)
+    gen = rng.generator()
+    want = np.zeros(n)
+    if nu == 1:
+        half = -(-kept[0] // 2)
+        m = np.append(mu[: kept[0]], np.zeros(2 * half - kept[0]))
+        u = gen.random((n, 2 * half))
+        # 2E (mu_a s + mu_b (1 - s)) with s = 1 / (1 + tan^2(pi U')), as log(1 - U) (base + slope s)
+        base, slope = -2.0 * w[0] * m[half:], -2.0 * w[0] * (m[:half] - m[half:])
+        want += (np.log(1.0 - u[:, :half]) * (base + slope / (1.0 + np.tan(u[:, half:] * np.pi) ** 2))).sum(axis=1)
+    else:
+        block = paths._BLOCK_DOUBLES // kept.max()
+        for lo in range(0, n, block):
+            rows = want[lo : lo + block]
+            for wj, kj in zip(w, kept):
+                if kj:
+                    x = -np.log(1.0 - gen.random((len(rows), kj))) * (2.0 * wj * mu[:kj])
+                    rows += x.sum(axis=1)
+    if shape:
+        want += gen.gamma(shape, scale, n)
+    return want
+
+
+# (spec, n_steps) pairs whose spectral draw skips atoms: the p = 2 clock keeps
+# 656 of 16384 modes, q_j = 2^-j keeps 978 of 25600 atoms at N = 512
+_SKIPPING = {
+    "power-2^14": (sb.PowerClockSpec(2.0, rho=1.5), 2**14),
+    "power-2048": (sb.PowerClockSpec(2.0), 2048),
+    "chaos-512": (sb.ChaosClockSpec(sb.geometric_q(0.5, 50)), 512),
+    "chaos-64": (sb.ChaosClockSpec(sb.geometric_q(0.5, 14)), 64),
+    "chaos-0.9": (sb.ChaosClockSpec(sb.geometric_q(0.9, 400)), 256),
+    "lognormal": (sb.ChaosClockSpec(tuple(np.random.default_rng(3).lognormal(0.0, 3.0, 60))), 128),
+}
+
+
+class TestSpectralSplit:
+    # the spectral draw samples the atoms c = w_j mu_k above one unit roundoff
+    # of kappa_3 and carries the rest by one moment-matched gamma per row
+    @pytest.mark.parametrize("name", sorted(_SKIPPING))
+    def test_skipped_kappa3_share_below_unit_roundoff(self, name):
+        spec, n_steps = _SKIPPING[name]
+        w, mu, nu = sb.quadratic_clock_spectrum(spec, 1.0, n_steps)
+        kept, _, _ = paths._spectral_split(w, mu, nu)
+        keep, want = _sorted_prefix_split(w, mu, nu)
+        assert np.array_equal(kept, want)
+        assert np.array_equal(keep, np.arange(mu.size) < kept[:, None])  # a prefix of each term's modes
+        # 8 nu sum_skip c^3 <= 2^-53 (nu sum c)^3, in shares of sum c
+        share = np.outer(w, mu) / (w.sum() * mu.sum())
+        skipped = 8.0 * nu * np.sum(share[~keep] ** 3) / nu**3
+        assert 0 < skipped <= 2.0**-53
+        # the smallest kept atom would push the share over
+        assert skipped + 8.0 * nu * share[keep].min() ** 3 / nu**3 > 2.0**-53
+
+    def test_rule_is_scale_free(self):
+        q = np.asarray(sb.geometric_q(0.5, 12))
+        w, mu, nu = sb.quadratic_clock_spectrum(sb.ChaosClockSpec(tuple(q)), 1.0, 512)
+        kept, shape, scale = paths._spectral_split(w, mu, nu)
+        for factor in (1e150, 1e-150):
+            w_f, mu_f, _ = sb.quadratic_clock_spectrum(sb.ChaosClockSpec(tuple(q * factor)), 3.0, 512)
+            kept_f, shape_f, scale_f = paths._spectral_split(w_f, mu_f, nu)
+            assert np.array_equal(kept_f, kept)
+            assert shape_f == pytest.approx(shape, rel=1e-12)
+            assert scale_f == pytest.approx(scale * 9.0 * factor**2, rel=1e-12)  # c scales by t^2 q^2
+        w, mu, _ = sb.quadratic_clock_spectrum(sb.PowerClockSpec(2.0), 1.0, 2**14)
+        w_r, mu_r, _ = sb.quadratic_clock_spectrum(sb.PowerClockSpec(2.0, rho=1e100), 1.0, 2**14)
+        kept, shape, scale = paths._spectral_split(w, mu, 1)
+        kept_r, shape_r, scale_r = paths._spectral_split(w_r, mu_r, 1)
+        assert np.array_equal(kept_r, kept) and kept[0] == 656
+        assert shape_r == pytest.approx(shape, rel=1e-12)
+        assert scale_r == pytest.approx(scale * 1e200, rel=1e-12)
+
+    def test_zero_weight_draws_no_gamma(self):
+        # rho = 0: C is 0 with no 0/0 gamma shape; the stream holds only the uniforms
+        w, mu, nu = sb.quadratic_clock_spectrum(sb.PowerClockSpec(2.0, rho=0.0), 1.0, 2**14)
+        kept, shape, scale = paths._spectral_split(w, mu, nu)
+        assert kept[0] == 656 and np.isfinite(shape) and scale == 0.0
+        gen = sb.RngStream(60, 0).generator()
+        assert np.all(sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0, rho=0.0), 1.0, 2**14, 7, gen) == 0.0)
+        follow = sb.RngStream(60, 0).generator()
+        follow.random((7, 656))
+        assert gen.random() == follow.random()
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 64])
+    def test_nothing_skipped_at_small_n(self, n_steps):
+        # N = 1, 2, 3 pad as before: N = 1 and 3 pair a mode with the zero pad
+        for spec in (sb.PowerClockSpec(2.0, rho=1.5), sb.ChaosClockSpec((1.0, 0.5))):
+            w, mu, nu = sb.quadratic_clock_spectrum(spec, 1.0, n_steps)
+            kept, shape, scale = paths._spectral_split(w, mu, nu)
+            assert np.all(kept == n_steps) and shape == scale == 0.0
+            got = sb.clock_terminal_law_samples(spec, 1.0, n_steps, 50, sb.RngStream(61, n_steps))
+            assert np.array_equal(got, _reference_spectral_draw(spec, 1.0, n_steps, 50, sb.RngStream(61, n_steps)))
+
+    @pytest.mark.parametrize("name", sorted(_SKIPPING))
+    def test_gamma_carries_the_skipped_moments(self, name):
+        # kappa_1 and kappa_2 of the skipped atoms exactly; the gamma's kappa_3,
+        # 2 shape scale^3, lies in [0, skipped kappa_3] (Cauchy-Schwarz)
+        spec, n_steps = _SKIPPING[name]
+        w, mu, nu = sb.quadratic_clock_spectrum(spec, 1.0, n_steps)
+        _, shape, scale = paths._spectral_split(w, mu, nu)
+        keep, _ = _sorted_prefix_split(w, mu, nu)
+        c = np.outer(w, mu)[~keep]
+        assert shape * scale == pytest.approx(nu * np.sum(c), rel=1e-12)
+        assert shape * scale**2 == pytest.approx(2.0 * nu * np.sum(c * c), rel=1e-12)
+        assert 0.0 < 2.0 * shape * scale**3 <= 8.0 * nu * np.sum(c**3) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name", ["power-2^14", "chaos-512"])
+    def test_draw_equals_inline_reference(self, name):
+        # 300 rows: two row blocks at N = 512 (256 rows of the 512-mode first
+        # term), and 300 rows of 656 uniforms at N = 2^14
+        spec, n_steps = _SKIPPING[name]
+        got = sb.clock_terminal_law_samples(spec, 1.0, n_steps, 300, sb.RngStream(62, 0))
+        assert np.array_equal(got, _reference_spectral_draw(spec, 1.0, n_steps, 300, sb.RngStream(62, 0)))
+
+    def test_power_draw_matches_the_exact_laplace_law(self):
+        # the one-interval Laplace estimator over the truncated draw against
+        # log_laplace at N = 2^14 (656 of 16384 modes drawn)
+        lams = (1.0, 5.0, 10.0)
+        cfg = sb.McConfig(samples=50_000, n_steps=2**14, seed=63, workers=2)
+        results = sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), lams, cfg)
+        exact = np.exp(sb.log_laplace(sb.PowerClockSpec(2.0), 1.0, lams, n_steps=2**14))
+        for r, e in zip(results, exact):
+            assert abs(r.estimate - e) <= 4 * r.std_error
+
+    def test_chaos_draw_matches_the_exact_smallball_law(self):
+        # conditional probes over the truncated draw (978 of 25600 atoms) against
+        # log_smallball at N = 512
+        eps = (0.4, 0.2, 0.1)
+        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
+        cfg = sb.McConfig(samples=50_000, n_steps=512, seed=64, workers=2)
+        results = sb.probe_smallball_conditional(spec, 1.0, eps, cfg)
+        exact = np.exp(sb.log_smallball(spec, 1.0, eps, n_steps=512))
+        for r, e in zip(results, exact):
+            assert abs(r.estimate - e) <= 4 * r.std_error
+
+
 def _first_order_rule(spec):
     """The earlier truncation rule: skip the smallest q_j whose q_j^2 sum to at most 2^-53 sum q_j^2, carry nothing."""
     q = spec.effective_q
@@ -764,11 +925,12 @@ class TestSampledChaosTerms:
         assert _GEOMETRIC.one_norm == 2.0 * np.sum(sb.geometric_q(0.5, 50))
 
     def test_samplers_equal_the_explicit_truncation(self):
-        # every sampler draws the 14 kept terms as truncation=14 does, bit for
-        # bit, and adds the stated compensation for S = sum_{j>14} q_j^2: the
-        # clock's trapezoid steps h^2 S (2k - 1), a direct chaos sum's
-        # N(0, 2 i h^2 S) at step i (drawn after the kept terms), and the
-        # spectral draw's 2 S sum_k mu_k.  Without it they differ by ~1e-9.
+        # both path samplers draw the 14 kept terms as truncation=14 does, bit
+        # for bit, and add the stated compensation for S = sum_{j>14} q_j^2:
+        # the clock's trapezoid steps h^2 S (2k - 1) and a direct chaos sum's
+        # N(0, 2 i h^2 S) at step i (drawn after the kept terms).  Without it
+        # they differ by ~1e-9.  The spectral draw prunes jointly in (j, k)
+        # (TestSpectralSplit)
         short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50), truncation=14)
         n_steps, b, t = 64, 300, 2.0
         h = t / n_steps
@@ -785,13 +947,9 @@ class TestSampledChaosTerms:
         assert z_full - z_short == pytest.approx(tail, rel=1e-6, abs=1e-20)
         assert np.all(z_full[:, 0] == 0.0)
 
-        _, mu, _ = sb.quadratic_clock_spectrum(_GEOMETRIC, t, n_steps)
-        a = sb.clock_terminal_law_samples(_GEOMETRIC, t, n_steps, b, sb.RngStream(48, 2))
-        c = sb.clock_terminal_law_samples(short, t, n_steps, b, sb.RngStream(48, 2))
-        assert a - c == pytest.approx(np.full(b, 2.0 * s * np.sum(mu)), rel=1e-6)
-
     def test_nothing_dropped_keeps_every_bit(self, monkeypatch):
-        # J = 14 skips nothing: no ramp, no Gaussian draw and no constant
+        # J = 14 skips nothing: no ramp and no Gaussian draw (the spectral
+        # draw does not read this rule: TestSpectralSplit)
         spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 14))
         assert _sampled_q(sb.ChaosClockSpec(sb.geometric_q(0.5, 15)))[0].size == 14
 
@@ -799,7 +957,6 @@ class TestSampledChaosTerms:
             return (
                 sb.sup_samples(sb.ChaosDirectProcess(spec), (1.0,), 64, 200, sb.RngStream(49, 0)),
                 sb.sup_samples(sb.TimeChangedProcess(spec), (1.0,), 64, 200, sb.RngStream(49, 1)),
-                sb.clock_terminal_law_samples(spec, 1.0, 64, 200, sb.RngStream(49, 2)),
             )
 
         trimmed = draw()
