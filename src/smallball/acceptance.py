@@ -146,13 +146,16 @@ def criterion_5(seed: int) -> CriterionResult:
         the closed-form cosh oracle (1% gate; the two oracles differ by 7e-6
         relative at lambda = 10).
 
-    Designed false-fail rate per seed: five |z| <= 3 gates, 0.27% each, so at
-    most 5 x 0.27% ~ 1.35% (the coupled probes of (a), and those of (b), are
-    correlated, so the union bound is conservative).  The 1% gates add to
-    it: with 1e5 samples the relative SE of (b) is 0.11%, 0.28% and 0.40% at
-    lambda = 1, 5, 10, so they sit 9.0, 3.6 and 2.5 SE from the law, and at
-    lambda = 10 the 1% gate, not the z gate, binds (1.3% alone).  The whole
-    criterion fails at most about 2.4% of seeds by chance.
+    Designed false-fail rate per seed: the two |z| <= 3 gates of (a) are
+    plain Monte Carlo, 0.27% each.  (b) draws the clock as randomized
+    quasi-Monte Carlo, 25 scrambled nets (24 of 4096 points and one of 1696),
+    so its z follows Student's t with 24 degrees of freedom and each of its
+    three |z| <= 3 gates fails 0.62% of the time.  That is at most
+    2 x 0.27% + 3 x 0.62% ~ 2.4% (the coupled probes of (a), and those of
+    (b), are correlated, so the union bound is conservative).  The 1% gates
+    no longer bind: the relative SE of (b) is about 1.1e-5, 7.5e-5 and
+    2.4e-4 at lambda = 1, 5, 10 (seed 42), so a 1% miss lies 40 SE or more
+    from the law.
     """
     t0 = time.perf_counter()
     lines = []
@@ -239,12 +242,16 @@ def criterion_7(seed: int) -> CriterionResult:
     pi/2 - eps log(4/eps) up to O(eps exp(-2 pi/eps)): K_hat(0.1) + 0.1 log 40
     sits within 3 delta-method SEs, eps SE(p)/p, of pi/2.
 
-    Designed false-fail rate per seed: six |z| <= 3 gates (five probes and
-    the second-order gate), 0.27% each, so at most 6 x 0.27% ~ 1.6% (the
-    coupled probes are correlated, so the union bound is conservative).  The
-    30% gate and the contracting gaps are deterministic in effect: K_hat(0.1)
-    has mean pi/2 - 0.1 log 40 (23.5% low) and SE about 0.007, more than 10
-    SE from the 30% bound, and adjacent gaps differ by more than 10 SE.
+    Designed false-fail rate per seed: the probes draw the clock as
+    randomized quasi-Monte Carlo, 25 scrambled nets (24 of 4096 points and
+    one of 1696), so their z, and the second-order gate's, follow Student's
+    t with 24 degrees of freedom.  Six |z| <= 3 gates (five probes and the
+    second-order gate) at 0.62% each fail at most 6 x 0.62% ~ 3.7% of seeds
+    (the coupled probes are correlated, so the union bound is
+    conservative).  The 30% gate and the contracting gaps are deterministic
+    in effect: K_hat(0.1) has mean pi/2 - 0.1 log 40 (23.5% low) and SE
+    about 0.004, more than 10 SE from the 30% bound, and adjacent gaps
+    differ by more than 10 SE.
     """
     t0 = time.perf_counter()
     spec = paths.ChaosClockSpec(_GEOMETRIC_Q)

@@ -46,7 +46,10 @@ Simulated objects:
   of the p = 2 clock at N = 2^14), and carries the rest by one gamma variate
   of their mean and variance per sample (``_spectral_split``).  It is equal
   in law to the path quadrature up to that 2^-53 share of kappa_3 and the
-  2^-53 grid of U, but not pathwise coupled to it.
+  2^-53 grid of U, but not pathwise coupled to it.  The estimators in ``mc``
+  draw it as randomized quasi-Monte Carlo: the uniforms of the 32 largest
+  atoms come from independently scrambled Sobol nets, one per replicate
+  (``_Nets``), the rest from PCG64 as before.
 
 The chaos path samplers (clock paths and direct chaos sums) draw no path for
 the smallest q_j whose q_j^4 sum to at most 2^-53 (sum_j q_j^2)^2, one unit
@@ -70,6 +73,7 @@ matched discretization.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -104,6 +108,27 @@ _BLOCK_DOUBLES = 2**17
 # Unit roundoff of a double: the share of the leading moment that the skipped
 # chaos terms (fourth order) or spectral atoms (third order) may hold.
 _UNIT_ROUNDOFF = 2.0**-53
+
+# Sobol direction numbers of Joe & Kuo (SIAM J. Sci. Comput. 30, 2008; the
+# new-joe-kuo-6.21201 set) for dimensions 2 to 32: the primitive polynomial
+# as bits, leading and constant terms included, and the initial m_1..m_s.
+# Dimension 1 is van der Corput's (every m_k = 1).
+_SOBOL_TABLE = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)), (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)), (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)), (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)), (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+# Net coordinates of the spectral draw: its 32 largest chaos atoms, or the
+# radius and angle of the 16 largest p = 2 pairs.  Net digits: the 53 of a
+# double's uniform grid.
+_NET_DIMS = 1 + len(_SOBOL_TABLE)
+_NET_DIGITS = 53
 
 
 @dataclass(frozen=True)
@@ -319,7 +344,9 @@ def _time_indices(times, n_steps: int) -> np.ndarray:
 # change: clock, then xi) consume it block by block: a batch that spans
 # several blocks splits the same i.i.d. stream differently from one that fits
 # one block, equal in law but not in bits.  The spectral draws' gamma carry
-# follows every row's atoms.
+# follows every row's atoms.  Their randomized quasi-Monte Carlo form (the
+# estimators') draws the atoms outside the nets first, chaos ones too in one
+# row-major draw per block, then every net's scramble, then the gamma.
 # ---------------------------------------------------------------------------
 
 class _Workspace:
@@ -588,6 +615,7 @@ def clock_terminal_samples(spec: ClockSpec, t: float, n_steps: int, n: int, rng:
 # Exact spectrum of the quadratic trapezoid clocks
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
 def quadratic_clock_spectrum(spec: ClockSpec, t: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, int] | None:
     """(w, mu, nu) with C_N(t) = sum_j w_j sum_k mu_k chi2_nu in law, or None.
 
@@ -597,12 +625,17 @@ def quadratic_clock_spectrum(spec: ClockSpec, t: float, n_steps: int) -> tuple[n
     eigenvalues of the covariance form h^2 (N - max(l, m) + 1/2).  A chaos
     clock has w_j = q_j^2 and nu = 2 (X_j and Y_j); a p = 2 power clock with
     scalar rho has w = (rho^2,) and nu = 1.  Other clocks are not such forms
-    and give None.
+    and give None.  The spectrum is a pure function of its arguments, so it
+    is kept for the last 32 of them (an estimator and the exact law of one
+    call, such as ``laplace``'s, read the same one) and its arrays are
+    read-only.
     """
     if isinstance(spec, ChaosClockSpec):
         w, nu = spec.effective_q**2, 2
     elif isinstance(spec, PowerClockSpec) and spec.p == 2.0 and np.isscalar(spec.rho):
-        w, nu = np.array([float(spec.rho) ** 2]), 1
+        # rho^2 overflows to inf, where a float square would raise; the draw then reports it
+        with np.errstate(over="ignore"):
+            w, nu = np.array([np.float64(spec.rho) ** 2]), 1
     else:
         return None
     if n_steps < 1:
@@ -610,7 +643,10 @@ def quadratic_clock_spectrum(spec: ClockSpec, t: float, n_steps: int) -> tuple[n
     _time_indices((t,), n_steps)
     h = float(t) / n_steps
     s = np.sin((2 * np.arange(1, n_steps + 1) - 1) * np.pi / (4 * n_steps))
-    return w, h * h / (4.0 * s * s), nu
+    mu = h * h / (4.0 * s * s)
+    w.setflags(write=False)
+    mu.setflags(write=False)
+    return w, mu, nu
 
 
 def _spectral_split(w: np.ndarray, mu: np.ndarray, nu: int) -> tuple[np.ndarray, float, float]:
@@ -662,7 +698,7 @@ def _spectral_split(w: np.ndarray, mu: np.ndarray, nu: int) -> tuple[np.ndarray,
 
 
 def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, rng: RngLike) -> np.ndarray:
-    """Samples of C(t) drawn from the exact law of the N-step trapezoid clock.  Shape (n,).
+    """n i.i.d. samples of C(t) drawn from the exact law of the N-step trapezoid clock.  Shape (n,).
 
     For the clocks of :func:`quadratic_clock_spectrum` no path is simulated:
     a chaos clock is sum_{j,k} 2 q_j^2 mu_k E_jk with E_jk ~ Exp(1) (chi2_2 is
@@ -694,15 +730,198 @@ def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, 
     cut tail has probability 2^-53), and |tan(pi U')| <= |tan(pi fl(1/2))|
     ~ 1.6e16 stays finite.  Both draws therefore differ in bits, not in law,
     from ziggurat draws of E and xi.
+
+    The rows are independent: this is the draw of n one-point replicates.
+    The estimators in ``mc`` draw replicates of many points instead, whose
+    largest atoms take their uniforms from scrambled Sobol nets
+    (``_terminal_law_sampler``); each of those rows has this law too, but the
+    rows of one net are not independent.
     """
-    return _terminal_law_sampler(spec, t, n_steps)(n, rng)
+    draw, _ = _terminal_law_sampler(spec, t, n_steps)
+    return draw(np.ones(n, dtype=int), rng)
 
 
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(bits: int) -> np.ndarray:
+    """(32, bits) uint64 Sobol direction numbers v_ik = m_ik 2^(53 - k), k = 1..bits.
+
+    Row i is dimension i + 1.  m_ik follows the recurrence of Bratley & Fox
+    (ACM TOMS 14, 1988) from ``_SOBOL_TABLE``, so point n of the
+    unscrambled net is 2^-53 XOR_{k: bit k-1 of n set} v_ik.
+    """
+    rows = [[1] * bits]
+    for poly, init in _SOBOL_TABLE:
+        s = poly.bit_length() - 1
+        m = list(init[:bits])
+        for k in range(s, bits):
+            new = m[k - s] ^ (m[k - s] << s)
+            for lag in range(1, s):
+                if poly >> (s - lag) & 1:
+                    new ^= m[k - lag] << lag
+            m.append(new)
+        rows.append(m)
+    v = np.array(rows, dtype=np.uint64).reshape(_NET_DIMS, bits)
+    v <<= (_NET_DIGITS - 1 - np.arange(bits)).astype(np.uint64)
+    v.setflags(write=False)
+    return v
+
+
+@functools.lru_cache(maxsize=64)
+def _net_layout(sizes: tuple[int, ...]):
+    """Everything about consecutive nets of the given sizes that does not depend on the scrambles.
+
+    (bits, rep, step, gray, below, diag, digits): each net's points have
+    ``bits``-bit indices.  Row i is point j of replicate rep[i]; step[i]
+    indexes its Gray-code step v_{tz(j)}, or at j = 0 the start row bits, in
+    the flattened (replicate, bits + 1) rows of ``_Nets.v``, and gray[i] =
+    j XOR (j >> 1).  Column r of a scramble is diag[r] = 2^-(r+1) (digit r)
+    plus random digits masked by below[r], the less significant ones.
+    digits[r, q, k] is digit r of v_k, k < bits, and
+    digits[r, q, bits] digit r of the XOR of the v_k over the bits of
+    gray(sizes[q] - 1), the direction sum of replicate q's last point.
+    """
+    sizes = np.asarray(sizes)
+    bits = int(sizes.max() - 1).bit_length()
+    starts = np.cumsum(sizes) - sizes
+    rep = np.repeat(np.arange(sizes.size), sizes)
+    j = np.arange(rep.size) - starts[rep]
+    low = (j & -j).astype(float)  # 2^tz(j), 0 at j = 0
+    step = rep * (bits + 1) + np.where(j > 0, np.frexp(low)[1] - 1, bits)
+    ks = np.arange(bits)
+    v = _sobol_directions(bits)  # (dim, k)
+    last = ((sizes - 1) ^ ((sizes - 1) >> 1))[:, None] >> ks & 1  # (replicate, k)
+    v_last = np.bitwise_xor.reduce(v[None] * last[:, None].astype(np.uint64), axis=2)  # (replicate, dim)
+    both = np.concatenate([np.broadcast_to(v.T, (sizes.size, bits, v.shape[0])), v_last[:, None]], axis=1)
+    pos = (_NET_DIGITS - 1 - ks).astype(np.uint64)[:, None, None, None]  # bit of digit r
+    one = np.uint64(1)
+    return bits, rep, step, j ^ (j >> 1), (one << pos) - one, one << pos, (both >> pos) & one
+
+
+class _Nets:
+    """Consecutive scrambled Sobol nets of the given sizes over ``dims`` coordinates, read in row blocks.
+
+    Replicate r holds the first sizes[r] points of its own net, in Gray-code
+    order (Antonov & Saleev, USSR Comput. Math. Math. Phys. 19, 1979): point
+    j is e XOR G(j), G(j) = G(j - 1) XOR v_{tz(j)} with tz(j) the trailing
+    zeros of j, so a block of points is one cumulative XOR of steps (a
+    replicate's first step jumps from the last point of the one before).
+    Every coordinate of every net gets its own linear matrix scramble
+    (Matousek, J. Complexity 14, 1998): digit r of the scrambled value is
+    digit r plus a random GF(2) sum of the more significant digits, a
+    lower-triangular L with unit diagonal, which keeps the net's (t, m, s)
+    structure.  L is linear, so it maps the directions, and their sum at the
+    last point, once.  Then a random digital shift e, XOR'd into every
+    point, makes each point uniform on the 2^-53 grid, so a net's mean is
+    unbiased and nets with independent scrambles are independent.  All
+    scrambles are drawn from ``gen`` in one call when the nets are made.
+    """
+
+    def __init__(self, sizes, dims: int, gen: np.random.Generator):
+        bits, self.rep, self.step, self.gray, below, diag, digits = _net_layout(tuple(np.asarray(sizes).tolist()))
+        # v_ik has digits 1..k only, so L v needs the first ``bits`` columns of L:
+        # column r is 2^-(r+1) plus random less significant digits; e comes last
+        draws = gen.integers(0, 2**_NET_DIGITS, size=(bits + 1, len(sizes), 1, dims), dtype=np.uint64)
+        cols, self.e = draws[:bits], draws[bits, :, 0]
+        cols &= below
+        cols |= diag
+        # (replicate, k, dim): L v_ik, the XOR of column r over the digits r of v_ik that
+        # are set, and at k = bits the last point's G; that row becomes the step into point 0
+        self.v = np.bitwise_xor.reduce(cols * digits[..., :dims], axis=0)
+        start = self.v[:, bits]
+        start ^= self.e  # each replicate's last point
+        start[1:] = start[:-1] ^ self.e[1:]
+        start[0] = self.e[0]
+        self.pos = 0
+
+    def take(self, out: np.ndarray) -> np.ndarray:
+        """Fill out (b, dims) with the next b points, uniforms on the 2^-53 grid of [0, 1)."""
+        lo, hi = self.pos, self.pos + len(out)
+        self.pos = hi
+        x = self.v.reshape(-1, self.v.shape[2])[self.step[lo:hi]]
+        if lo:  # a later block starts from its first point itself, not from a step
+            r, bits = self.rep[lo], self.v.shape[1] - 1
+            mask = (self.gray[lo] >> np.arange(bits) & 1).astype(np.uint64)[:, None]
+            x[0] = self.e[r] ^ np.bitwise_xor.reduce(self.v[r, :bits] * mask, axis=0)
+        np.bitwise_xor.accumulate(x, axis=0, out=x)
+        return np.multiply(x, 2.0**-_NET_DIGITS, out=out)
+
+
+def _pair_sum(r: np.ndarray, a: np.ndarray, base: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Row sums of log(1 - U) (base + slope s), s = 1 / (1 + tan^2(pi U')), U in r and U' in a (both overwritten)."""
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    a *= np.pi
+    np.tan(a, out=a)
+    np.multiply(a, a, out=a)
+    a += 1.0
+    np.divide(slope, a, out=a)  # slope s
+    a += base
+    r *= a
+    return r.sum(axis=1)
+
+
+def _log_sum(u: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Row sums of coef log(1 - U), U in u (overwritten)."""
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    u *= coef
+    return u.sum(axis=1)  # not a BLAS gemv: its threads would contend with the batch workers
+
+
+def _pair_fill(base: np.ndarray, slope: np.ndarray):
+    """(width, fill): the p = 2 pairs of (base, slope), 2M uniforms per row from one row-major draw."""
+    half = base.size
+
+    def fill(u, gen):
+        gen.random(out=u)
+        return _pair_sum(u[:, :half], u[:, half:], base, slope)
+
+    return 2 * half, fill
+
+
+def _atom_fill(coef: list[np.ndarray]):
+    """(width, fill): chaos atoms, one (b, K_j) draw of uniforms per term's coefficients -2 w_j mu_k."""
+
+    def fill(x, gen):
+        c = np.zeros(len(x))
+        for cj in coef:
+            u = x.reshape(-1)[: len(x) * cj.size].reshape(len(x), cj.size)
+            gen.random(out=u)
+            c += _log_sum(u, cj)
+        return c
+
+    return max((cj.size for cj in coef), default=0), fill
+
+
+@functools.lru_cache(maxsize=16)
 def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
-    """draw(n, rng): :func:`clock_terminal_law_samples` with the spectrum and its split made once, for every batch."""
+    """(draw, nets): the spectral draw of C_N(t) with its spectrum and split made once, for every batch.
+
+    ``draw(sizes, rng)`` returns sum(sizes) samples, consecutive replicates
+    of the given sizes.  For a clock with a spectrum (``nets`` True) each
+    replicate is randomized quasi-Monte Carlo: the uniforms of the
+    ``_NET_DIMS`` largest kept atoms, ranked over all (j, k) (for p = 2 the
+    radius and angle of the 16 largest pairs, interleaved), are the
+    replicate's points of one scrambled Sobol net (``_Nets``), in rank order
+    so that the best-spread Sobol coordinates carry the largest atoms.  The
+    other kept atoms draw from PCG64 first, in one row-major draw per block,
+    then the nets' scrambles, then the gamma carry.  Each row has the law of
+    the i.i.d. draw and a replicate's mean is unbiased, but its rows are not
+    independent, so a standard error must come from the spread of replicate
+    means.  A layout of one-point replicates only (a net of one point is one
+    uniform random point) is the i.i.d. draw of
+    :func:`clock_terminal_law_samples`, bit for bit.  Any other clock
+    (``nets`` False) is simulated: sum(sizes) i.i.d. rows of
+    :func:`clock_terminal_samples`, bit for bit, and ``sizes`` may be the
+    row count itself.
+
+    The pair is a pure function of its arguments and ``draw`` keeps no
+    state, so the last 16 are kept: repeated estimator calls on one clock
+    (seed sweeps, the benchmark's rounds) build it once.
+    """
     form = quadratic_clock_spectrum(spec, t, n_steps)
     if form is None:
-        return lambda n, rng: clock_terminal_samples(spec, t, n_steps, n, rng)
+        return (lambda sizes, rng: clock_terminal_samples(spec, t, n_steps, int(np.sum(sizes)), rng)), False
     w, mu, nu = form
     kept, shape, scale = _spectral_split(w, mu, nu)
     if nu == 1:
@@ -711,45 +930,42 @@ def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
         mu = np.append(mu[:k], np.zeros(2 * half - k))
         # 2E (mu_a s + mu_b (1 - s)) = log(1 - U) (base + slope s)
         base, slope = -2.0 * w[0] * mu[half:], -2.0 * w[0] * (mu[:half] - mu[half:])
-        width = 2 * half
+        pairs = min(half, _NET_DIMS // 2)
+        plain, rest, dims = _pair_fill(base, slope), _pair_fill(base[pairs:], slope[pairs:]), 2 * pairs
+        net_base, net_slope = base[:pairs], slope[:pairs]
 
-        def fill(u, gen):
-            gen.random(out=u)
-            r, a = u[:, :half], u[:, half:]
-            np.subtract(1.0, r, out=r)
-            np.log(r, out=r)
-            a *= np.pi
-            np.tan(a, out=a)
-            np.multiply(a, a, out=a)
-            a += 1.0
-            np.divide(slope, a, out=a)  # slope s
-            a += base
-            r *= a
-            return r.sum(axis=1)[:, None]
+        def net_sum(u):
+            return _pair_sum(u[:, 0::2], u[:, 1::2], net_base, net_slope)
 
     else:
-        coef = [-2.0 * w[j] * mu[: kept[j]] for j in np.flatnonzero(kept)]  # scales log(1 - U) = -E
-        width = int(kept.max())
+        # atom (j, k) for the kept prefix of each term, all drawn at once where the net takes the largest
+        rows = np.repeat(np.arange(w.size), kept)
+        c = w[rows] * mu[np.arange(rows.size) - np.repeat(np.cumsum(kept) - kept, kept)]
+        top = np.argsort(-c, kind="stable")[:_NET_DIMS]
+        net_coef, dims = -2.0 * c[top], top.size
+        plain = _atom_fill([-2.0 * w[j] * mu[: kept[j]] for j in np.flatnonzero(kept)])
+        rest = _atom_fill([-2.0 * np.delete(c, top)])
 
-        def fill(x, gen):
-            c = np.zeros(len(x))
-            for cj in coef:
-                u = x.reshape(-1)[: len(x) * cj.size].reshape(len(x), cj.size)
-                gen.random(out=u)
-                np.subtract(1.0, u, out=u)
-                np.log(u, out=u)
-                u *= cj
-                c += u.sum(axis=1)  # not a BLAS gemv: its threads would contend with the batch workers
-            return c[:, None]
+        def net_sum(u):
+            return _log_sum(u, net_coef)
 
-    def draw(n, rng):
+    def draw(sizes, rng):
         gen = as_generator(rng)
-        c = _block_loop(n, width, 1, lambda x, ws: fill(x, gen))[:, 0]
+        n = int(np.sum(sizes))
+        nets = len(sizes) < n  # one-point replicates draw every uniform from PCG64
+        width, fill = rest if nets else plain
+        c = _block_loop(n, width, 1, lambda x, ws: fill(x, gen)[:, None])[:, 0]
+        if nets:  # then the scrambles, and the nets' points in 1 MB blocks
+            net, rows = _Nets(sizes, dims, gen), _BLOCK_DOUBLES // dims
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in range(0, n, rows):
+                    c[lo : lo + rows] += net_sum(net.take(np.empty((min(rows, n - lo), dims))))
+            _require_finite(c)
         if scale > 0:
             c += gen.gamma(shape, scale, n)
         return c
 
-    return draw
+    return draw, True
 
 
 # ---------------------------------------------------------------------------

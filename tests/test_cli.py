@@ -367,6 +367,19 @@ class TestImport:
         )
         assert run_fresh(code) == "[]"
 
+    def test_rqmc_estimators_load_no_scipy_stats(self):
+        # the scrambled Sobol nets are built in package code: scipy.stats
+        # (about 1.2 s to import) stays out, and so does every scipy module
+        code = (
+            "import smallball as sb\n"
+            "cfg = sb.McConfig(samples=64, n_steps=64, seed=1)\n"
+            "sb.probe_smallball_conditional(sb.ChaosClockSpec(sb.geometric_q(0.5, 50)), 1.0, (0.4, 0.1), cfg)\n"
+            "sb.probe_smallball_conditional(sb.PowerClockSpec(2.0), 1.0, (0.4, 0.1), cfg)\n"
+            "sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), (1.0,), cfg)\n"
+            "print('scipy.stats' in sys.modules)\n" + SCIPY_LOADED
+        )
+        assert run_fresh(code).splitlines() == ["False", "[]"]
+
     def test_lazy_scipy_gives_the_same_bits(self):
         # each function imports its scipy module on first call in a fresh interpreter
         code = (
@@ -461,6 +474,21 @@ class TestExitCodes:
         code, out, err = run(
             capsys, "laplace", "--clock", "power", "--clock-p", "2000", *extra,
             "--lam", "1", "--n-steps", "64", "--samples", "100",
+        )
+        assert code == 3
+        assert err.startswith("numeric failure:")
+        assert "not finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["laplace", "--lam", "1"], ["smallball", "--conditional", "--eps", "0.5"]],
+        ids=["laplace", "conditional"],
+    )
+    def test_overflowing_p2_weight_is_numeric_failure(self, capsys, argv):
+        # rho^2 = 1e400 overflows in the spectrum of the p = 2 clock; a float
+        # square used to raise OverflowError with a traceback and exit 1
+        code, out, err = run(
+            capsys, *argv, "--clock", "power", "--clock-p", "2", "--rho", "1e200", "--n-steps", "64", "--samples", "10"
         )
         assert code == 3
         assert err.startswith("numeric failure:")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import smallball as sb
-from smallball import mc
+from smallball import mc, paths
 from smallball.mc import McConfig
 
 COSH_ORACLE_AT_1 = 0.6775678055260783  # (cosh sqrt 2)^(-1/2)
@@ -388,6 +388,19 @@ _TRUNCATED_SPECTRAL = {
 }
 
 
+# randomized quasi-Monte Carlo spectral draws (nu = 1: p = 2 pairs, nu = 2:
+# chaos atoms) in three layouts: (samples, N) = (600, 512) gives two batches
+# of eight replicates of 37 or 38 rows; (1100, 2048) two batches of eight of
+# 68 or 69; (5000, 2^14) nineteen batches of 256 and a remainder of 136, one
+# replicate each
+_RQMC = {
+    "conditional_chaos": lambda cfg: sb.probe_smallball_conditional(_GEOMETRIC, 1.0, (0.5, 0.3, 0.2), cfg),
+    "conditional_power": lambda cfg: sb.probe_smallball_conditional(sb.PowerClockSpec(2.0, rho=1.5), 1.0, (0.5, 0.3), cfg),
+    "laplace_chaos": lambda cfg: sb.estimate_laplace_multi(_GEOMETRIC, sb.Partition((1.0,)), (0.5, 2.0, 8.0), cfg),
+    "laplace_power": lambda cfg: sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), (0.5, 2.0, 8.0), cfg),
+}
+
+
 class TestWorkerInvariance:
     @staticmethod
     def assert_invariant(estimator, samples, n_steps):
@@ -411,6 +424,110 @@ class TestWorkerInvariance:
     def test_workers_do_not_change_truncated_spectral_draws(self, name, n_steps):
         # 600 samples: batches of 300 (N = 512) or 256, 256 and 88 (N = 2^14) over two threads
         self.assert_invariant(_TRUNCATED_SPECTRAL[name], 600, n_steps)
+
+    @pytest.mark.parametrize("name", sorted(_RQMC))
+    @pytest.mark.parametrize("samples, n_steps", [(600, 512), (1100, 2048), (5000, 2**14)])
+    def test_workers_do_not_change_rqmc_draws(self, name, samples, n_steps):
+        self.assert_invariant(_RQMC[name], samples, n_steps)
+
+    def test_rqmc_layouts(self):
+        def layout(samples, n_steps):
+            sizes = mc._batch_sizes(McConfig(samples=samples, n_steps=n_steps))
+            return [mc._replicate_sizes(b, len(sizes)).tolist() for b in sizes]
+
+        assert layout(600, 512) == [[38] * 4 + [37] * 4] * 2
+        assert layout(1100, 2048) == [[69] * 6 + [68] * 2] * 2
+        assert layout(5000, 2**14) == [[256]] * 19 + [[136]]
+
+
+class TestReplicateStandardErrors:
+    # 64 samples at N = 64: two batches of eight 4-point nets, so the standard
+    # error comes from R = 16 replicate means and z = (est - law) / SE
+    # follows Student's t with 15 degrees of freedom.  A standard error off by
+    # a factor of two either way fails the same test.
+    _POWER = sb.PowerClockSpec(2.0, rho=1.5)
+    CASES = {
+        "conditional_chaos": (
+            lambda cfg: sb.probe_smallball_conditional(_GEOMETRIC, 1.0, (0.8, 0.5), cfg),
+            lambda: np.exp(sb.log_smallball(_GEOMETRIC, 1.0, (0.8, 0.5), 64)),
+        ),
+        "conditional_power": (
+            lambda cfg: sb.probe_smallball_conditional(TestReplicateStandardErrors._POWER, 1.0, (1.5, 1.0), cfg),
+            lambda: np.exp(sb.log_smallball(TestReplicateStandardErrors._POWER, 1.0, (1.5, 1.0), 64)),
+        ),
+        "laplace_chaos": (
+            lambda cfg: sb.estimate_laplace_multi(_GEOMETRIC, sb.Partition((1.0,)), (1.0, 4.0), cfg),
+            lambda: np.exp(sb.log_laplace(_GEOMETRIC, 1.0, (1.0, 4.0), 64)),
+        ),
+        "laplace_power": (
+            lambda cfg: sb.estimate_laplace_multi(TestReplicateStandardErrors._POWER, sb.Partition((1.0,)), (0.5, 2.0), cfg),
+            lambda: np.exp(sb.log_laplace(TestReplicateStandardErrors._POWER, 1.0, (0.5, 2.0), 64)),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_z_follows_student_t(self, name):
+        from scipy.stats import kstest
+
+        estimator, law = self.CASES[name]
+        exact = law()
+        z = np.array(
+            [[(r.estimate - e) / r.std_error for r, e in zip(estimator(McConfig(samples=64, n_steps=64, seed=s)), exact)]
+             for s in range(300)]
+        )
+        for column in z.T:
+            assert kstest(column, "t", args=(15,)).pvalue > 1e-3
+            assert kstest(2.0 * column, "t", args=(15,)).pvalue < 1e-3
+            assert kstest(0.5 * column, "t", args=(15,)).pvalue < 1e-3
+
+    def test_one_row_replicates_are_plain_moments(self):
+        values = np.random.default_rng(3).random((37, 3))
+        n, reps, mean, m2 = mc._batch_moments(values, np.ones(37, dtype=int))
+        assert (n, reps) == (37, 37)
+        plain = mc._batch_moments(values)
+        assert plain[:2] == (37, 37)
+        assert np.array_equal(mean, plain[2]) and np.array_equal(m2, plain[3])
+
+    def test_replicate_moments(self):
+        # M2 = sum_r n_r (mean_r - mean)^2 over replicates of 2, 3 and 2 rows
+        values = np.array([[1.0], [3.0], [2.0], [2.0], [5.0], [0.0], [4.0]])
+        n, reps, mean, m2 = mc._batch_moments(values, np.array([2, 3, 2]))
+        assert (n, reps) == (7, 3)
+        assert mean[0] == pytest.approx(17.0 / 7.0)
+        want = 2 * (2.0 - 17 / 7) ** 2 + 3 * (3.0 - 17 / 7) ** 2 + 2 * (2.0 - 17 / 7) ** 2
+        assert m2[0] == pytest.approx(want, rel=1e-14)
+
+    def test_rqmc_beats_plain_monte_carlo(self):
+        # the chaos-probe shape (512 samples at N = 512, 32-point nets): the
+        # eps = 0.4 probe's variance falls by far more than 20x against the
+        # i.i.d. draw with the same budget, read over 40 seeds each
+        eps = (0.4,)
+        draw, _ = paths._terminal_law_sampler(_GEOMETRIC, 1.0, 512)
+        rqmc = [sb.probe_smallball_conditional(_GEOMETRIC, 1.0, eps, McConfig(samples=512, n_steps=512, seed=s))[0].estimate
+                for s in range(40)]
+        iid = [mc._conditional_values(draw(np.ones(512, dtype=int), sb.RngStream(s, 0)), eps[0]).mean() for s in range(40)]
+        assert np.var(iid, ddof=1) > 20.0 * np.var(rqmc, ddof=1)
+
+
+class TestFrozenPlainRecords:
+    # raw probes and multi-interval Laplace estimates are plain Monte Carlo
+    # (one-row replicates) and keep the bits they had before the spectral
+    # draw became randomized quasi-Monte Carlo
+    def test_raw_probe(self):
+        cfg = McConfig(samples=3000, n_steps=2048, seed=33, workers=2)
+        got = sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6, 0.4), cfg)
+        assert [(r.estimate.hex(), r.std_error.hex()) for r in got] == [
+            ("0x1.10b9af72015d8p-1", "0x1.2a8a4b8c8ac76p-7"),
+            ("0x1.ead65b7a32847p-3", "0x1.fedad837eaa46p-8"),
+        ]
+
+    def test_multi_interval_laplace(self):
+        cfg = McConfig(samples=2500, n_steps=512, seed=33, workers=2)
+        got = sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((0.5, 1.0), weights=(2.0, 1.0)), (0.5, 2.0), cfg)
+        assert [(r.estimate.hex(), r.std_error.hex()) for r in got] == [
+            ("0x1.879a18d8f905ep-1", "0x1.ecc12166d567ap-9"),
+            ("0x1.ca50553390e4ep-2", "0x1.6b6539cbe3c4bp-8"),
+        ]
 
 
 class TestBatchMerge:

@@ -994,3 +994,92 @@ class TestCompensatedLaw:
         for col in range(2):
             d, _ = sb.ks_two_sample(new[:, col], old[:, col])
             assert d < sb.ks_critical_value(n, n, 0.01)
+
+
+class TestScrambledNets:
+    # the randomized quasi-Monte Carlo point sets behind the estimators' spectral draws
+    def test_directions_match_scipy_sobol(self):
+        # unscrambled points 0..2^10 - 1 in Gray-code order, all 32 dimensions
+        from scipy.stats import qmc
+
+        m = 10
+        v = paths._sobol_directions(m)
+        j = np.arange(2**m)
+        gray = (j ^ (j >> 1)).astype(np.uint64)
+        x = np.zeros((2**m, 32), dtype=np.uint64)
+        for k in range(m):
+            x ^= v[:, k] * ((gray >> np.uint64(k)) & np.uint64(1))[:, None]
+        assert np.array_equal(x * 2.0**-53, qmc.Sobol(32, scramble=False).random(2**m))
+
+    def test_scrambled_nets_keep_their_strata(self):
+        # every coordinate of a 2^m-point net puts one point in each interval of
+        # length 2^-m, and coordinates 1 and 2 form a (0, m, 2)-net
+        m = 8
+        u = np.empty((3 * 2**m, 32))
+        paths._Nets(np.full(3, 2**m), 32, np.random.default_rng(1)).take(u)
+        assert np.all((u >= 0.0) & (u < 1.0))
+        for net in u.reshape(3, 2**m, 32):
+            cells = np.floor(net * 2**m).astype(int)
+            assert all(np.unique(cells[:, i]).size == 2**m for i in range(32))
+            for a in range(m + 1):
+                box = np.floor(net[:, 0] * 2**a) * 2 ** (m - a) + np.floor(net[:, 1] * 2 ** (m - a))
+                assert np.unique(box).size == 2**m
+
+    @pytest.mark.parametrize("sizes", [[32] * 8, [7, 7, 6], [1696], [5, 1, 1], [1, 1]], ids=str)
+    def test_blocks_read_the_same_points(self, sizes):
+        # point j of replicate r is e_r XOR (XOR of L v_k over the bits of gray(j)),
+        # whichever blocks the rows are read in
+        n = sum(sizes)
+        whole = np.empty((n, 32))
+        nets = paths._Nets(sizes, 32, np.random.default_rng(3))
+        nets.take(whole)
+        bits = nets.v.shape[1] - 1
+        want = np.empty((n, 32), dtype=np.uint64)
+        row = 0
+        for r, size in enumerate(sizes):
+            for j in range(size):
+                g, x = j ^ (j >> 1), nets.e[r].copy()
+                for k in range(bits):
+                    if g >> k & 1:
+                        x ^= nets.v[r, k]
+                want[row] = x
+                row += 1
+        assert np.array_equal(whole, want * 2.0**-53)
+        for cuts in ([1], [n // 3, n // 2], [n - 1]):
+            cuts = [c for c in cuts if 0 < c < n]
+            nets = paths._Nets(sizes, 32, np.random.default_rng(3))
+            parts = [nets.take(np.empty((len(p), 32))) for p in np.split(np.arange(n), cuts)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_points_are_uniform(self):
+        # the digital shift makes every point uniform: over 4000 scrambles of a
+        # 4-point net each point's coordinates have mean 1/2 and variance 1/12
+        u = np.empty((4 * 4000, 32))
+        paths._Nets(np.full(4000, 4), 32, np.random.default_rng(5)).take(u)
+        per_point = u.reshape(4000, 4, 32)
+        assert np.all(np.abs(per_point.mean(axis=0) - 0.5) < 4.0 * np.sqrt(1 / 12 / 4000))
+        assert np.all(np.abs(per_point.var(axis=0) - 1 / 12) < 4.0 * np.sqrt(1 / 180 / 4000))
+
+    @pytest.mark.parametrize("name", ["power-2^14", "chaos-512", "chaos-64"])
+    def test_net_draws_keep_the_mean(self, name):
+        # 40 nets of 64 rows: their means scatter around the exact mean sum nu c
+        spec, n_steps = _SKIPPING[name]
+        w, mu, nu = sb.quadratic_clock_spectrum(spec, 1.0, n_steps)
+        draw, nets = paths._terminal_law_sampler(spec, 1.0, n_steps)
+        assert nets
+        means = draw(np.full(40, 64), sb.RngStream(70, 0)).reshape(40, 64).mean(axis=1)
+        exact = nu * w.sum() * mu.sum()
+        assert abs(means.mean() - exact) < 4.0 * means.std(ddof=1) / np.sqrt(40)
+
+    def test_one_point_replicates_are_the_iid_draw(self):
+        spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
+        draw, _ = paths._terminal_law_sampler(spec, 1.0, 512)
+        got = draw(np.ones(300, dtype=int), sb.RngStream(71, 0))
+        assert np.array_equal(got, _reference_spectral_draw(spec, 1.0, 512, 300, sb.RngStream(71, 0)))
+
+    def test_other_clocks_draw_iid_rows(self):
+        spec = sb.PowerClockSpec(3.0)
+        draw, nets = paths._terminal_law_sampler(spec, 1.0, 64)
+        assert not nets
+        want = sb.clock_terminal_samples(spec, 1.0, 64, 40, sb.RngStream(72, 0))
+        assert np.array_equal(draw(np.full(4, 10), sb.RngStream(72, 0)), want)
