@@ -52,7 +52,6 @@ from .paths import (
     RngStream,
     TimeChangedProcess,
     clock_interval_increment_samples,
-    clock_terminal_law_samples,
     clock_terminal_samples,
     dump_csv,
     geometric_q,

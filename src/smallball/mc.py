@@ -35,7 +35,7 @@ event of a time-changed Brownian motion, the conditional probability given the
 clock is the exact theta series, so only the law of the clock terminal value
 C_N(t) matters.  For chaos clocks and p = 2 power clocks with a scalar weight,
 C_N(t) is drawn from the exact spectrum of the N-step trapezoid clock
-(``paths.clock_terminal_law_samples``, but in nets): the few hundred
+(``paths._terminal_law_sampler``, one net per replicate): the few hundred
 chi-squared atoms above one unit roundoff of its third cumulant, plus one
 gamma variate with the mean and variance of the rest.  That is equal in law
 to path simulation up to a 2^-53 share of kappa_3 (a relative error of about

@@ -46,10 +46,12 @@ Simulated objects:
   of the p = 2 clock at N = 2^14), and carries the rest by one gamma variate
   of their mean and variance per sample (``_spectral_split``).  It is equal
   in law to the path quadrature up to that 2^-53 share of kappa_3 and the
-  2^-53 grid of U, but not pathwise coupled to it.  The estimators in ``mc``
-  draw it as randomized quasi-Monte Carlo: the uniforms of the 32 largest
-  atoms come from independently scrambled Sobol nets, one per replicate
-  (``_Nets``), the rest from PCG64 as before.
+  2^-53 grid of U, but not pathwise coupled to it.  It is drawn in
+  replicates, as randomized quasi-Monte Carlo (``_terminal_law_sampler``,
+  behind the estimators in ``mc``): the uniforms of the 32 largest atoms
+  come from independently scrambled Sobol nets, one per replicate
+  (``_Nets``), the rest from PCG64.  A one-point net is one uniform random
+  point, so n one-point replicates are n i.i.d. draws.
 
 The chaos path samplers (clock paths and direct chaos sums) draw no path for
 the smallest q_j whose q_j^4 sum to at most 2^-53 (sum_j q_j^2)^2, one unit
@@ -95,7 +97,6 @@ __all__ = [
     "clock_interval_increment_samples",
     "clock_terminal_samples",
     "quadratic_clock_spectrum",
-    "clock_terminal_law_samples",
     "sup_samples",
     "simulate_path",
     "dump_csv",
@@ -213,20 +214,18 @@ class ChaosClockSpec:
     """Chaos clock sum_{j<=J} q_j^2 int_0^t (X_j^2 + Y_j^2) ds.
 
     ``q`` holds the collapsed singular values (one per conjugate pair); the
-    trace norm of the underlying form is 2 * sum q_j.  ``truncation`` further
-    caps the number of terms.  The path samplers then draw no path for the
-    smallest q_j whose q_j^4 sum to at most 2^-53 (sum_j q_j^2)^2 and carry
-    those terms by their mean (clocks) or by a Gaussian of their variance
-    (direct chaos sums), which moves no sampled law beyond O(2^-53) relative.
-    The spectral draw of C_N(t) prunes its atoms q_j^2 mu_k jointly in (j, k)
-    instead and carries the skipped ones by a gamma variate
-    (:func:`clock_terminal_law_samples`).  ``effective_q``, ``one_norm`` and
-    the exact spectrum keep every term.
+    trace norm of the underlying form is 2 * sum q_j.  The path samplers draw
+    no path for the smallest q_j whose q_j^4 sum to at most
+    2^-53 (sum_j q_j^2)^2 and carry those terms by their mean (clocks) or by
+    a Gaussian of their variance (direct chaos sums), which moves no sampled
+    law beyond O(2^-53) relative.  The spectral draw of C_N(t) prunes its
+    atoms q_j^2 mu_k jointly in (j, k) instead and carries the skipped ones
+    by a gamma variate (``_terminal_law_sampler``).  ``effective_q``,
+    ``one_norm`` and the exact spectrum keep every term.
     Every q_j must be finite, and so must sum_j q_j^2.
     """
 
     q: tuple[float, ...]
-    truncation: int | None = None
 
     def __post_init__(self):
         q = tuple(float(v) for v in self.q)
@@ -235,13 +234,10 @@ class ChaosClockSpec:
         if sum(v * v for v in q) == np.inf:
             raise ValueError("sum of q_j^2 overflows")
         object.__setattr__(self, "q", q)
-        if self.truncation is not None and self.truncation < 1:
-            raise ValueError("truncation must be at least 1")
 
     @property
     def effective_q(self) -> np.ndarray:
-        q = np.asarray(self.q)
-        return q[: self.truncation] if self.truncation else q
+        return np.asarray(self.q)
 
     @property
     def one_norm(self) -> float:
@@ -337,16 +333,14 @@ def _time_indices(times, n_steps: int) -> np.ndarray:
 # churn of fresh multi-MB temporaries would otherwise dominate.
 #
 # Bits and block layout: kernels that fill a block with one draw (Brownian
-# paths, power clocks, the p = 2 spectral draw's 2 ceil(K/2) uniforms per row
-# for K kept modes) consume the stream row-major, so their output does not
-# depend on the block size.  Kernels that fill a block with several draws
-# (chaos clocks, direct chaos sums, the chaos spectral draw, and every time
-# change: clock, then xi) consume it block by block: a batch that spans
-# several blocks splits the same i.i.d. stream differently from one that fits
-# one block, equal in law but not in bits.  The spectral draws' gamma carry
-# follows every row's atoms.  Their randomized quasi-Monte Carlo form (the
-# estimators') draws the atoms outside the nets first, chaos ones too in one
-# row-major draw per block, then every net's scramble, then the gamma.
+# paths, power clocks, the spectral draw's atoms outside its nets) consume the
+# stream row-major, so their output does not depend on the block size.
+# Kernels that fill a block with several draws (chaos clocks, direct chaos
+# sums, and every time change: clock, then xi) consume it block by block: a
+# batch that spans several blocks splits the same i.i.d. stream differently
+# from one that fits one block, equal in law but not in bits.  The spectral
+# draw takes every net's scramble after every row's atoms outside the nets,
+# and its gamma carry last.
 # ---------------------------------------------------------------------------
 
 class _Workspace:
@@ -697,50 +691,6 @@ def _spectral_split(w: np.ndarray, mu: np.ndarray, nu: int) -> tuple[np.ndarray,
     return kept, nu * s1 * s1 / (2.0 * s2), 2.0 * s2 / s1 * (total * mu.sum())
 
 
-def clock_terminal_law_samples(spec: ClockSpec, t: float, n_steps: int, n: int, rng: RngLike) -> np.ndarray:
-    """n i.i.d. samples of C(t) drawn from the exact law of the N-step trapezoid clock.  Shape (n,).
-
-    For the clocks of :func:`quadratic_clock_spectrum` no path is simulated:
-    a chaos clock is sum_{j,k} 2 q_j^2 mu_k E_jk with E_jk ~ Exp(1) (chi2_2 is
-    2 Exp(1)), a p = 2 power clock rho^2 sum_k mu_k xi_k^2.  The atoms that
-    hold at most one unit roundoff of the third cumulant are not drawn
-    (``_spectral_split``: 656 of 16384 modes are drawn for p = 2 at N = 2^14);
-    one gamma variate per row, drawn after every row's atoms, carries their
-    mean and variance.  The law of C moves by at most that kappa_3 share:
-    log E exp(-lambda C) by about (lambda E C)^3 2^-53 / 6 relative (2e-15
-    at lambda E C = 5), the chaos small-ball law at eps = 0.1 by about 1e-12.
-    Where nothing is skipped (the p = 2 clock up to N = 256) the draw is the
-    full one, bit for bit.  The draws are not pathwise coupled to
-    :func:`clock_terminal_samples`.
-    Any other clock falls through to :func:`clock_terminal_samples`, bit for
-    bit.
-
-    E_jk is drawn by inversion, -log(1 - U) with U from ``Generator.random``
-    (one uniform and one vectorized log per value, cheaper than numpy's
-    ziggurat ``standard_exponential``): per row block and kept term j, one
-    (b, kept[j]) draw, rows sized by the widest term.  The p = 2 power clock
-    pairs kept mode k with kept mode k + M, M = ceil(K/2) for K kept modes
-    (odd K pads mu with one zero): (xi_k, xi_{k+M}) is a planar Gaussian,
-    whose squared radius 2E and angle phi are independent, so mu_k xi_k^2 +
-    mu_{k+M} xi_{k+M}^2 = 2E (mu_k s + mu_{k+M} (1 - s)) with s = cos^2 phi =
-    1 / (1 + tan^2(pi U')).  Each row takes 2M uniforms, the M radii first
-    and then the M angles: two uniforms, one log and one tan per pair, against
-    two ziggurat normals.  U and U' lie on the 2^-53 grid of [0, 1), so
-    1 - U is exact and positive, E is finite and at most 53 ln 2 ~ 36.7 (the
-    cut tail has probability 2^-53), and |tan(pi U')| <= |tan(pi fl(1/2))|
-    ~ 1.6e16 stays finite.  Both draws therefore differ in bits, not in law,
-    from ziggurat draws of E and xi.
-
-    The rows are independent: this is the draw of n one-point replicates.
-    The estimators in ``mc`` draw replicates of many points instead, whose
-    largest atoms take their uniforms from scrambled Sobol nets
-    (``_terminal_law_sampler``); each of those rows has this law too, but the
-    rows of one net are not independent.
-    """
-    draw, _ = _terminal_law_sampler(spec, t, n_steps)
-    return draw(np.ones(n, dtype=int), rng)
-
-
 @functools.lru_cache(maxsize=None)
 def _sobol_directions(bits: int) -> np.ndarray:
     """(32, bits) uint64 Sobol direction numbers v_ik = m_ik 2^(53 - k), k = 1..bits.
@@ -868,50 +818,51 @@ def _log_sum(u: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return u.sum(axis=1)  # not a BLAS gemv: its threads would contend with the batch workers
 
 
-def _pair_fill(base: np.ndarray, slope: np.ndarray):
-    """(width, fill): the p = 2 pairs of (base, slope), 2M uniforms per row from one row-major draw."""
-    half = base.size
-
-    def fill(u, gen):
-        gen.random(out=u)
-        return _pair_sum(u[:, :half], u[:, half:], base, slope)
-
-    return 2 * half, fill
-
-
-def _atom_fill(coef: list[np.ndarray]):
-    """(width, fill): chaos atoms, one (b, K_j) draw of uniforms per term's coefficients -2 w_j mu_k."""
-
-    def fill(x, gen):
-        c = np.zeros(len(x))
-        for cj in coef:
-            u = x.reshape(-1)[: len(x) * cj.size].reshape(len(x), cj.size)
-            gen.random(out=u)
-            c += _log_sum(u, cj)
-        return c
-
-    return max((cj.size for cj in coef), default=0), fill
-
-
 @functools.lru_cache(maxsize=16)
 def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
     """(draw, nets): the spectral draw of C_N(t) with its spectrum and split made once, for every batch.
 
     ``draw(sizes, rng)`` returns sum(sizes) samples, consecutive replicates
-    of the given sizes.  For a clock with a spectrum (``nets`` True) each
-    replicate is randomized quasi-Monte Carlo: the uniforms of the
+    of the given sizes.  For the clocks of :func:`quadratic_clock_spectrum`
+    (``nets`` True) no path is simulated: a chaos clock is
+    sum_{j,k} 2 q_j^2 mu_k E_jk with E_jk ~ Exp(1) (chi2_2 is 2 Exp(1)), a
+    p = 2 power clock rho^2 sum_k mu_k xi_k^2.  The atoms that hold at most
+    one unit roundoff of the third cumulant are not drawn
+    (``_spectral_split``: 656 of 16384 modes are drawn for p = 2 at
+    N = 2^14); one gamma variate per row carries their mean and variance.
+    The law of C moves by at most that kappa_3 share: log E exp(-lambda C)
+    by about (lambda E C)^3 2^-53 / 6 relative (2e-15 at lambda E C = 5),
+    the chaos small-ball law at eps = 0.1 by about 1e-12.  The draws are not
+    pathwise coupled to :func:`clock_terminal_samples`.
+
+    Each replicate is randomized quasi-Monte Carlo: the uniforms of the
     ``_NET_DIMS`` largest kept atoms, ranked over all (j, k) (for p = 2 the
     radius and angle of the 16 largest pairs, interleaved), are the
     replicate's points of one scrambled Sobol net (``_Nets``), in rank order
     so that the best-spread Sobol coordinates carry the largest atoms.  The
     other kept atoms draw from PCG64 first, in one row-major draw per block,
     then the nets' scrambles, then the gamma carry.  Each row has the law of
-    the i.i.d. draw and a replicate's mean is unbiased, but its rows are not
-    independent, so a standard error must come from the spread of replicate
-    means.  A layout of one-point replicates only (a net of one point is one
-    uniform random point) is the i.i.d. draw of
-    :func:`clock_terminal_law_samples`, bit for bit.  Any other clock
-    (``nets`` False) is simulated: sum(sizes) i.i.d. rows of
+    the spectral draw and a replicate's mean is unbiased, but its rows are
+    not independent, so a standard error must come from the spread of
+    replicate means.  A one-point net is one uniform random point (Owen,
+    Ann. Statist. 25, 1997), so n one-point replicates are n i.i.d. draws.
+
+    E_jk is drawn by inversion, -log(1 - U) (one uniform and one vectorized
+    log per value, cheaper than numpy's ziggurat ``standard_exponential``).
+    The p = 2 power clock pairs kept mode k with kept mode k + M,
+    M = ceil(K/2) for K kept modes (odd K pads mu with one zero):
+    (xi_k, xi_{k+M}) is a planar Gaussian, whose squared radius 2E and angle
+    phi are independent, so mu_k xi_k^2 + mu_{k+M} xi_{k+M}^2 =
+    2E (mu_k s + mu_{k+M} (1 - s)) with s = cos^2 phi = 1 / (1 + tan^2(pi U')).
+    Outside the nets each row takes the radii of its pairs first and then
+    their angles: two uniforms, one log and one tan per pair, against two
+    ziggurat normals.  U and U' lie on the 2^-53 grid of [0, 1), so 1 - U is
+    exact and positive, E is finite and at most 53 ln 2 ~ 36.7 (the cut tail
+    has probability 2^-53), and |tan(pi U')| <= |tan(pi fl(1/2))| ~ 1.6e16
+    stays finite.  Both draws therefore differ in bits, not in law, from
+    ziggurat draws of E and xi.
+
+    Any other clock (``nets`` False) is simulated: sum(sizes) i.i.d. rows of
     :func:`clock_terminal_samples`, bit for bit, and ``sizes`` may be the
     row count itself.
 
@@ -928,23 +879,27 @@ def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
         k = int(kept[0])
         half = -(-k // 2)
         mu = np.append(mu[:k], np.zeros(2 * half - k))
-        # 2E (mu_a s + mu_b (1 - s)) = log(1 - U) (base + slope s)
+        # 2E (mu_a s + mu_b (1 - s)) = log(1 - U) (base + slope s); the net takes the first pairs
         base, slope = -2.0 * w[0] * mu[half:], -2.0 * w[0] * (mu[:half] - mu[half:])
         pairs = min(half, _NET_DIMS // 2)
-        plain, rest, dims = _pair_fill(base, slope), _pair_fill(base[pairs:], slope[pairs:]), 2 * pairs
-        net_base, net_slope = base[:pairs], slope[:pairs]
+        dims, width = 2 * pairs, 2 * (half - pairs)
+
+        def rest_sum(u):
+            return _pair_sum(u[:, : half - pairs], u[:, half - pairs :], base[pairs:], slope[pairs:])
 
         def net_sum(u):
-            return _pair_sum(u[:, 0::2], u[:, 1::2], net_base, net_slope)
+            return _pair_sum(u[:, 0::2], u[:, 1::2], base[:pairs], slope[:pairs])
 
     else:
-        # atom (j, k) for the kept prefix of each term, all drawn at once where the net takes the largest
+        # atom (j, k) for the kept prefix of each term, where the net takes the largest
         rows = np.repeat(np.arange(w.size), kept)
         c = w[rows] * mu[np.arange(rows.size) - np.repeat(np.cumsum(kept) - kept, kept)]
         top = np.argsort(-c, kind="stable")[:_NET_DIMS]
-        net_coef, dims = -2.0 * c[top], top.size
-        plain = _atom_fill([-2.0 * w[j] * mu[: kept[j]] for j in np.flatnonzero(kept)])
-        rest = _atom_fill([-2.0 * np.delete(c, top)])
+        net_coef, rest_coef = -2.0 * c[top], -2.0 * np.delete(c, top)
+        dims, width = top.size, rest_coef.size
+
+        def rest_sum(u):
+            return _log_sum(u, rest_coef)
 
         def net_sum(u):
             return _log_sum(u, net_coef)
@@ -952,15 +907,18 @@ def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
     def draw(sizes, rng):
         gen = as_generator(rng)
         n = int(np.sum(sizes))
-        nets = len(sizes) < n  # one-point replicates draw every uniform from PCG64
-        width, fill = rest if nets else plain
-        c = _block_loop(n, width, 1, lambda x, ws: fill(x, gen)[:, None])[:, 0]
-        if nets:  # then the scrambles, and the nets' points in 1 MB blocks
-            net, rows = _Nets(sizes, dims, gen), _BLOCK_DOUBLES // dims
-            with np.errstate(over="ignore", invalid="ignore"):
-                for lo in range(0, n, rows):
-                    c[lo : lo + rows] += net_sum(net.take(np.empty((min(rows, n - lo), dims))))
-            _require_finite(c)
+
+        def block(u, ws):
+            gen.random(out=u)
+            return rest_sum(u)[:, None]
+
+        c = _block_loop(n, width, 1, block)[:, 0]
+        # then the scrambles, and the nets' points in 1 MB blocks
+        net, rows = _Nets(sizes, dims, gen), _BLOCK_DOUBLES // dims
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, rows):
+                c[lo : lo + rows] += net_sum(net.take(np.empty((min(rows, n - lo), dims))))
+        _require_finite(c)
         if scale > 0:
             c += gen.gamma(shape, scale, n)
         return c

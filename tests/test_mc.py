@@ -389,10 +389,12 @@ _TRUNCATED_SPECTRAL = {
 
 
 # randomized quasi-Monte Carlo spectral draws (nu = 1: p = 2 pairs, nu = 2:
-# chaos atoms) in three layouts: (samples, N) = (600, 512) gives two batches
+# chaos atoms) in five layouts: (samples, N) = (600, 512) gives two batches
 # of eight replicates of 37 or 38 rows; (1100, 2048) two batches of eight of
 # 68 or 69; (5000, 2^14) nineteen batches of 256 and a remainder of 136, one
-# replicate each
+# replicate each; (12, 64) two batches of six one-point replicates; and
+# (769, 2^14) three batches of four 64-point replicates and a one-row
+# remainder batch
 _RQMC = {
     "conditional_chaos": lambda cfg: sb.probe_smallball_conditional(_GEOMETRIC, 1.0, (0.5, 0.3, 0.2), cfg),
     "conditional_power": lambda cfg: sb.probe_smallball_conditional(sb.PowerClockSpec(2.0, rho=1.5), 1.0, (0.5, 0.3), cfg),
@@ -426,7 +428,7 @@ class TestWorkerInvariance:
         self.assert_invariant(_TRUNCATED_SPECTRAL[name], 600, n_steps)
 
     @pytest.mark.parametrize("name", sorted(_RQMC))
-    @pytest.mark.parametrize("samples, n_steps", [(600, 512), (1100, 2048), (5000, 2**14)])
+    @pytest.mark.parametrize("samples, n_steps", [(600, 512), (1100, 2048), (5000, 2**14), (12, 64), (769, 2**14)])
     def test_workers_do_not_change_rqmc_draws(self, name, samples, n_steps):
         self.assert_invariant(_RQMC[name], samples, n_steps)
 
@@ -438,6 +440,8 @@ class TestWorkerInvariance:
         assert layout(600, 512) == [[38] * 4 + [37] * 4] * 2
         assert layout(1100, 2048) == [[69] * 6 + [68] * 2] * 2
         assert layout(5000, 2**14) == [[256]] * 19 + [[136]]
+        assert layout(12, 64) == [[1] * 6] * 2
+        assert layout(769, 2**14) == [[64] * 4] * 3 + [[1]]
 
 
 class TestReplicateStandardErrors:
@@ -512,7 +516,9 @@ class TestReplicateStandardErrors:
 class TestFrozenPlainRecords:
     # raw probes and multi-interval Laplace estimates are plain Monte Carlo
     # (one-row replicates) and keep the bits they had before the spectral
-    # draw became randomized quasi-Monte Carlo
+    # draw became randomized quasi-Monte Carlo; the spectral draw's records at
+    # the benchmark shapes (multi-point nets only) keep theirs since it
+    # became one form
     def test_raw_probe(self):
         cfg = McConfig(samples=3000, n_steps=2048, seed=33, workers=2)
         got = sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6, 0.4), cfg)
@@ -527,6 +533,26 @@ class TestFrozenPlainRecords:
         assert [(r.estimate.hex(), r.std_error.hex()) for r in got] == [
             ("0x1.879a18d8f905ep-1", "0x1.ecc12166d567ap-9"),
             ("0x1.ca50553390e4ep-2", "0x1.6b6539cbe3c4bp-8"),
+        ]
+
+    def test_conditional_probe_at_the_chaos_probe_shape(self):
+        # two batches of eight 32-point nets
+        cfg = McConfig(samples=512, n_steps=512, seed=33, workers=2)
+        got = sb.probe_smallball_conditional(_GEOMETRIC, 1.0, (0.4, 0.2, 0.1), cfg)
+        assert [(r.estimate.hex(), r.std_error.hex()) for r in got] == [
+            ("0x1.9788928bc9304p-3", "0x1.c3922d69b3a7cp-11"),
+            ("0x1.f5a9cde6d63c3p-8", "0x1.6811329428f6cp-12"),
+            ("0x1.24bd183c42161p-19", "0x1.efafe327abe8dp-21"),
+        ]
+
+    def test_one_interval_laplace_at_the_power_laplace_shape(self):
+        # four batches of four 64-point nets
+        cfg = McConfig(samples=1024, n_steps=2**14, seed=33, workers=2)
+        got = sb.estimate_laplace_multi(sb.PowerClockSpec(2.0), sb.Partition((1.0,)), (1.0, 5.0, 10.0), cfg)
+        assert [(r.estimate.hex(), r.std_error.hex()) for r in got] == [
+            ("0x1.5aded740865cdp-1", "0x1.b800d4295145dp-11"),
+            ("0x1.2a1bf68937608p-2", "0x1.23a828e88114cp-10"),
+            ("0x1.388150fe17b55p-3", "0x1.2351b14eff9c2p-10"),
         ]
 
 
@@ -781,13 +807,13 @@ def _dense_log_laplace(lam, t, n_steps, spec):
 
 def _continuous_log_laplace(lam, t, spec):
     if isinstance(spec, sb.ChaosClockSpec):
-        return sb.log_laplace(sb.ChaosClockSpec(spec.effective_q), t, lam)[0]
+        return sb.log_laplace(spec, t, lam)[0]
     return sb.log_laplace(_BM2, t, lam * spec.rho**2)[0]
 
 
 _QUADRATIC_CLOCKS = [
     sb.ChaosClockSpec((1.0, 0.5)),
-    sb.ChaosClockSpec(sb.geometric_q(0.5, 10), truncation=3),
+    sb.ChaosClockSpec(sb.geometric_q(0.5, 10)[:3]),
     sb.PowerClockSpec(2.0, rho=1.5),
 ]
 _QUADRATIC_IDS = ["chaos", "truncated-chaos", "power"]

@@ -35,6 +35,25 @@ def clock_step_increments(spec, t, n_steps, rng):
     return d_c[0]
 
 
+def law_samples(spec, t, n_steps, n, rng):
+    """n i.i.d. spectral draws of C_N(t): n one-point replicates, each one uniform random point."""
+    draw, _ = paths._terminal_law_sampler(spec, t, n_steps)
+    return draw(np.ones(n, dtype=int), rng)
+
+
+class ConstantUniform:
+    """A generator whose every uniform is u, the points of one-point nets (their shifts) included."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[:] = self.u
+
+    def integers(self, low, high, size, dtype):
+        return np.full(size, self.u * 2.0**53, dtype=dtype)
+
+
 class TestRngStream:
     def test_same_pair_reproduces(self):
         a = sb.RngStream(7, 3).generator().standard_normal(16)
@@ -177,8 +196,6 @@ class TestClocks:
             with pytest.raises(ValueError, match="overflows"):
                 sb.ChaosClockSpec(q)
         with pytest.raises(ValueError):
-            sb.ChaosClockSpec((1.0,), truncation=0)
-        with pytest.raises(ValueError):
             sb.geometric_q(1.5, 3)
 
 
@@ -238,7 +255,7 @@ class TestChaosDirect:
         # geometric q_j = 2^-j: sups at J = 20 vs J = 50 are KS-indistinguishable
         n, n_steps = 5000, 256
         full = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
-        short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50), truncation=20)
+        short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50)[:20])
         a = sb.sup_samples(sb.ChaosDirectProcess(full), (1.0,), n_steps, n, sb.RngStream(14, 0))[:, 0]
         b = sb.sup_samples(sb.ChaosDirectProcess(short), (1.0,), n_steps, n, sb.RngStream(14, 1))[:, 0]
         d, _ = sb.ks_two_sample(a, b)
@@ -305,16 +322,18 @@ class TestSupSamples:
                 sb.clock_interval_increment_samples(
                     sb.PowerClockSpec(2.0, rho=(1.0, 2.0)), (0.5, 1.0), 128, 700, sb.RngStream(20, 1)
                 ),
-                sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0), 1.0, 128, 700, sb.RngStream(20, 3)),
-                sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0), 1.0, 127, 700, sb.RngStream(20, 4)),
+                law_samples(sb.PowerClockSpec(2.0), 1.0, 128, 700, sb.RngStream(20, 3)),
+                law_samples(sb.PowerClockSpec(2.0), 1.0, 127, 700, sb.RngStream(20, 4)),
+                law_samples(sb.ChaosClockSpec((1.0, 0.5)), 1.0, 128, 700, sb.RngStream(20, 5)),
             )
 
         default = draw()
         assert all(np.array_equal(a, b) for a, b in zip(default, draw()))
-        # Brownian paths, power clocks and the p = 2 spectral draw fill each
-        # block with one row-major draw, so 48-row blocks (fifteen of them,
-        # the last of 28 rows) give the same bits; at odd N = 127 the spectral
-        # draw takes 128 uniforms per row
+        # Brownian paths, power clocks and the spectral draws fill each block
+        # with one row-major draw, so 48-row blocks (fifteen of them, the last
+        # of 28 rows) give the same bits; outside its net the p = 2 draw takes
+        # 96 uniforms per row at N = 128 and at odd N = 127 (64 pairs, 16 in
+        # the net), the chaos draw 224 (256 atoms, 32 in the net)
         monkeypatch.setattr(paths, "_BLOCK_DOUBLES", 48 * 128)
         assert all(np.array_equal(a, b) for a, b in zip(default, draw()))
 
@@ -396,19 +415,22 @@ class TestBlockKernels:
         "draw",
         [
             lambda: sb.sup_samples(sb.BrownianProcess(), (1.0,), 512, 4096, sb.RngStream(24, 0)),
-            lambda: sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0), 1.0, 2**14, 256, sb.RngStream(24, 1)),
+            lambda: paths._terminal_law_sampler(sb.PowerClockSpec(2.0), 1.0, 2**14)[0](
+                np.full(16, 256), sb.RngStream(24, 1)
+            ),
             lambda: sb.sup_samples(sb.ChaosDirectProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 2)),
             lambda: sb.sup_samples(sb.TimeChangedProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 3)),
-            lambda: sb.clock_terminal_law_samples(
-                sb.ChaosClockSpec(sb.geometric_q(0.9, 400)), 1.0, 256, 4096, sb.RngStream(24, 5)
+            lambda: paths._terminal_law_sampler(sb.ChaosClockSpec(sb.geometric_q(0.9, 400)), 1.0, 256)[0](
+                np.full(16, 256), sb.RngStream(24, 5)
             ),
         ],
     )
     def test_block_buffers_stay_small(self, draw):
         # block buffers of 2^17 doubles (1 MB) bound the working set; 16 MB
         # blocks made each of these calls peak near 96 MB.  The spectral draws
-        # size their blocks by the drawn width: 3066 atoms of q_j = 0.9^j in
-        # 60 terms at N = 256, each term at most 256 wide
+        # run at an estimator layout, 16 nets of 256 points, and size their
+        # blocks by the width drawn outside the nets: 3034 of the 3066 atoms
+        # of q_j = 0.9^j at N = 256, 624 of the 656 kept p = 2 modes at N = 2^14
         assert _traced_peak(draw) < 8 * 2**20
 
     def test_chaos_pairs_allocate_no_scratch(self):
@@ -448,13 +470,9 @@ class TestPlanarNormals:
     def test_extreme_uniforms_stay_finite(self, u):
         # U = 0 gives R = 0; the largest U gives R = sqrt(106 ln 2) at an angle
         # just short of pi, where t = tan(pi (U - 1/2)) ~ 2e15 is still finite
-        class ConstantUniform:
-            def random(self, out):
-                out[:] = u
-
         xy, scratch = np.empty((4, 8)), np.empty((2, 8))
         with np.errstate(all="raise"):
-            paths._fill_planar_normals(ConstantUniform(), xy, scratch, 1.0)
+            paths._fill_planar_normals(ConstantUniform(u), xy, scratch, 1.0)
         x, y = xy[:2], xy[2:]
         r_max = np.sqrt(106 * np.log(2.0))
         if u == 0.0:
@@ -521,7 +539,7 @@ class TestNonFiniteSamples:
         calls = (
             lambda: sb.clock_terminal_samples(self.CLOCK, 100.0, 64, 10, rng),
             lambda: sb.clock_interval_increment_samples(self.CLOCK, (50.0, 100.0), 64, 10, rng),
-            lambda: sb.clock_terminal_law_samples(self.CLOCK, 100.0, 64, 10, rng),
+            lambda: law_samples(self.CLOCK, 100.0, 64, 10, rng),
             lambda: sb.sup_samples(sb.TimeChangedProcess(self.CLOCK), (100.0,), 64, 10, rng),
             lambda: sb.simulate_path(sb.TimeChangedProcess(self.CLOCK), 64, 100.0, rng),
         )
@@ -578,7 +596,7 @@ class TestSpectralClockLaw:
             assert np.max(np.abs(np.sort(mu) - dense)) <= 1e-13 * dense[-1]
 
     def test_forms(self):
-        w, mu, nu = sb.quadratic_clock_spectrum(sb.ChaosClockSpec((1.0, 0.5, 0.25), truncation=2), 1.0, 8)
+        w, mu, nu = sb.quadratic_clock_spectrum(sb.ChaosClockSpec((1.0, 0.5, 0.25)[:2]), 1.0, 8)
         assert np.array_equal(w, [1.0, 0.25]) and nu == 2 and mu.shape == (8,)
         w, _, nu = sb.quadratic_clock_spectrum(sb.PowerClockSpec(2.0, rho=1.5), 1.0, 8)
         assert np.array_equal(w, [2.25]) and nu == 1
@@ -594,7 +612,7 @@ class TestSpectralClockLaw:
     )
     def test_law_matches_path_simulation(self, spec):
         n = 20_000
-        a = sb.clock_terminal_law_samples(spec, 1.0, 64, n, sb.RngStream(40, 0))
+        a = law_samples(spec, 1.0, 64, n, sb.RngStream(40, 0))
         b = sb.clock_terminal_samples(spec, 1.0, 64, n, sb.RngStream(40, 1))
         stat, _ = sb.ks_two_sample(a, b)
         assert stat < sb.ks_critical_value(n, n, 0.01)
@@ -608,7 +626,7 @@ class TestSpectralClockLaw:
         c = np.outer(2.0 * w, mu)
         k2, k4 = np.sum(c**2), 6.0 * np.sum(c**4)
         n = 50_000
-        x = sb.clock_terminal_law_samples(spec, 1.0, 64, n, sb.RngStream(51, 0))
+        x = law_samples(spec, 1.0, 64, n, sb.RngStream(51, 0))
         assert abs(x.mean() - c.sum()) < 4 * np.sqrt(k2 / n)
         assert abs(x.var(ddof=1) - k2) < 4 * np.sqrt((k4 + 2 * k2**2) / n)
 
@@ -621,7 +639,7 @@ class TestSpectralClockLaw:
         c = w * mu
         k2, k4 = 2.0 * np.sum(c**2), 48.0 * np.sum(c**4)
         n = 50_000
-        x = sb.clock_terminal_law_samples(spec, 1.0, n_steps, n, sb.RngStream(54, n_steps))
+        x = law_samples(spec, 1.0, n_steps, n, sb.RngStream(54, n_steps))
         assert abs(x.mean() - c.sum()) < 4 * np.sqrt(k2 / n)
         assert abs(x.var(ddof=1) - k2) < 4 * np.sqrt((k4 + 2 * k2**2) / n)
 
@@ -629,17 +647,14 @@ class TestSpectralClockLaw:
     def test_power_pair_draw_stays_finite(self, u):
         # every pair sees radius U and angle U: 2E (mu_k s + mu_{k+M} (1 - s)) with
         # E = -log(1 - U) <= 53 ln 2 and s = 1 / (1 + tan^2(pi U)), where
-        # tan(pi fl(1/2)) ~ 1.6e16 is finite; N = 5 pads mu with one zero
-        class ConstantUniform:
-            def random(self, out):
-                out[:] = u
-
+        # tan(pi fl(1/2)) ~ 1.6e16 is finite; N = 5 pads mu with one zero, and
+        # the net holds all three pairs
         spec = sb.PowerClockSpec(2.0, rho=1.5)
         (w,), mu, _ = sb.quadratic_clock_spectrum(spec, 1.0, 5)
         mu_a, mu_b = mu[:3], np.append(mu[3:], 0.0)
         s = 1.0 / (1.0 + np.tan(np.pi * u) ** 2)
         want = -2.0 * np.log1p(-u) * w * np.sum(mu_a * s + mu_b * (1.0 - s))
-        x = sb.clock_terminal_law_samples(spec, 1.0, 5, 4, ConstantUniform())
+        x = law_samples(spec, 1.0, 5, 4, ConstantUniform(u))
         assert np.all(np.isfinite(x))
         assert x == pytest.approx(np.full(4, want), rel=1e-14, abs=0.0)
 
@@ -647,18 +662,14 @@ class TestSpectralClockLaw:
         # one term at N = 1: mu_1 = h^2 / 2, so C_1(1) = E ~ Exp(1)
         from scipy.stats import kstest
 
-        x = sb.clock_terminal_law_samples(sb.ChaosClockSpec((1.0,)), 1.0, 1, 20_000, sb.RngStream(52, 0))
+        x = law_samples(sb.ChaosClockSpec((1.0,)), 1.0, 1, 20_000, sb.RngStream(52, 0))
         assert kstest(x, "expon").pvalue > 1e-3
 
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53], ids=["zero", "largest"])
     def test_exponential_inversion_stays_finite(self, u):
         # E = -log(1 - U) over U in [0, 1) on the 2^-53 grid: E = 0 at U = 0,
-        # and at most 53 ln 2 at the largest U
-        class ConstantUniform:
-            def random(self, out):
-                out[:] = u
-
-        x = sb.clock_terminal_law_samples(sb.ChaosClockSpec((1.0,)), 1.0, 1, 5, ConstantUniform())
+        # and at most 53 ln 2 at the largest U; the one atom is the net's coordinate
+        x = law_samples(sb.ChaosClockSpec((1.0,)), 1.0, 1, 5, ConstantUniform(u))
         # mu_1 = h^2 / (4 sin^2(pi / 4)) is 1/2 to rounding
         assert x == pytest.approx(np.full(5, -np.log1p(-u)), rel=1e-15, abs=0.0)
         assert np.all(np.isfinite(x)) and np.all(x <= 53 * np.log(2.0) * (1 + 1e-15))
@@ -667,30 +678,13 @@ class TestSpectralClockLaw:
         "spec", [sb.PowerClockSpec(2.0, rho=1.5), sb.ChaosClockSpec((1.0, 0.5))], ids=["power", "chaos"]
     )
     def test_draw_equals_inline_reference(self, spec):
-        # rows in blocks of _BLOCK_DOUBLES // N.  chi2_2: per block and term j,
-        # one (b, N) draw, 2 E with E = -log(1 - U).  chi2_1: per block, one
-        # (b, N) draw, N/2 radius uniforms then N/2 angle uniforms per row, and
-        # mode k paired with mode k + N/2 as 2 E (mu_k s + mu_{k+N/2} (1 - s))
-        n_steps = 64
-        block = paths._BLOCK_DOUBLES // n_steps
-        n = block + 5
-        w, mu, nu = sb.quadratic_clock_spectrum(spec, 1.0, n_steps)
-        gen = sb.RngStream(53, 0).generator()
-        want = np.zeros(n)
-        for lo in range(0, n, block):
-            rows = want[lo : lo + block]
-            if nu == 1:
-                half = n_steps // 2
-                u = gen.random((len(rows), n_steps))
-                base, slope = -2.0 * w[0] * mu[half:], -2.0 * w[0] * (mu[:half] - mu[half:])
-                x = np.log(1.0 - u[:, :half]) * (base + slope / (1.0 + np.tan(u[:, half:] * np.pi) ** 2))
-                rows += x.sum(axis=1)
-            else:
-                for wj in w:
-                    x = -np.log(1.0 - gen.random((len(rows), n_steps))) * (2.0 * wj * mu)
-                    rows += x.sum(axis=1)
-        got = sb.clock_terminal_law_samples(spec, 1.0, n_steps, n, sb.RngStream(53, 0))
-        assert np.array_equal(got, want)
+        # nothing is skipped at N = 64, and the rows span several row blocks
+        # (4096 rows of 32 uniforms outside the p = 2 net, 1365 of 96 outside
+        # the chaos net): the uniforms outside the nets are one row-major draw,
+        # so the block layout does not show in the bits
+        n_steps, n = 64, paths._BLOCK_DOUBLES // 16 + 5
+        got = law_samples(spec, 1.0, n_steps, n, sb.RngStream(53, 0))
+        assert np.array_equal(got, _reference_spectral_draw(spec, 1.0, n_steps, n, sb.RngStream(53, 0)))
 
     @pytest.mark.parametrize(
         "spec",
@@ -698,7 +692,7 @@ class TestSpectralClockLaw:
         ids=["p1", "p3", "stepwise-rho"],
     )
     def test_other_clocks_fall_through_bit_for_bit(self, spec):
-        a = sb.clock_terminal_law_samples(spec, 2.0, 64, 300, sb.RngStream(41, 0))
+        a = law_samples(spec, 2.0, 64, 300, sb.RngStream(41, 0))
         b = sb.clock_terminal_samples(spec, 2.0, 64, 300, sb.RngStream(41, 0))
         assert np.array_equal(a, b)
 
@@ -715,35 +709,45 @@ def _sorted_prefix_split(w, mu, nu):
 
 
 def _reference_spectral_draw(spec, t, n_steps, n, rng):
-    """The documented truncated spectral draw, written out.
+    """The documented spectral draw of n one-point replicates, written out.
 
-    chi2_1: one (n, 2M) draw for every row, M = ceil(K/2) radius uniforms then
-    M angle uniforms, kept mode k paired with kept mode k + M (odd K pads a
-    zero).  chi2_2: rows in blocks of _BLOCK_DOUBLES // max_j K_j, and per
-    block and kept term j one (b, K_j) draw of -log(1 - U).  Then one gamma
-    variate per row carries the skipped atoms.
+    The kept atoms come from the definition (``_sorted_prefix_split``).
+    chi2_1: kept mode k paired with kept mode k + M, M = ceil(K/2) (odd K
+    pads a zero), as log(1 - U) (base + slope s) with s = 1 / (1 + tan^2(pi U'));
+    the net takes the first min(M, 16) pairs, radius and angle interleaved,
+    and the other pairs draw their radii, then their angles.  chi2_2:
+    -2 c_jk log(1 - U) per atom; the net takes the 32 largest atoms, ranked in
+    term-major order, and the others draw in that order.  First comes one
+    row-major (n, width) draw of the uniforms outside the net, then the
+    one-point nets' shifts gen.integers(0, 2**53, (1, n, 1, dims)), which are
+    their points, then one gamma variate per row.  Each row sums the atoms
+    outside the net, then adds the net's.
     """
     w, mu, nu = sb.quadratic_clock_spectrum(spec, t, n_steps)
-    _, kept = _sorted_prefix_split(w, mu, nu)
+    keep, kept = _sorted_prefix_split(w, mu, nu)
     _, shape, scale = paths._spectral_split(w, mu, nu)
     gen = rng.generator()
-    want = np.zeros(n)
     if nu == 1:
         half = -(-kept[0] // 2)
         m = np.append(mu[: kept[0]], np.zeros(2 * half - kept[0]))
-        u = gen.random((n, 2 * half))
-        # 2E (mu_a s + mu_b (1 - s)) with s = 1 / (1 + tan^2(pi U')), as log(1 - U) (base + slope s)
         base, slope = -2.0 * w[0] * m[half:], -2.0 * w[0] * (m[:half] - m[half:])
-        want += (np.log(1.0 - u[:, :half]) * (base + slope / (1.0 + np.tan(u[:, half:] * np.pi) ** 2))).sum(axis=1)
+        pairs = min(half, 16)
+
+        def pair_terms(r, a, sel):
+            return np.log(1.0 - r) * (base[sel] + slope[sel] / (1.0 + np.tan(a * np.pi) ** 2))
+
+        u = gen.random((n, 2 * (half - pairs)))
+        want = pair_terms(u[:, : half - pairs], u[:, half - pairs :], slice(pairs, None)).sum(axis=1)
+        x = gen.integers(0, 2**53, (1, n, 1, 2 * pairs), dtype=np.uint64)[0, :, 0] * 2.0**-53
+        want += pair_terms(x[:, 0::2], x[:, 1::2], slice(None, pairs)).sum(axis=1)
     else:
-        block = paths._BLOCK_DOUBLES // kept.max()
-        for lo in range(0, n, block):
-            rows = want[lo : lo + block]
-            for wj, kj in zip(w, kept):
-                if kj:
-                    x = -np.log(1.0 - gen.random((len(rows), kj))) * (2.0 * wj * mu[:kj])
-                    rows += x.sum(axis=1)
-    if shape:
+        c = np.outer(w, mu)[keep]
+        top = np.argsort(-c, kind="stable")[:32]
+        rest = np.delete(c, top)
+        want = (np.log(1.0 - gen.random((n, rest.size))) * (-2.0 * rest)).sum(axis=1)
+        x = gen.integers(0, 2**53, (1, n, 1, top.size), dtype=np.uint64)[0, :, 0] * 2.0**-53
+        want += (np.log(1.0 - x) * (-2.0 * c[top])).sum(axis=1)
+    if scale:
         want += gen.gamma(shape, scale, n)
     return want
 
@@ -797,14 +801,16 @@ class TestSpectralSplit:
         assert scale_r == pytest.approx(scale * 1e200, rel=1e-12)
 
     def test_zero_weight_draws_no_gamma(self):
-        # rho = 0: C is 0 with no 0/0 gamma shape; the stream holds only the uniforms
+        # rho = 0: C is 0 with no 0/0 gamma shape; the stream holds only the
+        # uniforms outside the nets and the nets' shifts
         w, mu, nu = sb.quadratic_clock_spectrum(sb.PowerClockSpec(2.0, rho=0.0), 1.0, 2**14)
         kept, shape, scale = paths._spectral_split(w, mu, nu)
         assert kept[0] == 656 and np.isfinite(shape) and scale == 0.0
         gen = sb.RngStream(60, 0).generator()
-        assert np.all(sb.clock_terminal_law_samples(sb.PowerClockSpec(2.0, rho=0.0), 1.0, 2**14, 7, gen) == 0.0)
+        assert np.all(law_samples(sb.PowerClockSpec(2.0, rho=0.0), 1.0, 2**14, 7, gen) == 0.0)
         follow = sb.RngStream(60, 0).generator()
-        follow.random((7, 656))
+        follow.random((7, 624))
+        follow.integers(0, 2**53, (1, 7, 1, 32), dtype=np.uint64)
         assert gen.random() == follow.random()
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 64])
@@ -814,7 +820,7 @@ class TestSpectralSplit:
             w, mu, nu = sb.quadratic_clock_spectrum(spec, 1.0, n_steps)
             kept, shape, scale = paths._spectral_split(w, mu, nu)
             assert np.all(kept == n_steps) and shape == scale == 0.0
-            got = sb.clock_terminal_law_samples(spec, 1.0, n_steps, 50, sb.RngStream(61, n_steps))
+            got = law_samples(spec, 1.0, n_steps, 50, sb.RngStream(61, n_steps))
             assert np.array_equal(got, _reference_spectral_draw(spec, 1.0, n_steps, 50, sb.RngStream(61, n_steps)))
 
     @pytest.mark.parametrize("name", sorted(_SKIPPING))
@@ -832,10 +838,10 @@ class TestSpectralSplit:
 
     @pytest.mark.parametrize("name", ["power-2^14", "chaos-512"])
     def test_draw_equals_inline_reference(self, name):
-        # 300 rows: two row blocks at N = 512 (256 rows of the 512-mode first
-        # term), and 300 rows of 656 uniforms at N = 2^14
+        # 300 rows: 946 of the 978 kept atoms outside the net at N = 512, and
+        # 624 of the 656 kept modes at N = 2^14; both skip atoms, so a gamma follows
         spec, n_steps = _SKIPPING[name]
-        got = sb.clock_terminal_law_samples(spec, 1.0, n_steps, 300, sb.RngStream(62, 0))
+        got = law_samples(spec, 1.0, n_steps, 300, sb.RngStream(62, 0))
         assert np.array_equal(got, _reference_spectral_draw(spec, 1.0, n_steps, 300, sb.RngStream(62, 0)))
 
     def test_power_draw_matches_the_exact_laplace_law(self):
@@ -894,8 +900,8 @@ class TestSampledChaosTerms:
         kept, skipped = _sampled_q(sb.ChaosClockSpec(q))
         assert np.array_equal(kept, [2e-4, 1.0, 0.5])
         assert skipped == pytest.approx(1e-10 + 9e-10 + 4e-10, rel=1e-14)
-        # truncation applies first
-        short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50), truncation=5)
+        # a short q skips nothing
+        short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50)[:5])
         assert np.array_equal(_sampled_q(short)[0], sb.geometric_q(0.5, 5))
         assert _sampled_q(short)[1] == 0.0
 
@@ -925,13 +931,13 @@ class TestSampledChaosTerms:
         assert _GEOMETRIC.one_norm == 2.0 * np.sum(sb.geometric_q(0.5, 50))
 
     def test_samplers_equal_the_explicit_truncation(self):
-        # both path samplers draw the 14 kept terms as truncation=14 does, bit
+        # both path samplers draw the 14 kept terms as q[:14] does, bit
         # for bit, and add the stated compensation for S = sum_{j>14} q_j^2:
         # the clock's trapezoid steps h^2 S (2k - 1) and a direct chaos sum's
         # N(0, 2 i h^2 S) at step i (drawn after the kept terms).  Without it
         # they differ by ~1e-9.  The spectral draw prunes jointly in (j, k)
         # (TestSpectralSplit)
-        short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50), truncation=14)
+        short = sb.ChaosClockSpec(sb.geometric_q(0.5, 50)[:14])
         n_steps, b, t = 64, 300, 2.0
         h = t / n_steps
         s = _GEOMETRIC_SKIPPED
@@ -1072,9 +1078,14 @@ class TestScrambledNets:
         assert abs(means.mean() - exact) < 4.0 * means.std(ddof=1) / np.sqrt(40)
 
     def test_one_point_replicates_are_the_iid_draw(self):
+        # a one-point net is its digital shift, one uniform random point per
+        # replicate, so one-point replicates draw i.i.d. rows
+        u = np.empty((300, 32))
+        paths._Nets(np.ones(300, dtype=int), 32, np.random.default_rng(7)).take(u)
+        want = np.random.default_rng(7).integers(0, 2**53, (1, 300, 1, 32), dtype=np.uint64)[0, :, 0]
+        assert np.array_equal(u, want * 2.0**-53)
         spec = sb.ChaosClockSpec(sb.geometric_q(0.5, 50))
-        draw, _ = paths._terminal_law_sampler(spec, 1.0, 512)
-        got = draw(np.ones(300, dtype=int), sb.RngStream(71, 0))
+        got = law_samples(spec, 1.0, 512, 300, sb.RngStream(71, 0))
         assert np.array_equal(got, _reference_spectral_draw(spec, 1.0, 512, 300, sb.RngStream(71, 0)))
 
     def test_other_clocks_draw_iid_rows(self):
