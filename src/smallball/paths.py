@@ -328,9 +328,12 @@ def _time_indices(times, n_steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Batch kernels (vectorized over samples)
 #
-# The fill-style kernels write into caller-provided buffers so the one block
-# loop behind the public samplers can reuse memory; on long runs the allocator
-# churn of fresh multi-MB temporaries would otherwise dominate.
+# The fill-style kernels write a block's output into the (b, N) buffer the
+# block loop lends them and allocate their own temporaries once per block: a
+# chaos clock a stacked (2b, N) pair buffer and a (b, N) scratch, a direct
+# chaos sum two stacked pair buffers, a power clock its (b, N+1) path, a time
+# change its (b, N) xi.  A call's working set is therefore a few block
+# buffers, whatever its row count or number of chaos terms.
 #
 # Bits and block layout: kernels that fill a block with one draw (Brownian
 # paths, power clocks, the spectral draw's atoms outside its nets) consume the
@@ -342,24 +345,6 @@ def _time_indices(times, n_steps: int) -> np.ndarray:
 # draw takes every net's scramble after every row's atoms outside the nets,
 # and its gamma carry last.
 # ---------------------------------------------------------------------------
-
-class _Workspace:
-    """Reusable buffers for one block loop of b <= rows rows.
-
-    ``steps`` (2 rows, N) and ``paths`` (2 rows, N+1) each stack two blocks:
-    the chaos kernels take their first 2b rows as one view, X_j in rows
-    [0, b) and Y_j in rows [b, 2b), so one call draws, scales or cumulates
-    both.  ``scratch`` lends the planar-pair draw a contiguous (b, N) view of
-    ``paths``, which the chaos kernels rewrite after each draw or never read.
-    """
-
-    def __init__(self, rows: int, n_steps: int):
-        self.steps = np.empty((2 * rows, n_steps))
-        self.paths = np.empty((2 * rows, n_steps + 1))
-
-    def scratch(self, b: int, n_steps: int) -> np.ndarray:
-        return self.paths.reshape(-1)[: b * n_steps].reshape(b, n_steps)
-
 
 def _cumulate(paths, d) -> None:
     """Paths (b, N+1) started at 0 from their per-step increments d (b, N)."""
@@ -378,7 +363,7 @@ def _fill_planar_normals(gen, xy, scratch, variance: float) -> None:
     planar Gaussian is rotation invariant, so this is its law exactly, up to
     the 2^-53 grid of U: 1 - U is exact and positive, R <= sqrt(106 ln 2)
     times the standard deviation (a cut tail of probability 2^-53), and
-    |t| <= 1.7e16 stays finite.  ``scratch`` is a contiguous (b, N) buffer.
+    |t| <= 1.7e16 stays finite.  ``scratch`` is a (b, N) buffer it overwrites.
     """
     gen.random(out=xy)
     b = len(xy) // 2
@@ -399,13 +384,6 @@ def _fill_planar_normals(gen, xy, scratch, variance: float) -> None:
     r *= scratch  # X = (1 - t^2) R / (1 + t^2)
 
 
-def _fill_bm(paths, buf, scale: float, rng) -> None:
-    """Fill Brownian paths into ``paths`` (b, N+1) using ``buf`` (b, N) for draws."""
-    rng.standard_normal(out=buf)
-    buf *= scale
-    _cumulate(paths, buf)
-
-
 def _abs_power(arr, p: float, out) -> None:
     """out = |arr|^p elementwise; p = 2 avoids the generic pow path."""
     if p == 2.0:
@@ -417,12 +395,14 @@ def _abs_power(arr, p: float, out) -> None:
         np.power(out, p, out=out)
 
 
-def _fill_power_clock_steps(d_c, ws: _Workspace, spec: PowerClockSpec, t_idx, horizon: float, rng) -> None:
+def _fill_power_clock_steps(d_c, spec: PowerClockSpec, t_idx, horizon: float, rng) -> None:
     """Per-step increments of a power-functional clock into d_c (b, N)."""
     b, n_steps = d_c.shape
     h = horizon / n_steps
-    paths = ws.paths[:b]
-    _fill_bm(paths, d_c, np.sqrt(h), rng)  # d_c is free until the trapezoid step
+    paths = np.empty((b, n_steps + 1))
+    rng.standard_normal(out=d_c)  # Brownian increments, until the trapezoid step
+    d_c *= np.sqrt(h)
+    _cumulate(paths, d_c)
     _abs_power(paths, spec.p, paths)
     np.add(paths[:, :-1], paths[:, 1:], out=d_c)
     d_c *= 0.5 * h
@@ -441,17 +421,18 @@ def _fill_power_clock_steps(d_c, ws: _Workspace, spec: PowerClockSpec, t_idx, ho
             lo = hi
 
 
-def _fill_chaos_clock_steps(d_c, ws: _Workspace, spec: ChaosClockSpec, horizon: float, rng) -> None:
+def _fill_chaos_clock_steps(d_c, spec: ChaosClockSpec, horizon: float, rng) -> None:
     """Per-step increments of a chaos clock into d_c (b, N), streaming over j.
 
     d_c first accumulates v = sum_j q_j^2 (X_j^2 + Y_j^2) at nodes 1..N (v is
     0 at node 0), starting from the skipped terms' mean 2 k h S at node k;
-    the trapezoid rule then turns v into per-step increments.
+    the trapezoid rule then turns v into per-step increments.  X_j takes rows
+    [0, b) of one (2b, N) buffer and Y_j rows [b, 2b), so one call draws,
+    cumulates or squares both.
     """
     b, n_steps = d_c.shape
     h = horizon / n_steps
-    xy = ws.steps[: 2 * b]
-    scratch = ws.scratch(b, n_steps)
+    xy, scratch = np.empty((2 * b, n_steps)), np.empty((b, n_steps))
     q, skipped = _sampled_q(spec)
     d_c[:] = (2.0 * h * skipped) * np.arange(1, n_steps + 1)
     for qj in q:
@@ -460,40 +441,40 @@ def _fill_chaos_clock_steps(d_c, ws: _Workspace, spec: ChaosClockSpec, horizon: 
         np.multiply(xy, xy, out=xy)
         d_c += xy[:b]
         d_c += xy[b:]
-    trap = xy[:b]
-    trap[:, 0] = d_c[:, 0]
-    np.add(d_c[:, :-1], d_c[:, 1:], out=trap[:, 1:])
-    np.multiply(trap, 0.5 * h, out=d_c)
+    scratch[:, 0] = d_c[:, 0]
+    np.add(d_c[:, :-1], d_c[:, 1:], out=scratch[:, 1:])
+    np.multiply(scratch, 0.5 * h, out=d_c)
 
 
-def _fill_clock_steps(d_c, ws: _Workspace, spec: ClockSpec, times, rng) -> None:
+def _fill_clock_steps(d_c, spec: ClockSpec, times, rng) -> None:
     if isinstance(spec, PowerClockSpec):
         t_idx = _time_indices(times, d_c.shape[1])
-        _fill_power_clock_steps(d_c, ws, spec, t_idx, float(times[-1]), rng)
+        _fill_power_clock_steps(d_c, spec, t_idx, float(times[-1]), rng)
     elif isinstance(spec, ChaosClockSpec):
-        _fill_chaos_clock_steps(d_c, ws, spec, float(times[-1]), rng)
+        _fill_chaos_clock_steps(d_c, spec, float(times[-1]), rng)
     else:
         raise TypeError(f"not a clock spec: {spec!r}")
 
 
-def _fill_chaos_direct_increments(d_z, ws: _Workspace, spec: ChaosClockSpec, horizon: float, rng) -> None:
+def _fill_chaos_direct_increments(d_z, spec: ChaosClockSpec, horizon: float, rng) -> None:
     """Increments of Z = sum_j q_j (X_j dY_j - Y_j dX_j) into d_z (b, N); left-point sums.
 
-    The skipped terms' increment at step i (left node i) has variance
-    2 i h^2 S and is uncorrelated with every other step's and with the kept
-    terms, so it is drawn as one independent N(0, 2 i h^2 S), only when S > 0.
+    dX_j and dY_j take rows [0, b) and [b, 2b) of one (2b, N) buffer, and X_j
+    and Y_j at the left nodes the same rows of another.  The skipped terms'
+    increment at step i (left node i) has variance 2 i h^2 S and is
+    uncorrelated with every other step's and with the kept terms, so it is
+    drawn as one independent N(0, 2 i h^2 S), only when S > 0.
     """
     b, n_steps = d_z.shape
     h = horizon / n_steps
     d_z[:] = 0.0
-    d_xy = ws.steps[: 2 * b]
-    left = ws.paths[: 2 * b, :n_steps]
-    scratch = ws.scratch(b, n_steps)  # free until the cumsum rewrites left
+    d_xy, left = np.empty((2 * b, n_steps)), np.empty((2 * b, n_steps))
     d_x, d_y, x_left, y_left = d_xy[:b], d_xy[b:], left[:b], left[b:]
     q, skipped = _sampled_q(spec)
     for qj in q:
-        # sqrt(q_j) dX_j, then sqrt(q_j) dY_j: their area term carries the factor q_j
-        _fill_planar_normals(rng, d_xy, scratch, h * qj)
+        # sqrt(q_j) dX_j, then sqrt(q_j) dY_j: their area term carries the factor q_j;
+        # x_left is the pair draw's scratch until the cumsum fills left
+        _fill_planar_normals(rng, d_xy, x_left, h * qj)
         left[:, 0] = 0.0
         np.cumsum(d_xy[:, :-1], axis=1, out=left[:, 1:])
         # d_z += X dY - Y dX, without temporaries
@@ -502,23 +483,22 @@ def _fill_chaos_direct_increments(d_z, ws: _Workspace, spec: ChaosClockSpec, hor
         x_left -= y_left
         d_z += x_left
     if skipped:
-        rng.standard_normal(out=scratch)  # left is free again
-        scratch *= h * np.sqrt(2.0 * skipped * np.arange(n_steps))
-        d_z += scratch
+        rng.standard_normal(out=x_left)
+        x_left *= h * np.sqrt(2.0 * skipped * np.arange(n_steps))
+        d_z += x_left
 
 
-def _fill_increments(d, ws: _Workspace, process: ProcessSpec, times, rng) -> None:
+def _fill_increments(d, process: ProcessSpec, times, rng) -> None:
     """Per-step increments of ``process`` into d (b, N); the one dispatch on process kind."""
     horizon = float(times[-1])
     if isinstance(process, BrownianProcess):
         rng.standard_normal(out=d)
         d *= np.sqrt(horizon / d.shape[1])
     elif isinstance(process, ChaosDirectProcess):
-        _fill_chaos_direct_increments(d, ws, process.clock, horizon, rng)
+        _fill_chaos_direct_increments(d, process.clock, horizon, rng)
     elif isinstance(process, TimeChangedProcess):
-        _fill_clock_steps(d, ws, process.clock, times, rng)
-        xi = ws.steps[: len(d)]
-        rng.standard_normal(out=xi)
+        _fill_clock_steps(d, process.clock, times, rng)
+        xi = rng.standard_normal(d.shape)
         np.sqrt(d, out=d)
         np.multiply(d, xi, out=d)
     else:
@@ -540,21 +520,21 @@ def _require_finite(values: np.ndarray) -> None:
 
 
 def _block_loop(n: int, width: int, m: int, body) -> np.ndarray:
-    """(n, m) array filled by ``body(d, ws)`` one row block at a time.
+    """(n, m) array filled by ``body(d)`` one row block at a time.
 
-    ``d`` is the block's (b, width) buffer, the per-step increments of the
-    path samplers (width N), and ``ws`` the workspace shared by all blocks;
-    ``body`` returns the block's (b, m) output rows, which must be finite.
-    The block layout depends only on (n, width).
+    ``d`` is the block's (b, width) buffer, which ``body`` may overwrite: the
+    per-step increments of the path samplers (width N), or the uniforms of
+    the spectral draw.  ``body`` allocates any other temporaries itself and
+    returns the block's (b, m) output rows, which must be finite.  The block
+    layout depends only on (n, width).
     """
     block = max(1, min(n, _BLOCK_DOUBLES // max(width, 1)))
-    ws = _Workspace(block, width)
     d = np.empty((block, width))
     out = np.empty((n, m))
     for lo in range(0, n, block):
         rows = out[lo : lo + block]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows[:] = body(d[: len(rows)], ws)
+            rows[:] = body(d[: len(rows)])
         _require_finite(rows)
     return out
 
@@ -572,8 +552,8 @@ def sup_samples(process: ProcessSpec, times, n_steps: int, n: int, rng: RngLike)
     times = np.asarray(times, dtype=float)
     starts = np.concatenate(([0], _time_indices(times, n_steps)[:-1]))
 
-    def block(d, ws):
-        _fill_increments(d, ws, process, times, gen)
+    def block(d):
+        _fill_increments(d, process, times, gen)
         np.cumsum(d, axis=1, out=d)  # column k holds Z at node k + 1
         np.abs(d, out=d)
         sup = np.maximum.reduceat(d, starts, axis=1)
@@ -592,8 +572,8 @@ def clock_interval_increment_samples(spec: ClockSpec, part, n_steps: int, n: int
     gen = as_generator(rng)
     t_idx = _time_indices(times, n_steps)
 
-    def block(d, ws):
-        _fill_clock_steps(d, ws, spec, times, gen)
+    def block(d):
+        _fill_clock_steps(d, spec, times, gen)
         np.cumsum(d, axis=1, out=d)  # column k holds C at node k + 1
         return np.diff(d[:, t_idx - 1], axis=1, prepend=0.0)
 
@@ -908,16 +888,13 @@ def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
         gen = as_generator(rng)
         n = int(np.sum(sizes))
 
-        def block(u, ws):
+        def block(u):
             gen.random(out=u)
             return rest_sum(u)[:, None]
 
         c = _block_loop(n, width, 1, block)[:, 0]
-        # then the scrambles, and the nets' points in 1 MB blocks
-        net, rows = _Nets(sizes, dims, gen), _BLOCK_DOUBLES // dims
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, n, rows):
-                c[lo : lo + rows] += net_sum(net.take(np.empty((min(rows, n - lo), dims))))
+        net = _Nets(sizes, dims, gen)  # then the scrambles, and the nets' points
+        c += _block_loop(n, dims, 1, lambda u: net_sum(net.take(u))[:, None])[:, 0]
         _require_finite(c)
         if scale > 0:
             c += gen.gamma(shape, scale, n)
@@ -933,7 +910,7 @@ def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
 def _increments(process: ProcessSpec, times, n_steps: int, b: int, rng: RngLike) -> np.ndarray:
     """(b, N) per-step increments of ``process`` over [0, times[-1]], one block."""
     d = np.empty((b, n_steps))
-    _fill_increments(d, _Workspace(b, n_steps), process, np.asarray(times, dtype=float), as_generator(rng))
+    _fill_increments(d, process, np.asarray(times, dtype=float), as_generator(rng))
     return d
 
 

@@ -519,13 +519,34 @@ class TestFrozenPlainRecords:
     # draw became randomized quasi-Monte Carlo; the spectral draw's records at
     # the benchmark shapes (multi-point nets only) keep theirs since it
     # became one form
-    def test_raw_probe(self):
+    @pytest.mark.parametrize(
+        "process, expected",
+        [
+            (
+                sb.BrownianProcess(),
+                [("0x1.70a3d70a3d70ap-5", "0x1.f02b444ae513bp-9"), ("0x1.0624dd2f1a9fcp-10", "0x1.2e98cc5a6c23cp-11")],
+            ),
+            (
+                sb.ChaosDirectProcess(_CHAOS),
+                [("0x1.121735ee402bbp-1", "0x1.2a6e743670654p-7"), ("0x1.df3b645a1cac1p-3", "0x1.faa82e664ff8dp-8")],
+            ),
+            (
+                sb.TimeChangedProcess(_CHAOS),
+                [("0x1.10b9af72015d8p-1", "0x1.2a8a4b8c8ac76p-7"), ("0x1.ead65b7a32847p-3", "0x1.fedad837eaa46p-8")],
+            ),
+            (
+                sb.TimeChangedProcess(sb.PowerClockSpec(3.0)),
+                [("0x1.1a9fbe76c8b44p-1", "0x1.298e9afc84645p-7"), ("0x1.7619f0fb38a95p-2", "0x1.201fb4130abb8p-7")],
+            ),
+        ],
+        ids=["brownian", "chaos-direct", "chaos-time-change", "power-time-change"],
+    )
+    def test_raw_probe(self, process, expected):
+        # each path kernel at a multi-block layout: batches of 1024, 1024 and
+        # 952 rows in 64-row blocks at N = 2048
         cfg = McConfig(samples=3000, n_steps=2048, seed=33, workers=2)
-        got = sb.probe_smallball_raw(sb.TimeChangedProcess(_CHAOS), _WINDOW, (0.6, 0.4), cfg)
-        assert [(r.estimate.hex(), r.std_error.hex()) for r in got] == [
-            ("0x1.10b9af72015d8p-1", "0x1.2a8a4b8c8ac76p-7"),
-            ("0x1.ead65b7a32847p-3", "0x1.fedad837eaa46p-8"),
-        ]
+        got = sb.probe_smallball_raw(process, _WINDOW, (0.6, 0.4), cfg)
+        assert [(r.estimate.hex(), r.std_error.hex()) for r in got] == expected
 
     def test_multi_interval_laplace(self):
         cfg = McConfig(samples=2500, n_steps=512, seed=33, workers=2)

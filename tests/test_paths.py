@@ -31,7 +31,7 @@ def box_muller_pair(gen, rows, n_steps, variance):
 def clock_step_increments(spec, t, n_steps, rng):
     """(N,) per-step increments of one clock path: the clock half of a time change's block."""
     d_c = np.empty((1, n_steps))
-    paths._fill_clock_steps(d_c, paths._Workspace(1, n_steps), spec, (t,), paths.as_generator(rng))
+    paths._fill_clock_steps(d_c, spec, (t,), paths.as_generator(rng))
     return d_c[0]
 
 
@@ -411,38 +411,44 @@ class TestBlockKernels:
         c = sb.clock_terminal_samples(spec, t, n_steps, b, sb.RngStream(24, 0))
         assert np.array_equal(c, np.cumsum(clock_steps(24, b), axis=1)[:, -1])
 
-    @pytest.mark.parametrize(
-        "draw",
-        [
-            lambda: sb.sup_samples(sb.BrownianProcess(), (1.0,), 512, 4096, sb.RngStream(24, 0)),
+    # tracemalloc peak bound in MB of each draw: one block buffer of 2^17
+    # doubles (1 MB) for Brownian paths, two for the spectral draws (the block
+    # outside the nets, then the nets' points), four for a chaos clock (the
+    # block, a stacked (2b, N) pair and a (b, N) scratch) and five for a
+    # direct chaos sum (the block and two stacked pairs)
+    _PEAK_MB = {
+        (lambda: sb.sup_samples(sb.BrownianProcess(), (1.0,), 512, 4096, sb.RngStream(24, 0))): 1.5,
+        (
             lambda: paths._terminal_law_sampler(sb.PowerClockSpec(2.0), 1.0, 2**14)[0](
                 np.full(16, 256), sb.RngStream(24, 1)
-            ),
-            lambda: sb.sup_samples(sb.ChaosDirectProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 2)),
-            lambda: sb.sup_samples(sb.TimeChangedProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 3)),
+            )
+        ): 3,
+        (lambda: sb.sup_samples(sb.ChaosDirectProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 2))): 6,
+        (lambda: sb.sup_samples(sb.TimeChangedProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 3))): 6,
+        (
             lambda: paths._terminal_law_sampler(sb.ChaosClockSpec(sb.geometric_q(0.9, 400)), 1.0, 256)[0](
                 np.full(16, 256), sb.RngStream(24, 5)
-            ),
-        ],
-    )
-    def test_block_buffers_stay_small(self, draw):
-        # block buffers of 2^17 doubles (1 MB) bound the working set; 16 MB
-        # blocks made each of these calls peak near 96 MB.  The spectral draws
-        # run at an estimator layout, 16 nets of 256 points, and size their
-        # blocks by the width drawn outside the nets: 3034 of the 3066 atoms
-        # of q_j = 0.9^j at N = 256, 624 of the 656 kept p = 2 modes at N = 2^14
-        assert _traced_peak(draw) < 8 * 2**20
+            )
+        ): 3,
+    }
 
-    def test_chaos_pairs_allocate_no_scratch(self):
-        # the planar-pair draw borrows its scratch from the block workspace:
-        # the chaos kernels peak within half a block buffer of the Brownian
-        # fill at the same shape (a 1 MB scratch per term would add 1 MB)
+    @pytest.mark.parametrize("draw", list(_PEAK_MB))
+    def test_block_buffers_stay_small(self, draw):
+        # the spectral draws run at an estimator layout, 16 nets of 256
+        # points, and size their blocks by the width drawn outside the nets:
+        # 3034 of the 3066 atoms of q_j = 0.9^j at N = 256, 624 of the 656
+        # kept p = 2 modes at N = 2^14
+        assert _traced_peak(draw) < self._PEAK_MB[draw] * 2**20
+
+    def test_chaos_peak_does_not_grow_with_terms(self):
+        # the chaos kernels allocate their buffers once per block and reuse
+        # them for every term: 50 terms of q_j = 2^-j (14 sampled) peak within
+        # half a block buffer of three
         def peak(process):
             return _traced_peak(lambda: sb.sup_samples(process, (1.0,), 512, 4096, sb.RngStream(24, 4)))
 
-        base = peak(sb.BrownianProcess())
-        for process in (sb.ChaosDirectProcess(_CHAOS3), sb.TimeChangedProcess(_CHAOS3)):
-            assert peak(process) < base + 2**19
+        for kind in (sb.ChaosDirectProcess, sb.TimeChangedProcess):
+            assert peak(kind(_GEOMETRIC)) < peak(kind(_CHAOS3)) + 2**19
 
 
 class TestPlanarNormals:
