@@ -307,7 +307,7 @@ CRITERIA = [
 ]
 
 
-def run_all(seed: int = 42, only=None, printer=print) -> list[CriterionResult]:
+def run_all(seed: int = 42, only=None) -> list[CriterionResult]:
     """Run the acceptance criteria in order, printing one line per criterion.
 
     ``only`` selects criterion ids (C1-C8); an unknown id raises ValueError
@@ -324,9 +324,9 @@ def run_all(seed: int = 42, only=None, printer=print) -> list[CriterionResult]:
             continue
         res = fn(seed)
         status = "PASS" if res.passed else "FAIL"
-        printer(f"[{status}] {res.cid} {res.label}: {res.detail} [{res.seconds:.1f}s / budget {res.budget_seconds:.0f}s]")
+        print(f"[{status}] {res.cid} {res.label}: {res.detail} [{res.seconds:.1f}s / budget {res.budget_seconds:.0f}s]")
         results.append(res)
     n_pass = sum(r.passed for r in results)
-    printer(f"{n_pass}/{len(results)} criteria passed (seed {seed})")
+    print(f"{n_pass}/{len(results)} criteria passed (seed {seed})")
     return results
 

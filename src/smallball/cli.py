@@ -113,18 +113,17 @@ def _jsonable(obj):
 
 
 def _write_record(args, op: str, params: dict, results: list) -> None:
-    if not getattr(args, "output", None):
+    if not args.output:
         return
     record = {
         "op": op,
         "params": params,
         "results": results,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
         "defaults": DEFAULTS,
     }
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         with open(args.output, "w") as fh:
             json.dump(record, fh, sort_keys=True, indent=2, default=_jsonable)
             fh.write("\n")
@@ -367,11 +366,10 @@ def _cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, output=True):
+def _add_common(sp):
     sp.add_argument("--seed", type=int, default=42, help="master seed")
-    if output:
-        sp.add_argument("--output", help="write a machine-readable record here")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--output", help="write a machine-readable record here")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _add_clock_flags(sp):

@@ -16,19 +16,20 @@ Batches run on ``McConfig.workers`` threads; the fixed merge order keeps
 every output bit independent of the worker count.
 
 A replicate is a group of rows whose mean is unbiased and independent of
-every other replicate's, and the standard error is the spread of the
-replicate means.  Path simulations are plain Monte Carlo: every row is its
-own replicate, and the standard error is the sample standard deviation over
-sqrt(n), as it always was.  The spectral draw of C_N(t) is randomized
-quasi-Monte Carlo: each batch holds ceil(16 / batches) replicates, each a
-scrambled Sobol net over the 32 largest atoms (``paths._Nets``), so a run has
-R >= 16 replicates and (est - mean) / SE follows Student's t with R - 1
-degrees of freedom where the replicate means are near normal.  The rows of a
-net are not independent, so their pooled spread would report the error of
-plain Monte Carlo instead.  On the ``chaos-probe`` benchmark shape (512
-samples at N = 512, sixteen 32-point nets) the eps = 0.4 probe's variance
-falls about 75x, on the ``power-laplace`` shape (1024 samples at N = 2^14,
-sixteen 64-point nets) the lambda = 1 estimate's about 140x.
+every other replicate's.  It is the unit every sampler draws and the engine
+merges, and the standard error is the spread of the replicate means.  Path
+simulations are plain Monte Carlo, one-row replicates, so their standard
+error is the sample standard deviation over sqrt(n).  The spectral draw of
+C_N(t) is randomized quasi-Monte Carlo: each batch holds ceil(16 / batches)
+replicates, each a scrambled Sobol net over the 32 largest atoms
+(``paths._Nets``), so a run has R >= 16 replicates and (est - mean) / SE
+follows Student's t with R - 1 degrees of freedom where the replicate means
+are near normal.  The rows of a net are not independent, so their pooled
+spread would report the error of plain Monte Carlo instead.  On the
+``chaos-probe`` benchmark shape (512 samples at N = 512, sixteen 32-point
+nets) the eps = 0.4 probe's variance falls about 75x, on the
+``power-laplace`` shape (1024 samples at N = 2^14, sixteen 64-point nets)
+the lambda = 1 estimate's about 140x.
 
 The rare-event strategy is conditional Monte Carlo: for a single-interval sup
 event of a time-changed Brownian motion, the conditional probability given the
@@ -41,10 +42,10 @@ gamma variate with the mean and variance of the rest.  That is equal in law
 to path simulation up to a 2^-53 share of kappa_3 (a relative error of about
 (lambda E C)^3 2^-53 / 6 in a Laplace value, about 1e-12 in the chaos
 small-ball law at eps = 0.1), and not pathwise coupled to it.  One-interval
-Laplace estimates use the same draw; multi-interval Laplace and raw
-estimators still simulate paths, and keep their bits.  The conditional
-estimator is unbiased for the discretized clock and has strictly smaller
-variance than the raw indicator estimator (Rao-Blackwell).
+Laplace estimates use the same draw; multi-interval Laplace, raw estimators
+and clocks without a spectrum simulate paths.  The conditional estimator is
+unbiased for the discretized clock and has strictly smaller variance than
+the raw indicator estimator (Rao-Blackwell).
 
 The exact laws have one contract too: a clock spec, a time t, the probes in
 any order (duplicates allowed) and an optional grid in, one log value per
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,6 +85,7 @@ from .paths import (
     RngStream,
     _terminal_law_sampler,
     clock_interval_increment_samples,
+    clock_terminal_samples,
     quadratic_clock_spectrum,
     sup_samples,
 )
@@ -214,49 +216,44 @@ def _replicate_sizes(b: int, batches: int) -> np.ndarray:
     return sizes
 
 
-def _batch_moments(values: np.ndarray, sizes: np.ndarray | None = None) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Per-column (n, R, mean, M2) of a (b, k) batch of R replicates.
+def _batch_moments(values: np.ndarray, sizes: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Per-column (n, R, mean, M2) of a (b, k) batch of R replicates of the given sizes.
 
     M2 = sum_r n_r (mean_r - mean)^2 is the weighted sum of squared
-    deviations of the replicate means; ``sizes`` None makes each row its own
-    replicate, so M2 is the plain sum of squared deviations.  Each column is
-    reduced as its own contiguous row, so column i of a k-column batch gives
-    the same bits as a one-column batch holding it.
+    deviations of the replicate means.  With one-row replicates the sums,
+    divisions and products by 1 are exact, so M2 is the plain sum of squared
+    deviations.  Each column is reduced as its own contiguous row, so column
+    i of a k-column batch gives the same bits as a one-column batch holding it.
     """
     cols = np.ascontiguousarray(np.asarray(values, dtype=float).T)
     n = cols.shape[1]
     mean = cols.sum(axis=1) / n
-    if sizes is not None:
-        cols = np.add.reduceat(cols, np.cumsum(sizes) - sizes, axis=1) / sizes
-    dev = cols - mean[:, None]
+    dev = np.add.reduceat(cols, np.cumsum(sizes) - sizes, axis=1) / sizes
+    dev -= mean[:, None]
     np.square(dev, out=dev)
-    if sizes is not None:
-        dev *= sizes
+    dev *= sizes
     return n, dev.shape[1], mean, dev.sum(axis=1)
 
 
-def _batched_moments(sampler: Callable, cfg: McConfig, nets: bool = False) -> list[tuple[float, float, int]]:
-    """(mean, std error, n) for each column of sampler output over cfg.samples rows.
+def _batched_moments(sampler: Callable, cfg: McConfig, nets: bool = False) -> list[EstimateResult]:
+    """One ``EstimateResult`` per column of sampler output over cfg.samples rows.
 
-    Batch j draws from RngStream(cfg.seed, cfg.stream_base + j) and batches
-    run on cfg.workers threads; their moments merge in batch order by the
-    Chan-Golub-LeVeque update, so the schedule cannot change the result.
-    SE^2 = sum_r n_r (mean_r - mean)^2 / (n (R - 1)) over the run's R
-    replicates, for R equal replicates the sample variance of their means
-    over R.  Plain Monte Carlo is the case of one-row replicates:
-    ``sampler(b, gen)`` returns b i.i.d. rows, (b, k).  With ``nets`` each
-    batch is split into ``_replicate_sizes`` replicates, and
-    ``sampler(sizes, gen)`` returns their sum(sizes) rows in order, one
-    randomized quasi-Monte Carlo net per replicate.
+    ``sampler(sizes, gen)`` returns the (sum(sizes), k) rows of a batch's
+    replicates, in order: b one-row replicates (plain Monte Carlo), or with
+    ``nets`` the ``_replicate_sizes`` of the batch, one randomized
+    quasi-Monte Carlo net each.  Batch j draws from RngStream(cfg.seed,
+    cfg.stream_base + j) and batches run on cfg.workers threads; their
+    moments merge in batch order by the Chan-Golub-LeVeque update, so the
+    schedule cannot change the result.  SE^2 = sum_r n_r (mean_r - mean)^2 /
+    (n (R - 1)) over the run's R replicates, for R equal replicates the
+    sample variance of their means over R.
     """
     batch_sizes = _batch_sizes(cfg)
 
     def one(job):
         j, b = job
         gen = RngStream(cfg.seed, cfg.stream_base + j).generator()
-        if not nets:
-            return _batch_moments(sampler(b, gen))
-        sizes = _replicate_sizes(b, len(batch_sizes))
+        sizes = _replicate_sizes(b, len(batch_sizes)) if nets else np.ones(b, dtype=int)
         return _batch_moments(sampler(sizes, gen), sizes)
 
     jobs = list(enumerate(batch_sizes))
@@ -274,14 +271,15 @@ def _batched_moments(sampler: Callable, cfg: McConfig, nets: bool = False) -> li
         n = total
         reps += rb
     var = m2 / (reps - 1) if reps > 1 else np.zeros_like(m2)
-    return [(float(m), float(np.sqrt(v / n)), n) for m, v in zip(mean, var)]
+    return [EstimateResult(float(m), float(np.sqrt(v / n)), n, cfg.seed, cfg.stream_base) for m, v in zip(mean, var)]
 
 
-def _indicator_result(mean: float, se: float, n: int, cfg: McConfig) -> EstimateResult:
-    if mean == 0.0:
-        upper = 1.0 - (1.0 - _ZERO_HIT_CONFIDENCE) ** (1.0 / n)
-        return EstimateResult(0.0, upper, n, cfg.seed, cfg.stream_base, zero_hits=True)
-    return EstimateResult(mean, se, n, cfg.seed, cfg.stream_base)
+def _zero_hit_bound(result: EstimateResult) -> EstimateResult:
+    """An indicator estimate with zero hits carries the Clopper-Pearson upper bound as its flagged error."""
+    if result.estimate != 0.0:
+        return result
+    upper = 1.0 - (1.0 - _ZERO_HIT_CONFIDENCE) ** (1.0 / result.samples)
+    return replace(result, std_error=upper, zero_hits=True)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +316,11 @@ def probe_smallball_raw(
     b = np.asarray([w[1] for w in part.windows])
     bounds = [(eps * a, eps * b) for eps in eps_grid]
 
-    def sampler(n, gen):
-        sups = sup_samples(process, part.times, cfg.n_steps, n, gen)
+    def sampler(sizes, gen):
+        sups = sup_samples(process, part.times, cfg.n_steps, len(sizes), gen)
         return np.column_stack([np.all((sups >= lo) & (sups <= hi), axis=1) for lo, hi in bounds])
 
-    return [_indicator_result(m, se, n, cfg) for m, se, n in _batched_moments(sampler, cfg)]
+    return [_zero_hit_bound(r) for r in _batched_moments(sampler, cfg)]
 
 
 def probe_smallball_conditional(
@@ -335,21 +333,21 @@ def probe_smallball_conditional(
     exact theta series F(eps / sqrt(C(t))).  The terminal values C_N(t) are
     drawn once per batch from their exact spectrum as randomized quasi-Monte
     Carlo, one scrambled net per replicate (``paths._terminal_law_sampler``,
-    its spectrum and atom split made once per call), and the series is
-    averaged for every eps, coupling the probes; this preserves
-    unbiasedness per eps and makes the K-hat trend smooth in eps.  A clock
-    frozen at 0 (a zero weight) gives 1 with zero variance.  Each eps is its
-    own column, so the grid may come in any order and each estimate equals
-    its one-eps call bit for bit.
+    its spectrum and atom split made once per call), or for a clock without
+    one from simulated paths, and the series is averaged for every eps,
+    coupling the probes; this preserves unbiasedness per eps and makes the
+    K-hat trend smooth in eps.  A clock frozen at 0 (a zero weight) gives 1
+    with zero variance.  Each eps is its own column, so the grid may come in
+    any order and each estimate equals its one-eps call bit for bit.
     """
     eps_grid = _eps_grid(eps_grid)
-    draw, nets = _terminal_law_sampler(clock, t, cfg.n_steps)
+    draw = _terminal_law_sampler(clock, t, cfg.n_steps)
 
-    def sampler(rows, gen):
-        c = draw(rows, gen)
+    def sampler(sizes, gen):
+        c = clock_terminal_samples(clock, t, cfg.n_steps, len(sizes), gen) if draw is None else draw(sizes, gen)
         return np.column_stack([_conditional_values(c, eps) for eps in eps_grid])
 
-    return [EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in _batched_moments(sampler, cfg, nets)]
+    return _batched_moments(sampler, cfg, draw is not None)
 
 
 def _conditional_values(c_samples: np.ndarray, eps: float) -> np.ndarray:
@@ -368,26 +366,24 @@ def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[floa
     clock increments are sampled once per batch and the exponential
     functional is averaged for every lambda; each estimate is individually
     unbiased, and the coupling makes the lambda profile monotone pathwise.
-    One interval needs only C_N(t), drawn from its spectrum with a scrambled
-    net per replicate as the conditional probes draw it; several intervals
-    need the increments of simulated clock paths (plain Monte Carlo).
+    One interval of a clock with a spectrum needs only C_N(t), drawn with a
+    scrambled net per replicate as the conditional probes draw it; any other
+    case reads the increments of simulated clock paths (plain Monte Carlo).
     """
     lams = np.asarray([float(l) for l in lams])
     if lams.size == 0 or not np.all((lams >= 0) & (lams < np.inf)):
         raise ValueError("need at least one lambda, each nonnegative and finite")
     d = np.asarray(part.weights) if part.weights is not None else np.ones(part.m)
-    nets = False
-    if part.m == 1:
-        draw, nets = _terminal_law_sampler(spec, part.times[0], cfg.n_steps)
+    draw = _terminal_law_sampler(spec, part.times[0], cfg.n_steps) if part.m == 1 else None
 
-    def sampler(rows, gen):
-        if part.m == 1:
-            weighted = draw(rows, gen) * d[0]
+    def sampler(sizes, gen):
+        if draw is None:
+            weighted = clock_interval_increment_samples(spec, part, cfg.n_steps, len(sizes), gen) @ d
         else:
-            weighted = clock_interval_increment_samples(spec, part, cfg.n_steps, rows, gen) @ d
+            weighted = draw(sizes, gen) * d[0]
         return np.exp(-np.outer(weighted, lams))
 
-    return [EstimateResult(m, se, n, cfg.seed, cfg.stream_base) for m, se, n in _batched_moments(sampler, cfg, nets)]
+    return _batched_moments(sampler, cfg, draw is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -698,69 +698,59 @@ def _sobol_directions(bits: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _net_layout(sizes: tuple[int, ...]):
-    """Everything about consecutive nets of the given sizes that does not depend on the scrambles.
+    """Everything about nets of the given sizes that does not depend on the scrambles.
 
-    (bits, rep, step, gray, below, diag, digits): each net's points have
-    ``bits``-bit indices.  Row i is point j of replicate rep[i]; step[i]
-    indexes its Gray-code step v_{tz(j)}, or at j = 0 the start row bits, in
-    the flattened (replicate, bits + 1) rows of ``_Nets.v``, and gray[i] =
+    (bits, edges, rep, step, gray, below, diag, digits): each net's points
+    have ``bits``-bit indices, and replicate r holds rows edges[r] to
+    edges[r + 1].  Row i is point j of replicate rep[i]; step[i] indexes its
+    Gray-code step v_{tz(j)}, or at j = 0 the digital shift, in the
+    flattened (replicate, bits + 1) rows of ``_Nets.v``, and gray[i] =
     j XOR (j >> 1).  Column r of a scramble is diag[r] = 2^-(r+1) (digit r)
-    plus random digits masked by below[r], the less significant ones.
-    digits[r, q, k] is digit r of v_k, k < bits, and
-    digits[r, q, bits] digit r of the XOR of the v_k over the bits of
-    gray(sizes[q] - 1), the direction sum of replicate q's last point.
+    plus random digits masked by below[r], the less significant ones, and
+    digits[r, 0, k] is digit r of v_k.
     """
     sizes = np.asarray(sizes)
     bits = int(sizes.max() - 1).bit_length()
-    starts = np.cumsum(sizes) - sizes
+    edges = np.concatenate(([0], np.cumsum(sizes)))
     rep = np.repeat(np.arange(sizes.size), sizes)
-    j = np.arange(rep.size) - starts[rep]
+    j = np.arange(rep.size) - edges[rep]
     low = (j & -j).astype(float)  # 2^tz(j), 0 at j = 0
     step = rep * (bits + 1) + np.where(j > 0, np.frexp(low)[1] - 1, bits)
-    ks = np.arange(bits)
-    v = _sobol_directions(bits)  # (dim, k)
-    last = ((sizes - 1) ^ ((sizes - 1) >> 1))[:, None] >> ks & 1  # (replicate, k)
-    v_last = np.bitwise_xor.reduce(v[None] * last[:, None].astype(np.uint64), axis=2)  # (replicate, dim)
-    both = np.concatenate([np.broadcast_to(v.T, (sizes.size, bits, v.shape[0])), v_last[:, None]], axis=1)
-    pos = (_NET_DIGITS - 1 - ks).astype(np.uint64)[:, None, None, None]  # bit of digit r
+    pos = (_NET_DIGITS - 1 - np.arange(bits)).astype(np.uint64)[:, None, None, None]  # bit of digit r
     one = np.uint64(1)
-    return bits, rep, step, j ^ (j >> 1), (one << pos) - one, one << pos, (both >> pos) & one
+    digits = (_sobol_directions(bits).T[None] >> pos) & one  # (digit, 1, k, dim)
+    return bits, edges, rep, step, j ^ (j >> 1), (one << pos) - one, one << pos, digits
 
 
 class _Nets:
-    """Consecutive scrambled Sobol nets of the given sizes over ``dims`` coordinates, read in row blocks.
+    """Scrambled Sobol nets of the given sizes over ``dims`` coordinates, one per replicate, read in row blocks.
 
     Replicate r holds the first sizes[r] points of its own net, in Gray-code
     order (Antonov & Saleev, USSR Comput. Math. Math. Phys. 19, 1979): point
     j is e XOR G(j), G(j) = G(j - 1) XOR v_{tz(j)} with tz(j) the trailing
-    zeros of j, so a block of points is one cumulative XOR of steps (a
-    replicate's first step jumps from the last point of the one before).
-    Every coordinate of every net gets its own linear matrix scramble
-    (Matousek, J. Complexity 14, 1998): digit r of the scrambled value is
-    digit r plus a random GF(2) sum of the more significant digits, a
-    lower-triangular L with unit diagonal, which keeps the net's (t, m, s)
-    structure.  L is linear, so it maps the directions, and their sum at the
-    last point, once.  Then a random digital shift e, XOR'd into every
+    zeros of j, so a replicate's points are one cumulative XOR of its steps,
+    the first of which is its digital shift e.  Every coordinate of every
+    net gets its own linear matrix scramble (Matousek, J. Complexity 14,
+    1998): digit r of the scrambled value is digit r plus a random GF(2) sum
+    of the more significant digits, a lower-triangular L with unit diagonal,
+    which keeps the net's (t, m, s) structure.  L is linear, so it maps the
+    directions once.  Then the random digital shift e, XOR'd into every
     point, makes each point uniform on the 2^-53 grid, so a net's mean is
     unbiased and nets with independent scrambles are independent.  All
     scrambles are drawn from ``gen`` in one call when the nets are made.
     """
 
     def __init__(self, sizes, dims: int, gen: np.random.Generator):
-        bits, self.rep, self.step, self.gray, below, diag, digits = _net_layout(tuple(np.asarray(sizes).tolist()))
+        bits, self.edges, self.rep, self.step, self.gray, below, diag, digits = _net_layout(tuple(map(int, sizes)))
         # v_ik has digits 1..k only, so L v needs the first ``bits`` columns of L:
         # column r is 2^-(r+1) plus random less significant digits; e comes last
         draws = gen.integers(0, 2**_NET_DIGITS, size=(bits + 1, len(sizes), 1, dims), dtype=np.uint64)
         cols, self.e = draws[:bits], draws[bits, :, 0]
         cols &= below
         cols |= diag
-        # (replicate, k, dim): L v_ik, the XOR of column r over the digits r of v_ik that
-        # are set, and at k = bits the last point's G; that row becomes the step into point 0
-        self.v = np.bitwise_xor.reduce(cols * digits[..., :dims], axis=0)
-        start = self.v[:, bits]
-        start ^= self.e  # each replicate's last point
-        start[1:] = start[:-1] ^ self.e[1:]
-        start[0] = self.e[0]
+        # (replicate, k, dim): L v_ik, the XOR of column r over the digits r of v_ik
+        # that are set, and at k = bits the step into point 0, e
+        self.v = np.concatenate([np.bitwise_xor.reduce(cols * digits[..., :dims], axis=0), self.e[:, None]], axis=1)
         self.pos = 0
 
     def take(self, out: np.ndarray) -> np.ndarray:
@@ -768,11 +758,16 @@ class _Nets:
         lo, hi = self.pos, self.pos + len(out)
         self.pos = hi
         x = self.v.reshape(-1, self.v.shape[2])[self.step[lo:hi]]
-        if lo:  # a later block starts from its first point itself, not from a step
-            r, bits = self.rep[lo], self.v.shape[1] - 1
+        r, bits = self.rep[lo], self.v.shape[1] - 1
+        if self.gray[lo]:  # a block that starts inside a replicate computes its first point itself
             mask = (self.gray[lo] >> np.arange(bits) & 1).astype(np.uint64)[:, None]
             x[0] = self.e[r] ^ np.bitwise_xor.reduce(self.v[r, :bits] * mask, axis=0)
-        np.bitwise_xor.accumulate(x, axis=0, out=x)
+        if bits:  # one-point nets are their shifts already
+            # each replicate is one run of the cumulative XOR: the run before's last
+            # point (the XOR of its steps) in a run's first step cancels its carry-in
+            starts = self.edges[r + 1 : self.rep[hi - 1] + 1] - lo
+            x[starts] ^= np.bitwise_xor.reduceat(x, np.append(0, starts), axis=0)[:-1]
+            np.bitwise_xor.accumulate(x, axis=0, out=x)
         return np.multiply(x, 2.0**-_NET_DIGITS, out=out)
 
 
@@ -800,14 +795,14 @@ def _log_sum(u: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
-    """(draw, nets): the spectral draw of C_N(t) with its spectrum and split made once, for every batch.
+    """The spectral draw of C_N(t) with its spectrum and split made once, for every batch, or None.
 
-    ``draw(sizes, rng)`` returns sum(sizes) samples, consecutive replicates
-    of the given sizes.  For the clocks of :func:`quadratic_clock_spectrum`
-    (``nets`` True) no path is simulated: a chaos clock is
-    sum_{j,k} 2 q_j^2 mu_k E_jk with E_jk ~ Exp(1) (chi2_2 is 2 Exp(1)), a
-    p = 2 power clock rho^2 sum_k mu_k xi_k^2.  The atoms that hold at most
-    one unit roundoff of the third cumulant are not drawn
+    For the clocks of :func:`quadratic_clock_spectrum` (None for any other
+    clock, as there) ``draw(sizes, rng)`` returns sum(sizes) samples,
+    consecutive replicates of the given sizes, and no path is simulated: a
+    chaos clock is sum_{j,k} 2 q_j^2 mu_k E_jk with E_jk ~ Exp(1) (chi2_2 is
+    2 Exp(1)), a p = 2 power clock rho^2 sum_k mu_k xi_k^2.  The atoms that
+    hold at most one unit roundoff of the third cumulant are not drawn
     (``_spectral_split``: 656 of 16384 modes are drawn for p = 2 at
     N = 2^14); one gamma variate per row carries their mean and variance.
     The law of C moves by at most that kappa_3 share: log E exp(-lambda C)
@@ -842,17 +837,13 @@ def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
     stays finite.  Both draws therefore differ in bits, not in law, from
     ziggurat draws of E and xi.
 
-    Any other clock (``nets`` False) is simulated: sum(sizes) i.i.d. rows of
-    :func:`clock_terminal_samples`, bit for bit, and ``sizes`` may be the
-    row count itself.
-
-    The pair is a pure function of its arguments and ``draw`` keeps no
+    The result is a pure function of the arguments and ``draw`` keeps no
     state, so the last 16 are kept: repeated estimator calls on one clock
     (seed sweeps, the benchmark's rounds) build it once.
     """
     form = quadratic_clock_spectrum(spec, t, n_steps)
     if form is None:
-        return (lambda sizes, rng: clock_terminal_samples(spec, t, n_steps, int(np.sum(sizes)), rng)), False
+        return None
     w, mu, nu = form
     kept, shape, scale = _spectral_split(w, mu, nu)
     if nu == 1:
@@ -900,7 +891,7 @@ def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
             c += gen.gamma(shape, scale, n)
         return c
 
-    return draw, True
+    return draw
 
 
 # ---------------------------------------------------------------------------

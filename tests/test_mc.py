@@ -343,6 +343,8 @@ class TestLaplaceEstimation:
 
 
 _CHAOS = sb.ChaosClockSpec((0.5, 0.25))
+_P3 = sb.PowerClockSpec(3.0)
+_WEIGHTED_ONE = sb.Partition((1.0,), weights=(3.0,))
 _WINDOW = sb.Partition((1.0,), windows=((0.0, 1.0),))
 _ESTIMATORS = {
     "estimate_laplace": lambda cfg: sb.estimate_laplace_multi(_BM2, sb.Partition((1.0,)), (2.0,), cfg),
@@ -359,6 +361,9 @@ _ESTIMATORS = {
     "probe_smallball_raw_direct": lambda cfg: sb.probe_smallball_raw(
         sb.ChaosDirectProcess(_CHAOS), _WINDOW, (0.6, 0.4, 0.8), cfg
     ),
+    # a clock without a spectrum: the estimators simulate its paths
+    "probe_smallball_conditional_p3": lambda cfg: sb.probe_smallball_conditional(_P3, 1.0, (0.5, 0.3), cfg),
+    "estimate_laplace_multi_p3": lambda cfg: sb.estimate_laplace_multi(_P3, _WEIGHTED_ONE, (0.5, 2.0), cfg),
 }
 
 
@@ -485,12 +490,15 @@ class TestReplicateStandardErrors:
             assert kstest(0.5 * column, "t", args=(15,)).pvalue < 1e-3
 
     def test_one_row_replicates_are_plain_moments(self):
+        # sums, divisions and products by one are exact: the bits of the plain
+        # mean and sum of squared deviations, each column reduced on its own
         values = np.random.default_rng(3).random((37, 3))
         n, reps, mean, m2 = mc._batch_moments(values, np.ones(37, dtype=int))
         assert (n, reps) == (37, 37)
-        plain = mc._batch_moments(values)
-        assert plain[:2] == (37, 37)
-        assert np.array_equal(mean, plain[2]) and np.array_equal(m2, plain[3])
+        cols = np.ascontiguousarray(values.T)
+        plain = cols.sum(axis=1) / 37
+        assert np.array_equal(mean, plain)
+        assert np.array_equal(m2, np.square(cols - plain[:, None]).sum(axis=1))
 
     def test_replicate_moments(self):
         # M2 = sum_r n_r (mean_r - mean)^2 over replicates of 2, 3 and 2 rows
@@ -506,7 +514,7 @@ class TestReplicateStandardErrors:
         # eps = 0.4 probe's variance falls by far more than 20x against the
         # i.i.d. draw with the same budget, read over 40 seeds each
         eps = (0.4,)
-        draw, _ = paths._terminal_law_sampler(_GEOMETRIC, 1.0, 512)
+        draw = paths._terminal_law_sampler(_GEOMETRIC, 1.0, 512)
         rqmc = [sb.probe_smallball_conditional(_GEOMETRIC, 1.0, eps, McConfig(samples=512, n_steps=512, seed=s))[0].estimate
                 for s in range(40)]
         iid = [mc._conditional_values(draw(np.ones(512, dtype=int), sb.RngStream(s, 0)), eps[0]).mean() for s in range(40)]
@@ -514,11 +522,12 @@ class TestReplicateStandardErrors:
 
 
 class TestFrozenPlainRecords:
-    # raw probes and multi-interval Laplace estimates are plain Monte Carlo
-    # (one-row replicates) and keep the bits they had before the spectral
-    # draw became randomized quasi-Monte Carlo; the spectral draw's records at
-    # the benchmark shapes (multi-point nets only) keep theirs since it
-    # became one form
+    # plain Monte Carlo records (one-row replicates): raw probes and
+    # multi-interval Laplace estimates keep the bits they had before the
+    # spectral draw became randomized quasi-Monte Carlo, and the estimators of
+    # a clock without a spectrum, which simulate its paths, are pinned too;
+    # the spectral draw's records at the benchmark shapes (multi-point nets
+    # only) keep theirs since it became one form
     @pytest.mark.parametrize(
         "process, expected",
         [
@@ -556,6 +565,23 @@ class TestFrozenPlainRecords:
             ("0x1.ca50553390e4ep-2", "0x1.6b6539cbe3c4bp-8"),
         ]
 
+    def test_path_conditional_probe(self):
+        # a clock without a spectrum simulates its paths: two batches of 350
+        cfg = McConfig(samples=700, n_steps=128, seed=33, workers=2)
+        got = sb.probe_smallball_conditional(_P3, 1.0, (0.5, 0.3), cfg)
+        assert [(r.estimate.hex(), r.std_error.hex()) for r in got] == [
+            ("0x1.da8e5cb57e5bap-2", "0x1.e05a6e8e3fad2p-7"),
+            ("0x1.03b02f90cc5bdp-2", "0x1.90cb917fc524dp-7"),
+        ]
+
+    def test_path_one_interval_laplace(self):
+        cfg = McConfig(samples=700, n_steps=128, seed=33, workers=2)
+        got = sb.estimate_laplace_multi(_P3, _WEIGHTED_ONE, (0.5, 2.0), cfg)
+        assert [(r.estimate.hex(), r.std_error.hex()) for r in got] == [
+            ("0x1.3c2d4669c5688p-1", "0x1.87e1918065bbap-7"),
+            ("0x1.62056936dd58ep-2", "0x1.909a82d35aa89p-7"),
+        ]
+
     def test_conditional_probe_at_the_chaos_probe_shape(self):
         # two batches of eight 32-point nets
         cfg = McConfig(samples=512, n_steps=512, seed=33, workers=2)
@@ -585,10 +611,10 @@ class TestBatchMerge:
         cfg = McConfig(samples=100_000, n_steps=2**14, seed=6)
         assert len(mc._batch_sizes(cfg)) == 391
         c = 0.37
-        ((mean, se, n),) = mc._batched_moments(lambda b, gen: np.full((b, 1), c), cfg)
-        assert n == 100_000
-        assert mean == pytest.approx(c, rel=1e-14)
-        assert se <= 1e-15 * mean
+        (r,) = mc._batched_moments(lambda sizes, gen: np.full((len(sizes), 1), c), cfg)
+        assert r.samples == 100_000
+        assert r.estimate == pytest.approx(c, rel=1e-14)
+        assert r.std_error <= 1e-15 * r.estimate
 
 
 # Default batch layout: 512 samples at N = 512 split into two batches of 256.

@@ -5,6 +5,7 @@ moments (Ito isometry, Fubini on E B(s)^2 = s, Brownian scaling), with seeds
 fixed so the suite is deterministic.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -37,8 +38,7 @@ def clock_step_increments(spec, t, n_steps, rng):
 
 def law_samples(spec, t, n_steps, n, rng):
     """n i.i.d. spectral draws of C_N(t): n one-point replicates, each one uniform random point."""
-    draw, _ = paths._terminal_law_sampler(spec, t, n_steps)
-    return draw(np.ones(n, dtype=int), rng)
+    return paths._terminal_law_sampler(spec, t, n_steps)(np.ones(n, dtype=int), rng)
 
 
 class ConstantUniform:
@@ -419,14 +419,14 @@ class TestBlockKernels:
     _PEAK_MB = {
         (lambda: sb.sup_samples(sb.BrownianProcess(), (1.0,), 512, 4096, sb.RngStream(24, 0))): 1.5,
         (
-            lambda: paths._terminal_law_sampler(sb.PowerClockSpec(2.0), 1.0, 2**14)[0](
+            lambda: paths._terminal_law_sampler(sb.PowerClockSpec(2.0), 1.0, 2**14)(
                 np.full(16, 256), sb.RngStream(24, 1)
             )
         ): 3,
         (lambda: sb.sup_samples(sb.ChaosDirectProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 2))): 6,
         (lambda: sb.sup_samples(sb.TimeChangedProcess(_CHAOS3), (1.0,), 512, 4096, sb.RngStream(24, 3))): 6,
         (
-            lambda: paths._terminal_law_sampler(sb.ChaosClockSpec(sb.geometric_q(0.9, 400)), 1.0, 256)[0](
+            lambda: paths._terminal_law_sampler(sb.ChaosClockSpec(sb.geometric_q(0.9, 400)), 1.0, 256)(
                 np.full(16, 256), sb.RngStream(24, 5)
             )
         ): 3,
@@ -545,7 +545,7 @@ class TestNonFiniteSamples:
         calls = (
             lambda: sb.clock_terminal_samples(self.CLOCK, 100.0, 64, 10, rng),
             lambda: sb.clock_interval_increment_samples(self.CLOCK, (50.0, 100.0), 64, 10, rng),
-            lambda: law_samples(self.CLOCK, 100.0, 64, 10, rng),
+            lambda: sb.probe_smallball_conditional(self.CLOCK, 100.0, (1.0,), sb.McConfig(samples=10, n_steps=64)),
             lambda: sb.sup_samples(sb.TimeChangedProcess(self.CLOCK), (100.0,), 64, 10, rng),
             lambda: sb.simulate_path(sb.TimeChangedProcess(self.CLOCK), 64, 100.0, rng),
         )
@@ -698,9 +698,9 @@ class TestSpectralClockLaw:
         ids=["p1", "p3", "stepwise-rho"],
     )
     def test_other_clocks_fall_through_bit_for_bit(self, spec):
-        a = law_samples(spec, 2.0, 64, 300, sb.RngStream(41, 0))
-        b = sb.clock_terminal_samples(spec, 2.0, 64, 300, sb.RngStream(41, 0))
-        assert np.array_equal(a, b)
+        # no spectral draw: the estimators simulate paths, whose bits
+        # TestFrozenPlainRecords pins at the estimator
+        assert paths._terminal_law_sampler(spec, 2.0, 64) is None
 
 
 def _sorted_prefix_split(w, mu, nu):
@@ -1077,9 +1077,7 @@ class TestScrambledNets:
         # 40 nets of 64 rows: their means scatter around the exact mean sum nu c
         spec, n_steps = _SKIPPING[name]
         w, mu, nu = sb.quadratic_clock_spectrum(spec, 1.0, n_steps)
-        draw, nets = paths._terminal_law_sampler(spec, 1.0, n_steps)
-        assert nets
-        means = draw(np.full(40, 64), sb.RngStream(70, 0)).reshape(40, 64).mean(axis=1)
+        means = paths._terminal_law_sampler(spec, 1.0, n_steps)(np.full(40, 64), sb.RngStream(70, 0)).reshape(40, 64).mean(axis=1)
         exact = nu * w.sum() * mu.sum()
         assert abs(means.mean() - exact) < 4.0 * means.std(ddof=1) / np.sqrt(40)
 
@@ -1095,8 +1093,42 @@ class TestScrambledNets:
         assert np.array_equal(got, _reference_spectral_draw(spec, 1.0, 512, 300, sb.RngStream(71, 0)))
 
     def test_other_clocks_draw_iid_rows(self):
-        spec = sb.PowerClockSpec(3.0)
-        draw, nets = paths._terminal_law_sampler(spec, 1.0, 64)
-        assert not nets
-        want = sb.clock_terminal_samples(spec, 1.0, 64, 40, sb.RngStream(72, 0))
-        assert np.array_equal(draw(np.full(4, 10), sb.RngStream(72, 0)), want)
+        # no spectral draw, so no nets: the estimators simulate i.i.d. paths
+        assert paths._terminal_law_sampler(sb.PowerClockSpec(3.0), 1.0, 64) is None
+
+
+def _sha256(x: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestFrozenKernelDigests:
+    # one sha256 of each path kernel's output: 300 rows at N = 512, in two
+    # row blocks (256 and 44), at two partition times.  An indicator record
+    # pins only hit counts; these pin the paths' bits.  The chaos kernels run
+    # at q_j = 2^-j, J = 50 (14 sampled terms and the carry).  Their
+    # Box-Muller pairs go through numpy's vectorized log and tan, so like the
+    # RQMC hex records these digests are pinned for this numpy build and CPU
+    @pytest.mark.parametrize(
+        "stream, process, expected",
+        [
+            (0, BM, "74c0d3587f1f4884ae97f26e3baef57efe83e6c7d226d86866912d534aafbe31"),
+            (1, sb.ChaosDirectProcess(_GEOMETRIC), "34342905813eab3b01a62a521671cfc297249ea60b37826b2bcc18b4219b4333"),
+            (2, sb.TimeChangedProcess(_GEOMETRIC), "3259cc2b64b51ce78f6b18505e1c844d3c201ac42ced3a39efca08bd9d586456"),
+            (3, sb.TimeChangedProcess(sb.PowerClockSpec(3.0)), "34c1e847e1896c2df0d3199e8096ae2e094c7ea96e0167130b7b58282fccb21e"),
+            (
+                4,
+                sb.TimeChangedProcess(sb.PowerClockSpec(2.0, rho=(1.5, 0.5))),
+                "a25e987b18b4809e17dd9b53add5db58bfb48beaecb3e6fad30dccdfc7b134b0",
+            ),
+        ],
+        ids=["brownian", "chaos-direct", "chaos-time-change", "power-time-change", "stepwise-rho-time-change"],
+    )
+    def test_sup_samples(self, stream, process, expected):
+        sups = sb.sup_samples(process, (0.5, 1.0), 512, 300, sb.RngStream(81, stream))
+        assert sups.shape == (300, 2)
+        assert _sha256(sups) == expected
+
+    def test_clock_increments(self):
+        x = sb.clock_interval_increment_samples(sb.PowerClockSpec(3.0), (0.5, 1.0), 512, 300, sb.RngStream(81, 5))
+        assert x.shape == (300, 2)
+        assert _sha256(x) == "dcfc5a5d193a8b0f4ae349c5157a66b0352edbd3fe67cb1b828b3341c3ae5367"
