@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -482,13 +483,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-
-    # Stage 1: pull out --config so its values can become subcommand defaults.
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The stage-1 ``--config`` pre-parser and the full parser, built on the first ``main`` call."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
+    return pre, build_parser()
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    pre, parser = _parsers()
+
+    # Stage 1: pull out --config so its values can become subcommand defaults.
     known, _ = pre.parse_known_args(argv)
     bad = {}  # subcommand -> its config error, reported only if it runs
     if known.config:
@@ -497,6 +504,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_USAGE
+        parser = build_parser()  # config values become subparser defaults: never on the shared parser
         for name, sp in parser._subparsers._group_actions[0].choices.items():  # type: ignore[union-attr]
             try:
                 sp.set_defaults(**_config_defaults(sp, overrides))

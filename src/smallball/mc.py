@@ -12,8 +12,10 @@ replicates, mean, weighted sum of squared deviations of the replicate means)
 tuple.  The tuples are merged in batch order with the pairwise update of
 Chan, Golub & LeVeque ("Algorithms for computing the sample variance",
 Am. Stat. 1983), which avoids the cancellation of sum-of-squares formulas.
-Batches run on ``McConfig.workers`` threads; the fixed merge order keeps
-every output bit independent of the worker count.
+Up to ``McConfig.workers`` batches run at once: the calling thread and the
+threads of one pool that lives as long as the process, started on the first
+call that asks for more than one worker and reused by every later call.  The
+fixed merge order keeps every output bit independent of the worker count.
 
 A replicate is a group of rows whose mean is unbiased and independent of
 every other replicate's.  It is the unit every sampler draws and the engine
@@ -69,6 +71,7 @@ one function that needs it, on its first call: ``sup_bm_grid_cdf`` loads
 from __future__ import annotations
 
 import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -134,9 +137,10 @@ class McConfig:
     estimator splits each batch further into ceil(16 / batches) replicates
     (at most one per row) of near-equal size.  The layout depends only on
     (samples, n_steps) and is part of the reproducibility contract (a config
-    determines output exactly).  ``workers`` only parallelizes batch
-    execution and never affects results.  ``samples`` must be at least 2, the
-    fewest that give a standard error.
+    determines output exactly).  ``workers`` bounds how many batches run at
+    once, on the calling thread and the process's batch pool, whose threads
+    start once per process and are reused; it never affects results.
+    ``samples`` must be at least 2, the fewest that give a standard error.
     """
 
     samples: int = 100_000
@@ -235,6 +239,50 @@ def _batch_moments(values: np.ndarray, sizes: np.ndarray) -> tuple[int, int, np.
     return n, dev.shape[1], mean, dev.sum(axis=1)
 
 
+# The process's batch pool, started by the first ``_parallel_map`` that needs
+# it (never at import) and reused by every later one.  It only grows, to the
+# largest ``workers`` asked for less one, since each call's own thread runs a
+# lane too.  No job on it may wait on it: its jobs are the batches of
+# ``_batched_moments`` and the two sides of each C6 rep
+# (``acceptance.criterion_6``), which call the ``paths`` samplers only.
+_POOL: ThreadPoolExecutor | None = None
+_POOL_THREADS = 0
+_POOL_LOCK = threading.Lock()
+
+
+def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(x) for x in items], with at most ``workers`` calls running at once.
+
+    The calling thread runs one lane and the batch pool up to workers - 1
+    more.  Each lane takes the next item no lane has taken; a lane still
+    queued behind other callers' work when the items run out is cancelled.
+    """
+    global _POOL, _POOL_THREADS
+    lanes = min(workers, len(items))
+    if lanes < 2:
+        return [fn(x) for x in items]
+    out = [None] * len(items)
+    todo = iter(range(len(items)))  # a range iterator's next() holds the GIL: no item is taken twice
+
+    def lane():
+        for i in todo:
+            out[i] = fn(items[i])
+
+    with _POOL_LOCK:
+        if _POOL_THREADS < lanes - 1:
+            if _POOL is not None:
+                _POOL.shutdown(wait=False)  # its threads exit once their queued lanes are done
+            _POOL, _POOL_THREADS = ThreadPoolExecutor(lanes - 1, "smallball-batch"), lanes - 1
+        futures = [_POOL.submit(lane) for _ in range(lanes - 1)]
+    try:
+        lane()
+    finally:  # even after an error, no lane outlives the call
+        for f in futures:
+            if not f.cancel():  # a lane that has not started would find no item left
+                f.result()
+    return out
+
+
 def _batched_moments(sampler: Callable, cfg: McConfig, nets: bool = False) -> list[EstimateResult]:
     """One ``EstimateResult`` per column of sampler output over cfg.samples rows.
 
@@ -242,7 +290,7 @@ def _batched_moments(sampler: Callable, cfg: McConfig, nets: bool = False) -> li
     replicates, in order: b one-row replicates (plain Monte Carlo), or with
     ``nets`` the ``_replicate_sizes`` of the batch, one randomized
     quasi-Monte Carlo net each.  Batch j draws from RngStream(cfg.seed,
-    cfg.stream_base + j) and batches run on cfg.workers threads; their
+    cfg.stream_base + j) and at most cfg.workers batches run at once; their
     moments merge in batch order by the Chan-Golub-LeVeque update, so the
     schedule cannot change the result.  SE^2 = sum_r n_r (mean_r - mean)^2 /
     (n (R - 1)) over the run's R replicates, for R equal replicates the
@@ -256,12 +304,7 @@ def _batched_moments(sampler: Callable, cfg: McConfig, nets: bool = False) -> li
         sizes = _replicate_sizes(b, len(batch_sizes)) if nets else np.ones(b, dtype=int)
         return _batch_moments(sampler(sizes, gen), sizes)
 
-    jobs = list(enumerate(batch_sizes))
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-            parts = list(ex.map(one, jobs))
-    else:
-        parts = [one(job) for job in jobs]
+    parts = _parallel_map(one, list(enumerate(batch_sizes)), cfg.workers)
     n, reps, mean, m2 = parts[0]
     for nb, rb, mean_b, m2_b in parts[1:]:
         total = n + nb

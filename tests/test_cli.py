@@ -350,6 +350,19 @@ class TestImport:
         # every CLI call pays the import; scipy.fft alone costs ~0.3 s of it
         assert run_fresh("import smallball.cli; " + SCIPY_LOADED) == "[]"
 
+    def test_import_starts_no_thread_and_builds_no_parser(self):
+        # set-up cost: the batch pool and the parser wait for the first call that needs them
+        code = (
+            "import argparse, threading\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+            "before = threading.active_count()\n"
+            "import smallball, smallball.cli\n"
+            "print(threading.active_count() - before, len(made))"
+        )
+        assert run_fresh(code) == "0 0"
+
     def test_benchmark_mc_commands_load_no_scipy(self):
         # small versions of the benchmark's conditional, Laplace and raw probes
         commands = [
@@ -397,6 +410,52 @@ class TestImport:
             assert [name for name in module.__all__ if not hasattr(sb, name)] == [], module.__name__
 
 
+class TestParserReuse:
+    LAPLACE = ["laplace", "--clock", "chaos", "--q", "1.0", "--lam", "2", "--n-steps", "128", "--seed", "6"]
+
+    def test_config_call_does_not_leak_into_later_calls(self, capsys, tmp_path):
+        # the plain call takes the defaults the config file replaces
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 9\nsamples = 700\nq-ratio = 0.25\n")
+        plain1, config, plain2, fresh = (tmp_path / f"{k}.json" for k in ("plain1", "config", "plain2", "fresh"))
+        plain_argv = ["laplace", "--q-terms", "3", "--lam", "2", "--n-steps", "64", "--samples", "500"]
+        config_argv = ["--config", str(cfg), "laplace", "--q-terms", "3", "--lam", "1", "3", "--n-steps", "64"]
+        assert run(capsys, *plain_argv, "--output", str(plain1))[0] == 0
+        assert run(capsys, *config_argv, "--output", str(config))[0] == 0
+        assert run(capsys, *plain_argv, "--output", str(plain2))[0] == 0
+        assert plain1.read_bytes() == plain2.read_bytes()
+        assert json.loads(plain1.read_text())["seed"] == 42
+        run_fresh(f"from smallball.cli import main; main({config_argv + ['--output', str(fresh)]!r})")
+        assert config.read_bytes() == fresh.read_bytes()
+        rec = json.loads(config.read_text())
+        assert (rec["seed"], rec["params"]["samples"], rec["params"]["lambda"]) == (9, 700, [1.0, 3.0])
+
+    def test_help_and_version_exit_zero_after_a_call(self, capsys):
+        assert run(capsys, *self.LAPLACE, "--samples", "100")[0] == 0
+        for argv in (["--help"], ["--version"], ["laplace", "--help"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out
+        assert run(capsys, "laplace", "--bogus")[0] == 2
+
+    def test_parser_is_built_once_per_process(self):
+        # count ArgumentParser constructions around two plain calls and a config call
+        code = (
+            "import argparse, contextlib, io\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+            "from smallball.cli import main\n"
+            "counts = []\n"
+            "for argv in (['--version'], ['constants', '--tsb'], ['--config', 'missing.cfg', 'constants']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        main(argv)\n"
+            "    counts.append(len(made))\n"
+            "print(counts)"
+        )
+        first, second, third = json.loads(run_fresh(code))
+        assert first > 2 and second == first and third == first
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_cli(self):
         src = str(Path(sb.__file__).resolve().parents[1])
@@ -405,6 +464,15 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "smallball", "--version"], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.strip() == f"smallball {sb.__version__}"
+
+    def test_threaded_run_exits(self):
+        # the batch pool's threads must not hold the interpreter open at exit
+        src = str(Path(sb.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["smallball", "--process", "bm", "--n-steps", "64", "--samples", "1024", "--eps", "0.5", "--workers", "2"]
+        out = subprocess.run([sys.executable, "-m", "smallball", *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "eps=0.5: P = " in out.stdout
 
 
 class TestExitCodes:

@@ -7,6 +7,10 @@ matched-discretization reference for the raw estimator.  Conditional
 estimators are checked against the exact theta-series/product-Laplace oracle.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -447,6 +451,94 @@ class TestWorkerInvariance:
         assert layout(5000, 2**14) == [[256]] * 19 + [[136]]
         assert layout(12, 64) == [[1] * 6] * 2
         assert layout(769, 2**14) == [[64] * 4] * 3 + [[1]]
+
+
+def _pool_threads() -> int:
+    return sum(t.name.startswith("smallball-batch") for t in threading.enumerate())
+
+
+def _overlapping_batches(workers):
+    """Run `workers` batches that each wait until all of them run at once; a serial fall back times out."""
+    together = threading.Barrier(workers, timeout=30)
+
+    def sampler(sizes, gen):
+        together.wait()
+        return np.ones((len(sizes), 1))
+
+    (r,) = mc._batched_moments(sampler, McConfig(samples=workers * 256, n_steps=2**14, workers=workers))
+    assert r.samples == workers * 256
+
+
+class TestSharedPool:
+    def test_concurrent_callers_match_serial_calls(self):
+        # two user threads share the process's batch pool, three batches each
+        def probe(seed, workers):
+            cfg = McConfig(samples=3000, n_steps=2048, seed=seed, workers=workers)
+            return [(r.estimate, r.std_error) for r in sb.probe_smallball_conditional(_GEOMETRIC, 1.0, (0.4, 0.2), cfg)]
+
+        start = threading.Barrier(2, timeout=30)
+        got = {}
+
+        def caller(seed):
+            start.wait()
+            got[seed] = probe(seed, 2)
+
+        callers = [threading.Thread(target=caller, args=(seed,)) for seed in (3, 4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many thread switches while the lanes take batches
+        try:
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert got == {seed: probe(seed, 1) for seed in (3, 4)}
+
+    def test_pool_threads_do_not_grow_with_calls(self):
+        counts = []
+        for _ in range(4):
+            for workers in (2, 3, 2):
+                _overlapping_batches(workers)
+                counts.append(_pool_threads())
+        # two pool threads serve workers = 3 (no test asks for more), plus a
+        # replaced one-thread pool's thread while it exits
+        assert 0 < max(counts) <= 3
+        deadline = time.monotonic() + 10
+        while _pool_threads() > 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _pool_threads() == 2
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_batches_overlap(self, workers):
+        _overlapping_batches(workers)
+
+    def test_a_batch_error_reaches_the_caller_and_spares_the_pool(self):
+        def sampler(sizes, gen):
+            raise ValueError("bad batch")
+
+        with pytest.raises(ValueError, match="bad batch"):
+            mc._batched_moments(sampler, McConfig(samples=4 * 256, n_steps=2**14, workers=2))
+        _overlapping_batches(2)
+
+    def test_a_call_runs_at_most_workers_batches(self):
+        lock = threading.Lock()
+        active, peak = [0], [0]
+
+        def sampler(sizes, gen):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0.002)
+            with lock:
+                active[0] -= 1
+            return np.ones((len(sizes), 1))
+
+        for workers in (3, 2, 1):  # the pool keeps its three-worker size for the later calls
+            peak[0] = 0
+            mc._batched_moments(sampler, McConfig(samples=12 * 256, n_steps=2**14, workers=workers))
+            assert 1 <= peak[0] <= workers
 
 
 class TestReplicateStandardErrors:
