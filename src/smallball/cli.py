@@ -180,33 +180,23 @@ def _process_from(args) -> paths.ProcessSpec:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_constants(args) -> int:
-    results = []
-    params = {}
+def _one_constant(args) -> tuple[float, dict, dict]:
+    """(value, params, extra result fields) of a constants mode that prints one value."""
     if args.chaos_sup:
         part = asy.Partition(tuple(args.t), windows=_windows_from(args.a, args.b))
-        value = asy.chaos_sup_constant(args.omega_one_norm, part)
         params = {"omega_one_norm": args.omega_one_norm, "t": args.t, "b": args.b}
-        print(f"{value:.10f}")
-        results = [{"constant": value}]
-    elif args.chaos_clock:
+        return asy.chaos_sup_constant(args.omega_one_norm, part), params, {}
+    if args.chaos_clock:
         part = asy.Partition(tuple(args.t), weights=tuple(args.d))
-        value = asy.chaos_clock_constant(args.omega_one_norm, part)
         params = {"omega_one_norm": args.omega_one_norm, "t": args.t, "d": args.d}
-        print(f"{value:.10f}")
-        results = [{"constant": value}]
-    elif args.tsb:
-        value = asy.tsb_constant(args.alpha, args.beta, args.k, args.b)
+        return asy.chaos_clock_constant(args.omega_one_norm, part), params, {}
+    if args.tsb:
         params = {"alpha": args.alpha, "beta": args.beta, "k": args.k, "b": args.b}
-        print(f"{value:.10f}")
-        results = [{"constant": value}]
-    elif args.kappa_p:
+        return asy.tsb_constant(args.alpha, args.beta, args.k, args.b), params, {}
+    if args.kappa_p:
         lam = args.lambda1 if args.lambda1 is not None else schrodinger.lambda1(args.p).value
-        value = asy.kappa_p(args.p, lam)
-        params = {"p": args.p, "lambda1": lam}
-        print(f"{value:.10f}")
-        results = [{"constant": value, "lambda1": lam}]
-    elif args.weighted_sum:
+        return asy.kappa_p(args.p, lam), {"p": args.p, "lambda1": lam}, {"lambda1": lam}
+    if args.weighted_sum:
         base = asy.AsymptoticOrder(args.alpha, 0.0, args.big_k)
         if args.sigma is not None:
             w = asy.WeightSequenceSpec.geometric(args.sigma)
@@ -216,17 +206,17 @@ def _cmd_constants(args) -> int:
             w = asy.WeightSequenceSpec.polynomial(args.r)
         else:
             raise ValueError("need --sigma, --r or --weights")
-        value = asy.weighted_sum_constant(base, w)
         params = {"alpha": args.alpha, "big_k": args.big_k, "kind": w.kind}
-        print(f"{value:.10f}")
-        results = [{"constant": value}]
-    elif args.iterated:
+        return asy.weighted_sum_constant(base, w), params, {}
+    if args.iterated:
         spec = asy.IteratedSpec(args.theta, args.kappa, args.rho_outer, asy.AsymptoticOrder(args.alpha, 0.0, args.big_k))
-        value = asy.iterated_first_order_constant(spec)
         params = {"theta": args.theta, "kappa": args.kappa, "rho": args.rho_outer, "alpha": args.alpha, "big_k": args.big_k}
-        print(f"{value:.10f}")
-        results = [{"constant": value, "rate_exponent": asy.iterated_rate_exponent(spec)}]
-    elif args.tauberian_forward:
+        return asy.iterated_first_order_constant(spec), params, {"rate_exponent": asy.iterated_rate_exponent(spec)}
+    raise ValueError("choose a constants mode (e.g. --chaos-sup, --tsb, --kappa-p)")
+
+
+def _cmd_constants(args) -> int:
+    if args.tauberian_forward:
         lo = asy.tauberian_forward(asy.AsymptoticOrder(args.alpha, args.beta, args.big_k))
         params = {"alpha": args.alpha, "beta": args.beta, "big_k": args.big_k}
         print(f"pow_exponent={lo.pow_exponent:.10f} log_exponent={lo.log_exponent:.10f} L={lo.big_l:.10f}")
@@ -237,7 +227,9 @@ def _cmd_constants(args) -> int:
         print(f"alpha={ao.alpha:.10f} beta={ao.beta:.10f} K={ao.big_k:.10f}")
         results = [{"alpha": ao.alpha, "beta": ao.beta, "big_k": ao.big_k}]
     else:
-        raise ValueError("choose a constants mode (e.g. --chaos-sup, --tsb, --kappa-p)")
+        value, params, extra = _one_constant(args)
+        print(f"{value:.10f}")
+        results = [{"constant": value, **extra}]
     _write_record(args, "constants", params, results)
     return 0
 

@@ -439,6 +439,17 @@ def _logcosh(x):
     return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
 
 
+def _log1p_twice_outer(a, b):
+    """log1p(2 a_i b_k) for a, b >= 0; where 2 a_i b_k overflows, log 2 + log a_i + log b_k (1 / (2 a_i b_k) < 2^-1024 is lost)."""
+    with np.errstate(over="ignore"):
+        x = np.log1p(np.multiply.outer(2.0 * a, b))
+        if np.isfinite(2.0 * a.max() * b.max()):  # the largest term, so none overflowed
+            return x
+    i, k = np.nonzero(np.isinf(x))
+    x[i, k] = np.log(2.0) + np.log(a[i]) + np.log(b[k])
+    return x
+
+
 def log_laplace(clock: ClockSpec, t: float, lams, n_steps: int | None = None) -> np.ndarray:
     """log E exp(-lambda C(t)) for each lambda in ``lams``, in input order.
 
@@ -449,7 +460,10 @@ def log_laplace(clock: ClockSpec, t: float, lams, n_steps: int | None = None) ->
     estimators sample gives -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k), which
     tends to the continuous law as N grows.  Each lambda is its own row, so
     the lambdas may come in any order and each value equals its one-lambda
-    call bit for bit.  Clocks without a spectrum raise ValueError.
+    call bit for bit.  Every finite lambda gives a finite law: where 2 lambda
+    or 2 lambda w_j mu_k overflows, the terms read 2 sqrt(lambda / 2) and
+    log(2 lambda w_j mu_k), and below that they keep the direct form's bits.
+    Clocks without a spectrum raise ValueError.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not (lams.size and np.all((lams >= 0) & (lams < np.inf)) and t > 0):
@@ -460,11 +474,13 @@ def log_laplace(clock: ClockSpec, t: float, lams, n_steps: int | None = None) ->
         raise ValueError("no exact law for this clock: need a chaos clock or a p = 2 power clock with scalar rho")
     w, mu, nu = form
     if n_steps is None:
-        scale, coef, f = np.sqrt(2.0 * lams), t * np.sqrt(w), _logcosh
+        # sqrt(2 lambda) is 2 sqrt(lambda / 2) bit for bit above 1, where 2 lambda may overflow
+        scale = np.where(lams > 1.0, 2.0 * np.sqrt(0.5 * lams), np.sqrt(2.0 * np.minimum(lams, 1.0)))
+        coef, f = t * np.sqrt(w), lambda a, b: _logcosh(np.multiply.outer(a, b))
     else:
-        scale, coef, f = 2.0 * lams, np.outer(w, mu).ravel(), np.log1p
+        scale, coef, f = lams, np.outer(w, mu).ravel(), _log1p_twice_outer
     rows = max(1, 2**18 // coef.size)  # bounds each (rows, terms) buffer
-    sums = [f(np.multiply.outer(scale[i : i + rows], coef)).sum(axis=-1) for i in range(0, scale.size, rows)]
+    sums = [f(scale[i : i + rows], coef).sum(axis=-1) for i in range(0, scale.size, rows)]
     return -0.5 * nu * np.concatenate(sums)
 
 

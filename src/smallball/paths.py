@@ -700,26 +700,26 @@ def _sobol_directions(bits: int) -> np.ndarray:
 def _net_layout(sizes: tuple[int, ...]):
     """Everything about nets of the given sizes that does not depend on the scrambles.
 
-    (bits, edges, rep, step, gray, below, diag, digits): each net's points
-    have ``bits``-bit indices, and replicate r holds rows edges[r] to
-    edges[r + 1].  Row i is point j of replicate rep[i]; step[i] indexes its
-    Gray-code step v_{tz(j)}, or at j = 0 the digital shift, in the
-    flattened (replicate, bits + 1) rows of ``_Nets.v``, and gray[i] =
-    j XOR (j >> 1).  Column r of a scramble is diag[r] = 2^-(r+1) (digit r)
+    (bits, split, low, high, below, diag, digits): each net's points have
+    ``bits``-bit indices, split at s = ``split`` = ceil(bits / 2).  Row i is
+    point j of replicate r, whose Gray-code index g = j XOR (j >> 1) reads
+    entry low[i] = r 2^s + (g mod 2^s) of the flattened (replicate, 2^s) rows
+    of ``_Nets.low`` and entry high[i] = r 2^(bits - s) + (g >> s) of
+    ``_Nets.high``.  Column r of a scramble is diag[r] = 2^-(r+1) (digit r)
     plus random digits masked by below[r], the less significant ones, and
     digits[r, 0, k] is digit r of v_k.
     """
     sizes = np.asarray(sizes)
     bits = int(sizes.max() - 1).bit_length()
-    edges = np.concatenate(([0], np.cumsum(sizes)))
+    split = -(-bits // 2)
     rep = np.repeat(np.arange(sizes.size), sizes)
-    j = np.arange(rep.size) - edges[rep]
-    low = (j & -j).astype(float)  # 2^tz(j), 0 at j = 0
-    step = rep * (bits + 1) + np.where(j > 0, np.frexp(low)[1] - 1, bits)
+    j = np.arange(rep.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    gray = j ^ (j >> 1)
     pos = (_NET_DIGITS - 1 - np.arange(bits)).astype(np.uint64)[:, None, None, None]  # bit of digit r
     one = np.uint64(1)
     digits = (_sobol_directions(bits).T[None] >> pos) & one  # (digit, 1, k, dim)
-    return bits, edges, rep, step, j ^ (j >> 1), (one << pos) - one, one << pos, digits
+    low, high = rep << split | gray & (1 << split) - 1, rep << bits - split | gray >> split
+    return bits, split, low, high, (one << pos) - one, one << pos, digits
 
 
 class _Nets:
@@ -727,47 +727,50 @@ class _Nets:
 
     Replicate r holds the first sizes[r] points of its own net, in Gray-code
     order (Antonov & Saleev, USSR Comput. Math. Math. Phys. 19, 1979): point
-    j is e XOR G(j), G(j) = G(j - 1) XOR v_{tz(j)} with tz(j) the trailing
-    zeros of j, so a replicate's points are one cumulative XOR of its steps,
-    the first of which is its digital shift e.  Every coordinate of every
-    net gets its own linear matrix scramble (Matousek, J. Complexity 14,
-    1998): digit r of the scrambled value is digit r plus a random GF(2) sum
-    of the more significant digits, a lower-triangular L with unit diagonal,
-    which keeps the net's (t, m, s) structure.  L is linear, so it maps the
+    j is e XOR G(g), g = j XOR (j >> 1), where G(g) is the XOR of the
+    directions v_k over the set bits k of g.  Every coordinate of every net
+    gets its own linear matrix scramble (Matousek, J. Complexity 14, 1998):
+    digit r of the scrambled value is digit r plus a random GF(2) sum of the
+    more significant digits, a lower-triangular L with unit diagonal, which
+    keeps the net's (t, m, s) structure.  L is linear, so it maps the
     directions once.  Then the random digital shift e, XOR'd into every
     point, makes each point uniform on the 2^-53 grid, so a net's mean is
     unbiased and nets with independent scrambles are independent.  All
     scrambles are drawn from ``gen`` in one call when the nets are made.
+
+    XOR is exact and associative, so a point is the XOR of two table
+    entries, split at s = ceil(bits / 2) digit positions: ``low`` holds
+    e XOR G(g) for the 2^s values of g below 2^s, ``high`` holds G(g) for
+    the 2^(bits - s) multiples of 2^s, per replicate, and point j reads
+    low[g mod 2^s] XOR high[g >> s].  Every row depends only on its own
+    index, whichever block it is read in; a one-point net is low[0], its
+    shift.  A 4096-point net of 32 coordinates holds 32 KB of tables.
     """
 
     def __init__(self, sizes, dims: int, gen: np.random.Generator):
-        bits, self.edges, self.rep, self.step, self.gray, below, diag, digits = _net_layout(tuple(map(int, sizes)))
+        bits, split, self.low_row, self.high_row, below, diag, digits = _net_layout(tuple(map(int, sizes)))
         # v_ik has digits 1..k only, so L v needs the first ``bits`` columns of L:
         # column r is 2^-(r+1) plus random less significant digits; e comes last
         draws = gen.integers(0, 2**_NET_DIGITS, size=(bits + 1, len(sizes), 1, dims), dtype=np.uint64)
-        cols, self.e = draws[:bits], draws[bits, :, 0]
+        cols, e = draws[:bits], draws[bits]
         cols &= below
         cols |= diag
-        # (replicate, k, dim): L v_ik, the XOR of column r over the digits r of v_ik
-        # that are set, and at k = bits the step into point 0, e
-        self.v = np.concatenate([np.bitwise_xor.reduce(cols * digits[..., :dims], axis=0), self.e[:, None]], axis=1)
+        # (replicate, k, dim): L v_ik, the XOR of column r over the digits r of v_ik that are set
+        v = np.bitwise_xor.reduce(cols * digits[..., :dims], axis=0)
+        # each direction doubles its half's table: the new entries are the old ones XOR L v_k
+        tables = [e, np.zeros_like(e)]
+        for k in range(bits):
+            t = tables[k >= split]
+            tables[k >= split] = np.concatenate([t, t ^ v[:, k : k + 1]], axis=1)
+        self.low, self.high = (t.reshape(-1, dims) for t in tables)
         self.pos = 0
 
     def take(self, out: np.ndarray) -> np.ndarray:
         """Fill out (b, dims) with the next b points, uniforms on the 2^-53 grid of [0, 1)."""
         lo, hi = self.pos, self.pos + len(out)
         self.pos = hi
-        x = self.v.reshape(-1, self.v.shape[2])[self.step[lo:hi]]
-        r, bits = self.rep[lo], self.v.shape[1] - 1
-        if self.gray[lo]:  # a block that starts inside a replicate computes its first point itself
-            mask = (self.gray[lo] >> np.arange(bits) & 1).astype(np.uint64)[:, None]
-            x[0] = self.e[r] ^ np.bitwise_xor.reduce(self.v[r, :bits] * mask, axis=0)
-        if bits:  # one-point nets are their shifts already
-            # each replicate is one run of the cumulative XOR: the run before's last
-            # point (the XOR of its steps) in a run's first step cancels its carry-in
-            starts = self.edges[r + 1 : self.rep[hi - 1] + 1] - lo
-            x[starts] ^= np.bitwise_xor.reduceat(x, np.append(0, starts), axis=0)[:-1]
-            np.bitwise_xor.accumulate(x, axis=0, out=x)
+        x = np.take(self.low, self.low_row[lo:hi], axis=0, out=out.view(np.uint64))  # into out: the high gather is the one temporary
+        x ^= self.high[self.high_row[lo:hi]]
         return np.multiply(x, 2.0**-_NET_DIGITS, out=out)
 
 
@@ -884,7 +887,7 @@ def _terminal_law_sampler(spec: ClockSpec, t: float, n_steps: int):
             return rest_sum(u)[:, None]
 
         c = _block_loop(n, width, 1, block)[:, 0]
-        net = _Nets(sizes, dims, gen)  # then the scrambles, and the nets' points
+        net = _Nets(sizes, dims, gen)  # then the scrambles; each block gathers its points from the nets' tables
         c += _block_loop(n, dims, 1, lambda u: net_sum(net.take(u))[:, None])[:, 0]
         _require_finite(c)
         if scale > 0:

@@ -361,16 +361,13 @@ class TestWeightedSumConstant:
         assert limit - prev < 1e-8
 
     def test_polynomial_matches_zeta_oracle(self):
-        from scipy.special import zeta
-
-        # alpha = 1, a_j = j^-3: constant = (sum_j j^(-3/2))^2 = zeta(3/2)^2
+        # alpha = 1 sums a_j^(1/2): a_j = j^-4 gives (zeta(2))^2 = (pi^2/6)^2,
+        # a_j = j^-8 gives (zeta(4))^2 = (pi^4/90)^2
         base = sb.AsymptoticOrder(1.0, 0.0, 1.0)
-        got = sb.weighted_sum_constant(base, WeightSequenceSpec.polynomial(3.0))
-        assert got == pytest.approx(float(zeta(1.5)) ** 2, rel=1e-10)
-
-        # faster decay for a second point on the curve
-        got = sb.weighted_sum_constant(base, WeightSequenceSpec.polynomial(6.0))
-        assert got == pytest.approx(float(zeta(3.0)) ** 2, rel=1e-12)
+        got = sb.weighted_sum_constant(base, WeightSequenceSpec.polynomial(4.0))
+        assert got == pytest.approx((np.pi**2 / 6) ** 2, rel=1e-15)
+        got = sb.weighted_sum_constant(base, WeightSequenceSpec.polynomial(8.0))
+        assert got == pytest.approx((np.pi**4 / 90) ** 2, rel=1e-15)
 
     def test_polynomial_summability_guard(self):
         base = sb.AsymptoticOrder(1.0, 0.0, 1.0)

@@ -19,7 +19,70 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# one call per constants mode: its stdout line and --output record, taken
+# when each mode still printed and wrote its own result
+_CONSTANTS_RECORDS = {
+    "chaos-sup": (
+        ["--chaos-sup", "--omega-one-norm", "1.5", "--t", "0.5", "1", "--b", "0.5", "1"],
+        "1.7671458676",
+        {"b": [0.5, 1.0], "omega_one_norm": 1.5, "t": [0.5, 1.0]},
+        [{"constant": 1.7671458676442586}],
+    ),
+    "chaos-clock": (
+        ["--chaos-clock", "--omega-one-norm", "2", "--t", "0.5", "1", "--d", "2", "1"],
+        "0.7285533906",
+        {"d": [2.0, 1.0], "omega_one_norm": 2.0, "t": [0.5, 1.0]},
+        [{"constant": 0.7285533905932737}],
+    ),
+    "tsb": (
+        ["--tsb", "--alpha", "1", "--beta", "0", "--k", "0.125", "0.25", "--b", "1", "2"],
+        "1.3407585307",
+        {"alpha": 1.0, "b": [1.0, 2.0], "beta": 0.0, "k": [0.125, 0.25]},
+        [{"constant": 1.340758530667244}],
+    ),
+    "kappa-p": (
+        ["--kappa-p", "--p", "3", "--lambda1", "0.6748939073268858"],
+        "0.0318765768",
+        {"lambda1": 0.6748939073268858, "p": 3.0},
+        [{"constant": 0.03187657678293346, "lambda1": 0.6748939073268858}],
+    ),
+    "weighted-sum": (
+        ["--weighted-sum", "--alpha", "1", "--big-k", "0.125", "--sigma", "0.25"],
+        "0.5000000000",
+        {"alpha": 1.0, "big_k": 0.125, "kind": "geometric"},
+        [{"constant": 0.5}],
+    ),
+    "iterated": (
+        ["--iterated", "--theta", "3", "--kappa", "0.5", "--rho-outer", "2", "--alpha", "0.5", "--big-k", "0.2"],
+        "0.3962232981",
+        {"alpha": 0.5, "big_k": 0.2, "kappa": 0.5, "rho": 2.0, "theta": 3.0},
+        [{"constant": 0.39622329811527834, "rate_exponent": 0.6}],
+    ),
+    "tauberian-forward": (
+        ["--tauberian-forward", "--alpha", "0.5", "--beta", "0.5", "--big-k", "0.3"],
+        "pow_exponent=0.3333333333 log_exponent=0.3333333333 L=0.9694956105",
+        {"alpha": 0.5, "beta": 0.5, "big_k": 0.3},
+        [{"big_l": 0.9694956105143477, "log_exponent": 0.3333333333333333, "pow_exponent": 0.3333333333333333}],
+    ),
+    "tauberian-inverse": (
+        ["--tauberian-inverse", "--pow-exponent", "0.5", "--log-exponent", "1", "--big-l", "2"],
+        "alpha=1.0000000000 beta=2.0000000000 K=0.2500000000",
+        {"big_l": 2.0, "log_exponent": 1.0, "pow_exponent": 0.5},
+        [{"alpha": 1.0, "beta": 2.0, "big_k": 0.25}],
+    ),
+}
+
+
 class TestConstantsCommand:
+    @pytest.mark.parametrize("mode", list(_CONSTANTS_RECORDS))
+    def test_every_mode_keeps_its_line_and_record(self, capsys, tmp_path, mode):
+        argv, line, params, results = _CONSTANTS_RECORDS[mode]
+        path = tmp_path / "constants.json"
+        code, out, _ = run(capsys, "constants", *argv, "--output", str(path))
+        assert code == 0 and out == line + "\n"
+        rec = json.loads(path.read_text())
+        assert (rec["op"], rec["params"], rec["results"]) == ("constants", params, results)
+
     def test_chaos_sup_prints_pi_over_four(self, capsys):
         code, out, _ = run(capsys, "constants", "--chaos-sup", "--omega-one-norm", "1", "--t", "1", "--b", "1")
         assert code == 0
@@ -268,6 +331,18 @@ class TestEstimationCommands:
         assert code == 0
         want = np.exp(sb.log_laplace(sb.PowerClockSpec(2.0), 1.0, (5.0, 0.0, 5.0, 1.0), 16)).tolist()
         assert [r["exact"] for r in json.loads(path.read_text())["results"]] == want
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_laplace_at_the_largest_lambdas(self, capsys, tmp_path):
+        # 2 lambda overflows double precision here; the exact law is still
+        # evaluated finitely, with no warning, and rounds to 0
+        path = tmp_path / "r.json"
+        code, out, err = run(
+            capsys, "laplace", "--lam", "1e308", "1.7976931348623157e308", "--samples", "4", "--n-steps", "4",
+            "--output", str(path),
+        )
+        assert code == 0 and err == ""
+        assert [r["exact"] for r in json.loads(path.read_text())["results"]] == [0.0, 0.0]
 
     def test_laplace_exact_value_needs_one_interval_of_a_spectral_clock(self, capsys):
         base = ["laplace", "--clock", "power", "--n-steps", "16", "--samples", "500", "--lam", "2"]

@@ -1127,6 +1127,38 @@ class TestExactLawContract:
         assert got.shape == (len(eps_grid),)
         assert list(got) == [sb.log_smallball(spec, 1.0, (eps,), n_steps)[0] for eps in eps_grid]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_steps", [None, 4, 64])
+    @pytest.mark.parametrize("spec", _LAW_CLOCKS, ids=_LAW_IDS)
+    def test_largest_lambdas_stay_finite(self, spec, n_steps):
+        # 2 lambda overflows above 2^1023, and 2 lambda w_j mu_k at t = 2 a
+        # little below it: the law is still finite and equals its 40-digit value
+        mpmath = pytest.importorskip("mpmath")
+        lams = (8e307, 9e307, 1e308, np.finfo(float).max)
+        w, mu, nu = paths.quadratic_clock_spectrum(spec, 2.0, n_steps or 1)
+        got = sb.log_laplace(spec, 2.0, lams, n_steps)
+        with mpmath.workdps(40):
+            for lam, value in zip(lams, got):
+                lam = mpmath.mpf(lam)
+                if n_steps is None:
+                    terms = [mpmath.log(mpmath.cosh(2 * mpmath.sqrt(2 * lam * wj))) for wj in w]
+                else:
+                    terms = [mpmath.log1p(2 * lam * wj * mk) for wj in w for mk in mu]
+                assert value == pytest.approx(float(-nu * mpmath.fsum(terms) / 2), rel=1e-14)
+
+    @pytest.mark.parametrize("n_steps", [None, 4, 64])
+    @pytest.mark.parametrize("spec", _LAW_CLOCKS, ids=_LAW_IDS)
+    def test_direct_form_below_overflow(self, spec, n_steps):
+        # wherever 2 lambda and 2 lambda w_j mu_k stay finite, from the smallest
+        # subnormal lambda up, the law keeps the bits of the direct form
+        lams = np.array([0.0, 5e-324, 1e-310, 1e-200, 0.5, 1.0, 1.5, 7.0, 1e10, 1e200, 1e307])
+        w, mu, nu = paths.quadratic_clock_spectrum(spec, 2.0, n_steps or 1)
+        if n_steps is None:
+            terms = mc._logcosh(np.multiply.outer(np.sqrt(2.0 * lams), 2.0 * np.sqrt(w)))
+        else:
+            terms = np.log1p(np.multiply.outer(2.0 * lams, np.outer(w, mu).ravel()))
+        assert np.array_equal(sb.log_laplace(spec, 2.0, lams, n_steps), -0.5 * nu * terms.sum(axis=-1))
+
     def test_bench_aliases_are_contract_calls(self):
         # the benchmark looks these names up in mc; each is its contract
         # expression bit for bit, and none is exported

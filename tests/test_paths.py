@@ -1037,31 +1037,34 @@ class TestScrambledNets:
                 box = np.floor(net[:, 0] * 2**a) * 2 ** (m - a) + np.floor(net[:, 1] * 2 ** (m - a))
                 assert np.unique(box).size == 2**m
 
-    @pytest.mark.parametrize("sizes", [[32] * 8, [7, 7, 6], [1696], [5, 1, 1], [1, 1]], ids=str)
+    @pytest.mark.parametrize(
+        "sizes", [[32] * 8, [64] * 4, [4096], [1696], [200, 300], [8193], [7, 7, 6], [5, 1, 1], [1, 1]], ids=str
+    )
     def test_blocks_read_the_same_points(self, sizes):
         # point j of replicate r is e_r XOR (XOR of L v_k over the bits of gray(j)),
-        # whichever blocks the rows are read in
-        n = sum(sizes)
-        whole = np.empty((n, 32))
-        nets = paths._Nets(sizes, 32, np.random.default_rng(3))
-        nets.take(whole)
-        bits = nets.v.shape[1] - 1
-        want = np.empty((n, 32), dtype=np.uint64)
-        row = 0
+        # built here from the stream alone, whichever blocks the rows are read in
+        n, dims = sum(sizes), 32
+        bits = int(max(sizes) - 1).bit_length()
+        draws = np.random.default_rng(3).integers(0, 2**53, (bits + 1, len(sizes), 1, dims), dtype=np.uint64)
+        v = paths._sobol_directions(bits).T  # (k, dim)
+        want = []
         for r, size in enumerate(sizes):
-            for j in range(size):
-                g, x = j ^ (j >> 1), nets.e[r].copy()
-                for k in range(bits):
-                    if g >> k & 1:
-                        x ^= nets.v[r, k]
-                want[row] = x
-                row += 1
-        assert np.array_equal(whole, want * 2.0**-53)
-        for cuts in ([1], [n // 3, n // 2], [n - 1]):
+            lv = np.zeros((bits, dims), dtype=np.uint64)
+            for d in range(bits):
+                # column d of L: digit d (bit 52 - d) set, random less significant digits
+                digit = np.uint64(1) << np.uint64(52 - d)
+                lv ^= np.where(v & digit > 0, draws[d, r, 0] & (digit - np.uint64(1)) | digit, np.uint64(0))
+            j = np.arange(size)
+            x = np.repeat(draws[bits, r], size, axis=0)
+            for k in range(bits):
+                x ^= np.where(((j ^ (j >> 1)) >> k & 1)[:, None] == 1, lv[k], np.uint64(0))
+            want.append(x)
+        want = np.concatenate(want) * 2.0**-53
+        for cuts in ([], [1], [n // 3, n // 2], [n - 1]):
             cuts = [c for c in cuts if 0 < c < n]
-            nets = paths._Nets(sizes, 32, np.random.default_rng(3))
-            parts = [nets.take(np.empty((len(p), 32))) for p in np.split(np.arange(n), cuts)]
-            assert np.array_equal(np.concatenate(parts), whole)
+            nets = paths._Nets(sizes, dims, np.random.default_rng(3))
+            parts = [nets.take(np.empty((len(p), dims))) for p in np.split(np.arange(n), cuts)]
+            assert np.array_equal(np.concatenate(parts), want)
 
     def test_points_are_uniform(self):
         # the digital shift makes every point uniform: over 4000 scrambles of a
