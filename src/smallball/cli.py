@@ -475,43 +475,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The stage-1 ``--config`` pre-parser and the full parser, built on the first ``main`` call."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    return pre, build_parser()
+# The parser of every call, built by the first one; a --config call adds a parser of its own.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    pre, parser = _parsers()
-
-    # Stage 1: pull out --config so its values can become subcommand defaults.
-    known, _ = pre.parse_known_args(argv)
-    bad = {}  # subcommand -> its config error, reported only if it runs
-    if known.config:
-        try:
-            overrides = _load_config(known.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return _EXIT_USAGE
-        parser = build_parser()  # config values become subparser defaults: never on the shared parser
-        for name, sp in parser._subparsers._group_actions[0].choices.items():  # type: ignore[union-attr]
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        if args.config:
+            overrides = _load_config(args.config)
+            parser = build_parser()  # the file's values become defaults of this parser's chosen subcommand only
+            sp = parser._subparsers._group_actions[0].choices[args.command]  # type: ignore[union-attr]
             try:
                 sp.set_defaults(**_config_defaults(sp, overrides))
             except ValueError as exc:
-                bad[name] = exc
-
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.command in bad:
-        print(f"error: {known.config}: {bad[args.command]}", file=sys.stderr)
-        return _EXIT_USAGE
-
-    try:
+                raise ValueError(f"{args.config}: {exc}") from None
+            args = parser.parse_args(argv)  # argv parsed once already, so this cannot fail
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

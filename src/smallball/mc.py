@@ -13,9 +13,9 @@ tuple.  The tuples are merged in batch order with the pairwise update of
 Chan, Golub & LeVeque ("Algorithms for computing the sample variance",
 Am. Stat. 1983), which avoids the cancellation of sum-of-squares formulas.
 Up to ``McConfig.workers`` batches run at once: the calling thread and the
-threads of one pool that lives as long as the process, started on the first
-call that asks for more than one worker and reused by every later call.  The
-fixed merge order keeps every output bit independent of the worker count.
+threads of one process-wide ``ThreadPoolExecutor``, which starts a thread only
+when no thread of it is idle.  The fixed merge order keeps every output bit
+independent of the worker count.
 
 A replicate is a group of rows whose mean is unbiased and independent of
 every other replicate's.  It is the unit every sampler draws and the engine
@@ -71,7 +71,6 @@ one function that needs it, on its first call: ``sup_bm_grid_cdf`` loads
 from __future__ import annotations
 
 import functools
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -138,8 +137,9 @@ class McConfig:
     (at most one per row) of near-equal size.  The layout depends only on
     (samples, n_steps) and is part of the reproducibility contract (a config
     determines output exactly).  ``workers`` bounds how many batches run at
-    once, on the calling thread and the process's batch pool, whose threads
-    start once per process and are reused; it never affects results.
+    once: the calling thread runs one and the process's batch pool the rest,
+    on at most min(32, cpus + 4) threads (the executor's default size), so a
+    call runs at most that many batches plus its own.  It never affects results.
     ``samples`` must be at least 2, the fewest that give a standard error.
     """
 
@@ -239,15 +239,12 @@ def _batch_moments(values: np.ndarray, sizes: np.ndarray) -> tuple[int, int, np.
     return n, dev.shape[1], mean, dev.sum(axis=1)
 
 
-# The process's batch pool, started by the first ``_parallel_map`` that needs
-# it (never at import) and reused by every later one.  It only grows, to the
-# largest ``workers`` asked for less one, since each call's own thread runs a
-# lane too.  No job on it may wait on it: its jobs are the batches of
+# The process's batch pool: no thread at import, then a new thread only for a
+# lane that finds none idle, up to the executor's default min(32, cpus + 4).
+# No job on it may wait on it: its jobs are the batches of
 # ``_batched_moments`` and the two sides of each C6 rep
 # (``acceptance.criterion_6``), which call the ``paths`` samplers only.
-_POOL: ThreadPoolExecutor | None = None
-_POOL_THREADS = 0
-_POOL_LOCK = threading.Lock()
+_POOL = ThreadPoolExecutor(thread_name_prefix="smallball-batch")
 
 
 def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -257,7 +254,6 @@ def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     more.  Each lane takes the next item no lane has taken; a lane still
     queued behind other callers' work when the items run out is cancelled.
     """
-    global _POOL, _POOL_THREADS
     lanes = min(workers, len(items))
     if lanes < 2:
         return [fn(x) for x in items]
@@ -268,12 +264,7 @@ def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
         for i in todo:
             out[i] = fn(items[i])
 
-    with _POOL_LOCK:
-        if _POOL_THREADS < lanes - 1:
-            if _POOL is not None:
-                _POOL.shutdown(wait=False)  # its threads exit once their queued lanes are done
-            _POOL, _POOL_THREADS = ThreadPoolExecutor(lanes - 1, "smallball-batch"), lanes - 1
-        futures = [_POOL.submit(lane) for _ in range(lanes - 1)]
+    futures = [_POOL.submit(lane) for _ in range(lanes - 1)]
     try:
         lane()
     finally:  # even after an error, no lane outlives the call
@@ -434,19 +425,19 @@ def estimate_laplace_multi(spec: ClockSpec, part: Partition, lams: Sequence[floa
 # ---------------------------------------------------------------------------
 
 def _logcosh(x):
-    """log cosh x, overflow-safe for large |x|."""
+    """log cosh x, overflow-safe for large |x|: inf only where |x| is."""
     x = np.abs(np.asarray(x, dtype=float))
     return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
 
 
-def _log1p_twice_outer(a, b):
-    """log1p(2 a_i b_k) for a, b >= 0; where 2 a_i b_k overflows, log 2 + log a_i + log b_k (1 / (2 a_i b_k) < 2^-1024 is lost)."""
-    with np.errstate(over="ignore"):
-        x = np.log1p(np.multiply.outer(2.0 * a, b))
-        if np.isfinite(2.0 * a.max() * b.max()):  # the largest term, so none overflowed
-            return x
-    i, k = np.nonzero(np.isinf(x))
-    x[i, k] = np.log(2.0) + np.log(a[i]) + np.log(b[k])
+def _log1p_twice_outer(lams, w, mu, c):
+    """log1p(2 lambda_i c_m), c = outer(w, mu).ravel(); an overflowed term reads logaddexp(0, log 2 lambda_i + log w_j + log mu_k)."""
+    x = np.log1p(np.multiply.outer(2.0 * lams, c))
+    if np.isfinite(2.0 * lams.max() * c.max()):  # the largest term, so all are finite
+        return x
+    i, m = np.nonzero(~np.isfinite(x))
+    j, k = np.divmod(m, mu.size)
+    x[i, m] = np.logaddexp(0.0, np.log(2.0) + np.log(lams[i]) + np.log(w[j]) + np.log(mu[k]))
     return x
 
 
@@ -460,27 +451,33 @@ def log_laplace(clock: ClockSpec, t: float, lams, n_steps: int | None = None) ->
     estimators sample gives -(nu/2) sum_{j,k} log1p(2 lambda w_j mu_k), which
     tends to the continuous law as N grows.  Each lambda is its own row, so
     the lambdas may come in any order and each value equals its one-lambda
-    call bit for bit.  Every finite lambda gives a finite law: where 2 lambda
-    or 2 lambda w_j mu_k overflows, the terms read 2 sqrt(lambda / 2) and
-    log(2 lambda w_j mu_k), and below that they keep the direct form's bits.
-    Clocks without a spectrum raise ValueError.
+    call bit for bit.  Nothing warns.  A trapezoid term whose w_j mu_k or
+    2 lambda w_j mu_k overflows reads log 2 + log lambda + log w_j + log mu_k,
+    so that law is finite wherever w and mu are; the continuous law is -inf
+    only where t sqrt(2 lambda w_j) overflows.  Every other term keeps the
+    bits of the direct form, in the continuous law while every t sqrt(w_j) is
+    finite.  Clocks without a spectrum raise ValueError.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if not (lams.size and np.all((lams >= 0) & (lams < np.inf)) and t > 0):
-        raise ValueError("need at least one lambda, each finite and >= 0, and t > 0")
-    # the continuous law reads only (w, nu); the one-step mu goes unused
-    form = quadratic_clock_spectrum(clock, t, 1 if n_steps is None else n_steps)
+    if not (lams.size and np.all((lams >= 0) & (lams < np.inf)) and 0 < t < np.inf):
+        raise ValueError("need at least one lambda, each finite and >= 0, and t > 0 finite")
+    # the continuous law reads only (w, nu), which do not depend on t
+    form = quadratic_clock_spectrum(clock, 1.0 if n_steps is None else t, 1 if n_steps is None else n_steps)
     if form is None:
         raise ValueError("no exact law for this clock: need a chaos clock or a p = 2 power clock with scalar rho")
     w, mu, nu = form
-    if n_steps is None:
-        # sqrt(2 lambda) is 2 sqrt(lambda / 2) bit for bit above 1, where 2 lambda may overflow
-        scale = np.where(lams > 1.0, 2.0 * np.sqrt(0.5 * lams), np.sqrt(2.0 * np.minimum(lams, 1.0)))
-        coef, f = t * np.sqrt(w), lambda a, b: _logcosh(np.multiply.outer(a, b))
-    else:
-        scale, coef, f = lams, np.outer(w, mu).ravel(), _log1p_twice_outer
-    rows = max(1, 2**18 // coef.size)  # bounds each (rows, terms) buffer
-    sums = [f(scale[i : i + rows], coef).sum(axis=-1) for i in range(0, scale.size, rows)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # every overflow is mended or is the true -inf
+        if n_steps is None:
+            # sqrt(2 lambda) is 2 sqrt(lambda / 2) bit for bit above 1, where 2 lambda may overflow
+            scale = np.where(lams > 1.0, 2.0 * np.sqrt(0.5 * lams), np.sqrt(2.0 * np.minimum(lams, 1.0)))
+            coef = t * np.sqrt(w)
+            if np.isinf(coef).any():  # t and some sqrt(w_j) exceed 1: the scale multiplies t first
+                scale, coef = t * scale, np.sqrt(w)
+            f = lambda a: _logcosh(np.multiply.outer(a, coef))
+        else:
+            scale, coef, f = lams, np.outer(w, mu).ravel(), lambda a: _log1p_twice_outer(a, w, mu, coef)
+        rows = max(1, 2**18 // coef.size)  # bounds each (rows, terms) buffer
+        sums = [f(scale[i : i + rows]).sum(axis=-1) for i in range(0, scale.size, rows)]
     return -0.5 * nu * np.concatenate(sums)
 
 

@@ -512,6 +512,17 @@ class TestParserReuse:
             assert code == 0 and out
         assert run(capsys, "laplace", "--bogus")[0] == 2
 
+    def test_version_answers_next_to_a_missing_config(self, capsys, tmp_path):
+        # argv is parsed before the config file is read
+        code, out, _ = run(capsys, "--config", str(tmp_path / "missing.cfg"), "--version")
+        assert code == 0 and out == f"smallball {sb.__version__}\n"
+
+    def test_bad_flag_is_named_before_a_malformed_config(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("samples 1500\n")
+        code, _, err = run(capsys, "--config", str(cfg), "laplace", "--lam", "1", "--bogus")
+        assert code == 2 and "--bogus" in err
+
     def test_parser_is_built_once_per_process(self):
         # count ArgumentParser constructions around two plain calls and a config call
         code = (

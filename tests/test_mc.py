@@ -502,13 +502,8 @@ class TestSharedPool:
             for workers in (2, 3, 2):
                 _overlapping_batches(workers)
                 counts.append(_pool_threads())
-        # two pool threads serve workers = 3 (no test asks for more), plus a
-        # replaced one-thread pool's thread while it exits
-        assert 0 < max(counts) <= 3
-        deadline = time.monotonic() + 10
-        while _pool_threads() > 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert _pool_threads() == 2
+        # two pool threads serve workers = 3 (no test asks for more)
+        assert 0 < max(counts) <= 2
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_batches_overlap(self, workers):
@@ -1145,6 +1140,36 @@ class TestExactLawContract:
                 else:
                     terms = [mpmath.log1p(2 * lam * wj * mk) for wj in w for mk in mu]
                 assert value == pytest.approx(float(-nu * mpmath.fsum(terms) / 2), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_steps", [None, 8])
+    def test_overflowing_coefficients_stay_finite(self, n_steps):
+        # rho^2 mu_k overflows at t = 100, N = 8, so the trapezoid law is finite
+        # at every lambda; the continuous law is -inf only at lambda = 1e308,
+        # where t sqrt(2 lambda) rho overflows
+        mpmath = pytest.importorskip("mpmath")
+        spec, lams = sb.PowerClockSpec(2.0, rho=1e153), (1e-300, 1.0, 1e308)
+        w, mu, nu = paths.quadratic_clock_spectrum(spec, 100.0, n_steps or 1)
+        got = sb.log_laplace(spec, 100.0, lams, n_steps)
+        assert np.isfinite(got).tolist() == [True, True, n_steps is not None]
+        with mpmath.workdps(40):
+            for lam, value in zip(lams, got):
+                lam = mpmath.mpf(lam)
+                if n_steps is None:
+                    terms = [mpmath.log(mpmath.cosh(100 * mpmath.sqrt(2 * lam * wj))) for wj in w]
+                else:
+                    terms = [mpmath.log1p(2 * lam * wj * mk) for wj in w for mk in mu]
+                assert value == pytest.approx(float(-nu * mpmath.fsum(terms) / 2), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_continuous_law_past_an_overflowing_t_sqrt_w(self):
+        # t rho = 1e313 overflows, t sqrt(2 lambda) rho does not below lambda = 1
+        mpmath = pytest.importorskip("mpmath")
+        got = sb.log_laplace(sb.PowerClockSpec(2.0, rho=1e153), 1e160, (0.0, 1e-300, 1.0))
+        with mpmath.workdps(40):
+            x = mpmath.mpf(1e160) * mpmath.sqrt(2 * mpmath.mpf(1e-300) * mpmath.mpf(1e153) ** 2)
+            want = float(-mpmath.log(mpmath.cosh(x)) / 2)
+        assert got[0] == 0.0 and got[1] == pytest.approx(want, rel=1e-14) and got[2] == -np.inf
 
     @pytest.mark.parametrize("n_steps", [None, 4, 64])
     @pytest.mark.parametrize("spec", _LAW_CLOCKS, ids=_LAW_IDS)
